@@ -250,19 +250,23 @@ class OptimizationReport:
 def on_session_end(map: GlobalMap, client_id: int, hook=None) -> OptimizationReport:
     """Run the pluggable global-optimization hook and report what it touched.
 
-    The default hook only counts frames and points; the map is unchanged.
+    Without a hook only frames and points are counted: the map is unchanged,
+    so it is not hashed and both digests stay empty.
     """
-    before = state_digest(map)
-    t0 = time.perf_counter()
+    before = after = ""
+    elapsed = 0.0
     if hook is not None:
+        before = state_digest(map)
+        t0 = time.perf_counter()
         hook(map)
-    elapsed = time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        after = state_digest(map)
     return OptimizationReport(
         client_id=client_id,
         frame_count=len(map.frames),
         point_count=len(map.points),
         elapsed_seconds=elapsed,
         digest_before=before,
-        digest_after=state_digest(map) if hook is not None else before,
+        digest_after=after,
         hook_name=getattr(hook, "__name__", "noop") if hook is not None else "noop",
     )

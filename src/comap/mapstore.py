@@ -2,11 +2,12 @@
 
 Point metadata lives in per-id records; positions and observation counts are
 mirrored into columnar arrays so cone filtering and neighbor gathering stay
-vectorized. Two persistent ``cKDTree`` indices, one over point positions and
-one over frame positions, absorb inserts through a side buffer and rebuild
-once it exceeds 10% of the tree size. Single-center radius queries scan the
-buffer linearly; batch queries (overlap classification) search it through a
-small tree of its own, built on demand and kept until the next insert.
+vectorized. Two persistent ``spatial.KdTree`` indices, one over point
+positions and one over frame positions, absorb inserts through a side buffer
+and rebuild once it exceeds 10% of the tree size. Single-center radius
+queries scan the buffer linearly; batch queries (overlap classification)
+search it through a small tree of its own, built on demand and kept until
+the next insert.
 
 Neighbor gathering never sorts: the gated frames' rows are deduplicated by
 setting them in a boolean mask over the point table, and overlap assessment
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, optical_axis
-from .spatial import any_in_ball, ball_indices, build_index
+from .spatial import KdTree
 
 SNAPSHOT_MAGIC = b"MPPS"
 SNAPSHOT_VERSION = 1
@@ -118,10 +119,10 @@ class NeighborSet:
 
 
 class _IncrementalIndex:
-    """cKDTree plus side buffer keyed by external integer rows."""
+    """KdTree plus side buffer keyed by external integer rows."""
 
     def __init__(self, rebuild_fraction: float = 0.1, min_pending: int = 16):
-        self._tree = build_index(np.empty((0, 3)))
+        self._tree = KdTree(np.empty((0, 3)))
         self._tree_rows = np.empty(0, dtype=np.int64)
         self._pending_rows: list[int] = []
         self._pending_pos: list[np.ndarray] = []
@@ -141,7 +142,7 @@ class _IncrementalIndex:
             self.rebuild()
 
     def rebuild(self):
-        self._tree = build_index(np.concatenate([self._tree.data, self._pending_array()]))
+        self._tree = KdTree(np.concatenate([self._tree.points, self._pending_array()]))
         self._tree_rows = self.rows()
         self._pending_rows = []
         self._pending_pos = []
@@ -158,7 +159,7 @@ class _IncrementalIndex:
     def radius_rows(self, center, r: float) -> np.ndarray:
         """Ascending rows with distance <= r; identical arithmetic to the linear oracle."""
         center = np.asarray(center, dtype=np.float64)
-        hits = [self._tree_rows[ball_indices(self._tree, center, r)]]
+        hits = [self._tree_rows[self._tree.radius_search(center, r)]]
         if self._pending_rows:
             d2 = np.sum((self._pending_array() - center) ** 2, axis=1)
             hits.append(
@@ -168,13 +169,13 @@ class _IncrementalIndex:
 
     def any_within(self, centers: np.ndarray, r: float, allowed: np.ndarray) -> np.ndarray:
         """Per center: does a point whose row is set in ``allowed`` lie within r?"""
-        found = any_in_ball(self._tree, centers, r, allowed[self._tree_rows])
+        found = self._tree.any_within(centers, r, allowed[self._tree_rows])
         pending = np.asarray(self._pending_rows, dtype=np.int64)
         todo = np.flatnonzero(~found)
         if len(todo) and allowed[pending].any():
             if self._pending_tree is None:
-                self._pending_tree = build_index(self._pending_array())
-            found[todo] = any_in_ball(self._pending_tree, centers[todo], r, allowed[pending])
+                self._pending_tree = KdTree(self._pending_array())
+            found[todo] = self._pending_tree.any_within(centers[todo], r, allowed[pending])
         return found
 
 
@@ -587,10 +588,15 @@ def load_snapshot(path) -> GlobalMap:
     # Rebuild through insert_frame so indices and counts are reconstructed,
     # then restore the recorded ownership metadata.
     for f in frames:
+        missing = [int(i) for i in f.ids if int(i) not in points]
+        if missing:
+            raise SnapshotError(f"frame {f.frame_id} lists points {missing} absent from the table")
         insert_frame(m, f, [points[int(i)] for i in f.ids])
         m._next_frame_id = max(m._next_frame_id, f.frame_id + 1)
     for pid, p in points.items():
-        mp = m.points[pid]
+        mp = m.points.get(pid)
+        if mp is None:
+            raise SnapshotError(f"point {pid} is listed by no frame")
         mp.owner_frames = set(p.owner_frames)
         mp.observation_count = p.observation_count
         m._pt_obs[m._id_to_row[pid]] = p.observation_count

@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Pose, cone_from_fov, sample_cone
 from .mapstore import GlobalMap, neighbor_point_rows
 from .params import DEFAULT_PARAMS, ProtocolParams
-from .spatial import any_in_ball, build_index
+from .spatial import KdTree
 
 
 @dataclass
@@ -40,9 +40,7 @@ class OverlapVerdict:
 
 def classify_samples(samples: np.ndarray, neighbor_points: np.ndarray, r: float) -> np.ndarray:
     """Boolean redundancy mask: sample i has a neighbor point within r (inclusive)."""
-    if not len(neighbor_points):
-        return np.zeros(len(samples), dtype=bool)
-    return any_in_ball(build_index(neighbor_points), samples, r)
+    return KdTree(neighbor_points).any_within(samples, r)
 
 
 def assess_overlap(

@@ -134,7 +134,6 @@ class Session:
     transform: RigidTransform = field(default_factory=RigidTransform.identity)
     aligned: bool = False
     overlap_degrees: list = field(default_factory=list)
-    keyframes_seen: int = 0
 
     def transition(self, to: SessionState):
         if self.state is SessionState.ENDED:
@@ -180,6 +179,13 @@ class MapServer:
 
     # -- message handling -------------------------------------------------
 
+    def malformed_reply(self, error: DecodeError) -> bytes:
+        """The E_MALFORMED error frame answering undecodable bytes."""
+        out = encode(ErrorMsg(wire.E_MALFORMED, str(error)))
+        with self._stats_lock:
+            self.egress_bytes += len(out)
+        return out
+
     def handle_bytes(self, raw: bytes) -> bytes:
         """Decode, dispatch, and encode; errors become error frames."""
         with self._stats_lock:
@@ -187,11 +193,7 @@ class MapServer:
         try:
             msg = decode(raw)
         except DecodeError as e:
-            reply = ErrorMsg(wire.E_MALFORMED, str(e))
-            out = encode(reply)
-            with self._stats_lock:
-                self.egress_bytes += len(out)
-            return out
+            return self.malformed_reply(e)
         t0 = time.perf_counter()
         try:
             reply = self.handle(msg)
@@ -263,7 +265,6 @@ class MapServer:
     def _on_overlap_query(self, msg: OverlapQueryMsg):
         session = self._session(msg.client_id)
         session.transition(SessionState.MAPPING)
-        session.keyframes_seen += 1
         with self._map_lock.reading():
             verdict, _ = self._assess(session, msg)
         return build_response(verdict)
@@ -506,6 +507,18 @@ class TcpMapServer:
                 try:
                     raw = _read_frame(conn)
                 except TransportError:
+                    break
+                except DecodeError as e:
+                    # The header's length cannot be trusted, so the stream
+                    # cannot be resynchronised: answer, then hang up. What
+                    # the peer already sent is drained (up to 1 MiB) so the
+                    # close is a FIN, not a reset that discards the answer.
+                    conn.sendall(self.server.malformed_reply(e))
+                    conn.shutdown(socket.SHUT_WR)
+                    conn.settimeout(1.0)
+                    for _ in range(16):
+                        if not conn.recv(65536):
+                            break
                     break
                 conn.sendall(self.server.handle_bytes(raw))
         except OSError:

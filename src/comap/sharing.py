@@ -10,6 +10,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import Pose, ViewCone, cone_from_fov, contains, contains_many
 from .mapstore import GlobalMap, select_neighbors
@@ -39,6 +41,7 @@ class SharedMapSlice:
     frames: list[FrameRecord]
     point_ids: np.ndarray
     point_positions: np.ndarray
+    point_observations: np.ndarray
 
     @property
     def empty(self) -> bool:
@@ -49,13 +52,11 @@ class SharedMapSlice:
             PointRecord(
                 id=int(pid),
                 position=self.point_positions[i],
-                observation_count=min(int(self._obs[i]), 0xFFFF) if self._obs is not None else 1,
+                observation_count=min(int(self.point_observations[i]), 0xFFFF),
             )
             for i, pid in enumerate(self.point_ids)
         ]
         return SharedMapResponseMsg(frames=list(self.frames), points=points)
-
-    _obs: np.ndarray | None = None
 
 
 def build_shared_map(
@@ -130,7 +131,7 @@ def build_shared_map(
             )
         )
 
-    slice_ = SharedMapSlice(
+    return SharedMapSlice(
         origin_client=client_id,
         origin_keyframe=keyframe_id,
         origin_pose=q,
@@ -138,9 +139,8 @@ def build_shared_map(
         frames=records,
         point_ids=ids.copy(),
         point_positions=positions[rows].copy(),
+        point_observations=map.point_observation_counts[rows].copy(),
     )
-    slice_._obs = map.point_observation_counts[rows].copy()
-    return slice_
 
 
 @dataclass(frozen=True)
@@ -196,24 +196,10 @@ def _cluster_sizes(positions: np.ndarray, radius: float) -> list[int]:
     n = len(positions)
     if n == 0:
         return []
-    tree = KdTree(positions)
-    seen = np.zeros(n, dtype=bool)
-    sizes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        size = 0
-        while queue:
-            i = queue.pop()
-            size += 1
-            for j in tree.radius_search(positions[i], radius):
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(int(j))
-        sizes.append(size)
-    return sizes
+    pairs = KdTree(positions).pairs_within(radius)
+    links = coo_matrix((np.ones(len(pairs), dtype=bool), pairs.T), shape=(n, n))
+    _, labels = connected_components(links, directed=False)
+    return np.bincount(labels).tolist()
 
 
 def get_update_status(
@@ -263,17 +249,15 @@ def get_update_status(
         return UpdateStatus(UpdateVerdict.EXPANSION, set(), examined=examined)
     observed = KdTree(obs).any_within(positions, r_match)
 
-    candidate_rows = np.nonzero(high & ~observed)[0]
-    map_tree = KdTree(positions)
-    confirmed = []
-    need = max(1, math.ceil(k_nn / 2))
-    for row in candidate_rows:
-        nn = map_tree.query_nearest(positions[row], k_nn + 1)
-        nn = nn[nn != row][:k_nn]
-        if int((~observed[nn]).sum()) >= need:
-            confirmed.append(int(row))
-
-    confirmed = np.array(confirmed, dtype=np.int64)
+    candidate_rows = np.flatnonzero(high & ~observed)
+    confirmed = candidate_rows
+    if len(candidate_rows):
+        nn = KdTree(positions).query_nearest(positions[candidate_rows], k_nn + 1)
+        # Per row: drop the candidate itself, keep the first k_nn neighbours.
+        keep = nn != candidate_rows[:, None]
+        keep &= np.cumsum(keep, axis=1) <= k_nn
+        unobserved = np.sum(keep & ~observed[nn], axis=1)
+        confirmed = candidate_rows[unobserved >= max(1, math.ceil(k_nn / 2))]
     sizes = _cluster_sizes(positions[confirmed], 2.0 * r_match)
     updating = (
         len(confirmed) >= params.stale_min

@@ -1,234 +1,125 @@
-"""KD-trees over 3D points with inclusive radius search.
+"""The one spatial index over 3D points: ``KdTree``, a thin class over a
+``scipy.spatial.cKDTree``.
 
-``KdTree`` is a hand-written static tree whose per-query ``last_visited``
-counter exposes how many tree nodes a search touched. The map store's
-persistent indices are ``scipy.spatial.cKDTree`` instances instead, queried
-through ``ball_indices`` and ``any_in_ball``: the tree only proposes
-candidates at a slightly padded radius, and the verdict uses the linear
-oracle's arithmetic, so a point at exactly ``r`` counts the same either way.
+Every query keeps the linear oracle's arithmetic. The tree only proposes
+candidates at a slightly padded radius; the verdict is
+``sum((p - c)**2) <= r*r``, so a point at exactly ``r`` counts the same as in
+``linear_radius_search``. Nearest-neighbour lists order by that squared
+distance and then by index, exactly as a stable argsort does.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-_LEAF_SIZE = 256
+
+def _search_radius(r):
+    """Radius (or array of radii) at which the tree is asked for candidates:
+    a little over ``r`` so the tree's own rounding cannot drop a point at
+    exactly ``r``."""
+    if np.any(np.asarray(r) < 0):
+        raise ValueError(f"radius must be non-negative, got {r}")
+    return r * (1.0 + 1e-9) + 1e-9
+
+
+def _flatten(lists) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated indices of per-center candidate lists, and their lengths."""
+    counts = np.fromiter((len(b) for b in lists), np.int64, len(lists))
+    idx = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(counts.sum()))
+    return idx, counts
 
 
 class KdTree:
-    """Median-split KD-tree over an (N, 3) point array."""
+    """Static index over an (N, 3) point array, shaped for fast (re)builds."""
 
-    def __init__(self, points, leaf_size: int = _LEAF_SIZE):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-        self._pts = np.ascontiguousarray(pts)
-        self._idx = np.arange(len(pts), dtype=np.int64)
-        self._leaf_size = leaf_size
-        self.last_visited = 0
-        self.total_visited = 0
-        # Node arrays: internal nodes carry (dim, val, left, right); leaves
-        # carry (start, end) into the permuted index array and left == -1.
-        dims, vals, lefts, rights, starts, ends = [], [], [], [], [], []
-        if len(pts):
-            stack = [(0, len(pts), -1, False, 0)]
-            while stack:
-                start, end, parent, is_right, depth = stack.pop()
-                node = len(dims)
-                if parent >= 0:
-                    if is_right:
-                        rights[parent] = node
-                    else:
-                        lefts[parent] = node
-                if end - start <= leaf_size:
-                    dims.append(-1)
-                    vals.append(0.0)
-                    lefts.append(-1)
-                    rights.append(-1)
-                    starts.append(start)
-                    ends.append(end)
-                    continue
-                dim = depth % 3
-                sub = self._idx[start:end]
-                half = (end - start) // 2
-                order = np.argpartition(self._pts[sub, dim], half)
-                self._idx[start:end] = sub[order]
-                mid = start + half
-                val = float(self._pts[self._idx[mid], dim])
-                dims.append(dim)
-                vals.append(val)
-                lefts.append(0)
-                rights.append(0)
-                starts.append(start)
-                ends.append(end)
-                stack.append((mid, end, node, True, depth + 1))
-                stack.append((start, mid, node, False, depth + 1))
-        self._dim = np.array(dims, dtype=np.int8)
-        self._val = np.array(vals, dtype=np.float64)
-        self._left = np.array(lefts, dtype=np.int32)
-        self._right = np.array(rights, dtype=np.int32)
-        self._start = np.array(starts, dtype=np.int64)
-        self._end = np.array(ends, dtype=np.int64)
+        self._tree = cKDTree(pts, leafsize=32, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
-        return len(self._pts)
+        return self._tree.n
 
     @property
     def points(self) -> np.ndarray:
-        return self._pts
+        return self._tree.data
+
+    def _d2(self, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        return np.sum((self._tree.data[idx] - centers) ** 2, axis=-1)
 
     def radius_search(self, center, r: float) -> np.ndarray:
-        """Indices of all points with Euclidean distance <= r from center."""
-        if r < 0:
-            raise ValueError(f"radius must be non-negative, got {r}")
-        self.last_visited = 0
-        if not len(self._pts):
-            return np.empty(0, dtype=np.int64)
+        """Ascending indices of all points with distance <= r from center."""
         center = np.asarray(center, dtype=np.float64)
-        r2 = r * r
-        hits = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            self.last_visited += 1
-            if self._left[node] < 0:
-                sub = self._idx[self._start[node] : self._end[node]]
-                d2 = np.sum((self._pts[sub] - center) ** 2, axis=1)
-                hits.append(sub[d2 <= r2])
-                continue
-            delta = center[self._dim[node]] - self._val[node]
-            if delta <= r:
-                stack.append(self._left[node])
-            if delta >= -r:
-                stack.append(self._right[node])
-        self.total_visited += self.last_visited
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
+        idx = np.asarray(self._tree.query_ball_point(center, _search_radius(r)), dtype=np.int64)
+        return np.sort(idx[self._d2(idx, center) <= r * r])
 
-    def any_within(self, centers: np.ndarray, r: float) -> np.ndarray:
-        """Boolean mask: which of the (M, 3) centers have a point within r."""
-        if r < 0:
-            raise ValueError(f"radius must be non-negative, got {r}")
+    def any_within(self, centers, r: float, allowed=None) -> np.ndarray:
+        """Boolean mask: which of the (M, 3) centers have a point within r.
+
+        With ``allowed`` (a boolean mask over the points) only those points
+        count. Each center's nearest candidate settles it when allowed; only
+        the rest pay for a full ball query.
+        """
+        r_search = _search_radius(r)
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         found = np.zeros(len(centers), dtype=bool)
-        self.last_visited = 0
-        if not len(self._pts) or not len(centers):
+        n = self._tree.n
+        if not n or not len(centers):
             return found
         r2 = r * r
-
-        def visit(node: int, subset: np.ndarray):
-            subset = subset[~found[subset]]
-            if not len(subset):
-                return
-            self.last_visited += 1
-            if self._left[node] < 0:
-                leaf = self._pts[self._idx[self._start[node] : self._end[node]]]
-                diff = centers[subset, None, :] - leaf[None, :, :]
-                d2 = np.sum(diff * diff, axis=2)
-                found[subset[np.any(d2 <= r2, axis=1)]] = True
-                return
-            delta = centers[subset, self._dim[node]] - self._val[node]
-            visit(self._left[node], subset[delta <= r])
-            visit(self._right[node], subset[delta >= -r])
-
-        visit(0, np.arange(len(centers), dtype=np.int64))
-        self.total_visited += self.last_visited
+        _, nearest = self._tree.query(centers, k=1, distance_upper_bound=r_search)
+        cand = np.flatnonzero(nearest < n)
+        near = nearest[cand]
+        ok = self._d2(near, centers[cand]) <= r2
+        if allowed is not None:
+            ok &= allowed[near]
+        found[cand[ok]] = True
+        rest = cand[~ok]
+        if len(rest):
+            idx, counts = _flatten(self._tree.query_ball_point(centers[rest], r_search))
+            owner = np.repeat(rest, counts)
+            ok = self._d2(idx, centers[owner]) <= r2
+            if allowed is not None:
+                ok &= allowed[idx]
+            found[owner[ok]] = True
         return found
 
-    def query_nearest(self, center, k: int = 1) -> np.ndarray:
-        """Indices of the k nearest points, closest first."""
+    def query_nearest(self, centers, k: int = 1) -> np.ndarray:
+        """Indices of the k nearest points, closest first, ties by index.
+
+        One center of shape (3,) gives a 1-D array; an (M, 3) batch gives
+        one row per center. Fewer than k points give all of them.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not len(self._pts):
-            return np.empty(0, dtype=np.int64)
-        center = np.asarray(center, dtype=np.float64)
-        heap: list[tuple[float, int]] = []  # max-heap via negated distances
+        centers = np.asarray(centers, dtype=np.float64)
+        batch = centers.reshape(-1, 3)
+        k = min(k, self._tree.n)
+        if not k or not len(batch):
+            out = np.empty((len(batch), k), dtype=np.int64)
+            return out if centers.ndim > 1 else out.reshape(-1)
+        # The tree's k nearest fix each center's k-th distance; a ball query
+        # at that distance then also finds every point tied with it.
+        _, knn = self._tree.query(batch, k=k)
+        kth = np.sqrt(self._d2(knn.reshape(len(batch), k), batch[:, None, :]).max(axis=1))
+        idx, counts = _flatten(self._tree.query_ball_point(batch, _search_radius(kth)))
+        owner = np.repeat(np.arange(len(batch)), counts)
+        order = np.lexsort((idx, self._d2(idx, batch[owner]), owner))
+        rank = np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+        out = idx[order][rank < k].reshape(len(batch), k)
+        return out if centers.ndim > 1 else out[0]
 
-        def visit(node: int):
-            if self._left[node] < 0:
-                sub = self._idx[self._start[node] : self._end[node]]
-                d2 = np.sum((self._pts[sub] - center) ** 2, axis=1)
-                for dist, i in zip(d2, sub):
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-dist, int(i)))
-                    elif dist < -heap[0][0]:
-                        heapq.heapreplace(heap, (-dist, int(i)))
-                return
-            delta = float(center[self._dim[node]] - self._val[node])
-            near, far = (
-                (self._left[node], self._right[node])
-                if delta <= 0
-                else (self._right[node], self._left[node])
-            )
-            visit(near)
-            if len(heap) < k or delta * delta <= -heap[0][0]:
-                visit(far)
-
-        visit(0)
-        order = sorted(heap, key=lambda t: (-t[0], t[1]))
-        return np.array([i for _, i in order], dtype=np.int64)
-
-
-def build_index(points) -> cKDTree:
-    """Static cKDTree over (N, 3) points, shaped for fast (re)builds."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return cKDTree(pts, leafsize=32, balanced_tree=False, compact_nodes=False)
-
-
-def _search_radius(r: float) -> float:
-    """Radius at which the tree is asked for candidates: a little over ``r``
-    so the tree's own rounding cannot drop a point at exactly ``r``."""
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
-    return r * (1.0 + 1e-9) + 1e-9
-
-
-def ball_indices(tree: cKDTree, center, r: float) -> np.ndarray:
-    """Ascending indices of tree points with sum((p - center)**2) <= r*r."""
-    center = np.asarray(center, dtype=np.float64)
-    idx = np.asarray(tree.query_ball_point(center, _search_radius(r)), dtype=np.int64)
-    d2 = np.sum((tree.data[idx] - center) ** 2, axis=1)
-    return np.sort(idx[d2 <= r * r])
-
-
-def any_in_ball(tree: cKDTree, centers, r: float, allowed=None) -> np.ndarray:
-    """Boolean mask: which of the (M, 3) centers have a tree point within r.
-
-    With ``allowed`` (a boolean mask over the tree's points) only those
-    points count. Each center's nearest candidate settles it when allowed;
-    only the rest pay for a full ball query.
-    """
-    r_search = _search_radius(r)
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    found = np.zeros(len(centers), dtype=bool)
-    if not tree.n or not len(centers):
-        return found
-    r2 = r * r
-    _, nearest = tree.query(centers, k=1, distance_upper_bound=r_search)
-    cand = np.flatnonzero(nearest < tree.n)
-    near = nearest[cand]
-    ok = np.sum((tree.data[near] - centers[cand]) ** 2, axis=1) <= r2
-    if allowed is not None:
-        ok &= allowed[near]
-    found[cand[ok]] = True
-    rest = cand[~ok]
-    if len(rest):
-        balls = tree.query_ball_point(centers[rest], r_search)
-        counts = np.array([len(b) for b in balls], dtype=np.int64)
-        idx = np.fromiter(itertools.chain.from_iterable(balls), np.int64, int(counts.sum()))
-        owner = np.repeat(rest, counts)
-        ok = np.sum((tree.data[idx] - centers[owner]) ** 2, axis=1) <= r2
-        if allowed is not None:
-            ok &= allowed[idx]
-        found[owner[ok]] = True
-    return found
+    def pairs_within(self, r: float) -> np.ndarray:
+        """Lexicographically sorted (P, 2) index pairs i < j within r."""
+        pairs = self._tree.query_pairs(_search_radius(r), output_type="ndarray")
+        pairs = pairs[self._d2(pairs[:, 0], self._tree.data[pairs[:, 1]]) <= r * r]
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int64)
 
 
 def build_point_kdtree(points) -> KdTree:

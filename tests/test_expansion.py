@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from comap import expansion
 from comap.expansion import (
     DegenerateCorrespondencesError,
     Keyframe,
@@ -319,6 +320,18 @@ class TestSessionEnd:
         assert state_digest(gmap) == before
         assert not report.map_changed
         assert report.hook_name == "noop"
+
+    def test_no_hook_hashes_nothing(self, rng, monkeypatch):
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, rng.uniform(-10, 10, (20, 3)))
+
+        def forbidden(m):
+            raise AssertionError("state_digest called without a hook")
+
+        monkeypatch.setattr(expansion, "state_digest", forbidden)
+        report = on_session_end(gmap, client_id=1)
+        assert not report.map_changed
+        assert report.point_count == 20
 
     def test_counts_cover_all_clients(self, rng):
         gmap = GlobalMap()

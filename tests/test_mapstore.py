@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -270,5 +271,19 @@ class TestSnapshot:
         data = path.read_bytes()
         bad = tmp_path / "trunc.mpps"
         bad.write_bytes(data[: len(data) // 2])
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    @pytest.mark.parametrize("listed_id", [999_999, 10])
+    def test_inconsistent_ids_raise_snapshot_error(self, tmp_path, rng, listed_id):
+        # The last eight bytes are the last frame's last point id (69, held
+        # by no other frame). Listing an id absent from the point table, or
+        # one that leaves point 69 without a frame, is a bad snapshot.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = path.read_bytes()
+        assert struct.unpack("<q", data[-8:]) == (69,)
+        bad = tmp_path / "ids.mpps"
+        bad.write_bytes(data[:-8] + struct.pack("<q", listed_id))
         with pytest.raises(SnapshotError):
             load_snapshot(bad)

@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 import struct
 import time
 
@@ -209,6 +210,23 @@ class TestTcpTransport:
             assert isinstance(reply, OverlapResponseMsg)
             assert t.sent_bytes == 64 + len(encode(SessionRegisterMsg(1, SIM_INTR)))
             t.close()
+        finally:
+            front.stop()
+
+    def test_bad_magic_variable_frame_gets_error_frame_then_close(self):
+        # A variable-type header with a bad magic number: the length field
+        # cannot be trusted, so the server answers as in-process and hangs up.
+        raw = struct.pack("<HBBI", 0xBEEF, 1, 3, 4) + b"abcd"
+        expected = fresh_server().handle_bytes(raw)
+        assert decode(expected).code == wire.E_MALFORMED
+        front = serve(GlobalMap(np_max=PARAMS.np_max), params=PARAMS)
+        try:
+            with socket.create_connection(front.addr, timeout=5.0) as sock:
+                sock.sendall(raw)
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            assert reply == expected
         finally:
             front.stop()
 

@@ -11,6 +11,7 @@ from comap.sharing import (
     DeviceAction,
     DeviceLoopState,
     UpdateVerdict,
+    _cluster_sizes,
     build_shared_map,
     count_map_requests,
     default_r_match,
@@ -19,7 +20,9 @@ from comap.sharing import (
     run_device_loop,
 )
 from comap.sim import generate_scene, mutate_scene, observe
+from comap.spatial import linear_radius_search
 from comap.wire import (
+    KeyframeUploadMsg,
     PointRecord,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
@@ -273,6 +276,91 @@ class TestGetUpdateStatus:
     def test_empty_keyframes_rejected(self):
         with pytest.raises(ValueError):
             get_update_status(GlobalMap(), [], params=PARAMS)
+
+
+def bfs_cluster_sizes(positions, radius):
+    """Reference single-linkage component sizes: BFS over the linear scan."""
+    seen = np.zeros(len(positions), dtype=bool)
+    sizes = []
+    for start in range(len(positions)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, size = [start], 0
+        while queue:
+            i = queue.pop()
+            size += 1
+            for j in linear_radius_search(positions, positions[i], radius):
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(int(j))
+        sizes.append(size)
+    return sizes
+
+
+def reference_confirmation(gmap, kfs, k_nn, r_match, params=PARAMS):
+    """The update check's candidates, confirmed rows and cluster sizes,
+    computed per row as first written: a brute-force kNN (ties by index)
+    per candidate, minus the candidate itself, then a BFS for clusters."""
+    positions = gmap.point_positions
+    counts = gmap.point_observation_counts
+    high = np.zeros(len(positions), dtype=bool)
+    for kf in kfs:
+        in_cone = contains_many(cone_from_fov(kf.pose, kf.fov, params.h), positions)
+        if in_cone.any():
+            high |= in_cone & (counts >= float(np.median(counts[in_cone])))
+    obs = np.array([p.position for kf in kfs for p in kf.points], dtype=np.float64)
+    observed = np.array([len(linear_radius_search(obs, p, r_match)) > 0 for p in positions])
+    candidates = np.flatnonzero(high & ~observed)
+    confirmed, self_dropped = [], 0
+    for row in candidates:
+        d2 = np.sum((positions - positions[row]) ** 2, axis=1)
+        nn = np.argsort(d2, kind="stable")[: k_nn + 1]
+        self_dropped += row not in nn
+        nn = nn[nn != row][:k_nn]
+        if int((~observed[nn]).sum()) >= max(1, math.ceil(k_nn / 2)):
+            confirmed.append(int(row))
+    confirmed = np.array(confirmed, dtype=np.int64)
+    sizes = bfs_cluster_sizes(positions[confirmed], 2.0 * r_match)
+    return candidates, confirmed, sizes, self_dropped
+
+
+class TestUpdateCheckOracle:
+    def test_cluster_sizes_match_bfs(self, rng):
+        for _ in range(20):
+            pts = np.round(rng.uniform(-5, 5, (int(rng.integers(0, 200)), 3)), 1)
+            radius = float(rng.uniform(0, 1.5))
+            assert _cluster_sizes(pts, radius) == bfs_cluster_sizes(pts, radius)
+        # A link at exactly the radius joins.
+        assert _cluster_sizes(np.array([[0.0, 0, 0], [3, 4, 0], [9, 0, 0]]), 5.0) == [2, 1]
+
+    def test_confirmation_matches_per_row_loop_with_duplicates(self, rng):
+        # Snapped points, a dozen of them stored ten times over: the later
+        # copies of a point do not find themselves among their k_nn + 1
+        # nearest neighbours (ties go to the lower rows). Half the view and
+        # a random 30% of the rest are re-observed.
+        pose = Pose(0, 0, 1.5, 0.0, math.pi / 2, 0.0)
+        base = np.round(rng.uniform([4, -4, -2.5], [16, 4, 5.5], (400, 3)) * 2) / 2
+        positions = np.vstack([np.repeat(base[:12], 10, axis=0), base[12:]])
+        gmap = GlobalMap(np_max=PARAMS.np_max)
+        insert_point_cloud(gmap, positions)
+        seen = base[(base[:, 1] > 0.5) | (rng.uniform(size=len(base)) < 0.3)]
+        kfs = [
+            KeyframeUploadMsg(
+                9, i, pose, FOV, [PointRecord(i * 1000 + j, p) for j, p in enumerate(chunk)]
+            )
+            for i, chunk in enumerate(np.array_split(seen, 2))
+        ]
+        r_match = 0.6
+        candidates, confirmed, sizes, self_dropped = reference_confirmation(
+            gmap, kfs, PARAMS.k_nn, r_match
+        )
+        assert self_dropped > 0 and 0 < len(confirmed) < len(candidates)
+        status = get_update_status(gmap, kfs, r_match=r_match, params=PARAMS)
+        assert status.verdict is UpdateVerdict.UPDATING
+        assert status.stale_candidates == len(candidates)
+        assert status.stale_point_ids == set(int(i) for i in gmap.point_id_array[confirmed])
+        assert status.cluster_count == sum(1 for s in sizes if s >= PARAMS.cluster_min)
 
 
 class TestRequestCounts:
