@@ -117,6 +117,35 @@ class TestAnyWithin:
         assert len(tree.any_within(np.zeros((0, 3)), 1.0)) == 0
 
 
+class TestIndexQueries:
+    """``KdTree.radius_search`` and ``KdTree.any_within`` equal the linear scan."""
+
+    def test_ball_indices_match_linear_scan(self, rng):
+        # Snapped coordinates and integer radii put many points exactly on
+        # the sphere, where the inclusive boundary must agree with the oracle.
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            pts = np.round(rng.uniform(-6, 6, (n, 3)))
+            tree = KdTree(pts)
+            for _ in range(40):
+                center = np.round(rng.uniform(-7, 7, 3))
+                r = float(rng.integers(0, 6))
+                want = linear_radius_search(pts, center, r)
+                np.testing.assert_array_equal(tree.radius_search(center, r), want)
+                np.testing.assert_array_equal(
+                    tree.any_within(center[None], r), [len(want) > 0]
+                )
+
+    def test_empty_inputs_and_negative_radius(self):
+        assert not KdTree(np.zeros((0, 3))).any_within(np.zeros((4, 3)), 1.0).any()
+        assert len(KdTree(np.zeros((5, 3))).any_within(np.zeros((0, 3)), 1.0)) == 0
+        assert len(KdTree(np.zeros((0, 3))).radius_search([0, 0, 0], 1.0)) == 0
+        with pytest.raises(ValueError):
+            KdTree(np.zeros((3, 3))).any_within(np.zeros((2, 3)), -0.1)
+        with pytest.raises(ValueError):
+            KdTree(np.zeros((3, 3))).radius_search([0, 0, 0], -1.0)
+
+
 class TestQueryNearest:
     def test_matches_argsort(self, rng):
         pts = rng.uniform(-10, 10, (300, 3))
