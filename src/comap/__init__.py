@@ -35,7 +35,6 @@ from .geometry import (
 from .mapstore import (
     GlobalMap,
     MapFrame,
-    MapPoint,
     NeighborSet,
     audit,
     insert_frame,
@@ -75,7 +74,6 @@ from .sharing import (
     build_shared_map,
     count_map_requests,
     get_update_status,
-    localize,
     run_device_loop,
 )
 from .sim import (

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, euler_from_matrix
-from .mapstore import GlobalMap, MapFrame, MapPoint, insert_frame, state_digest
+from .mapstore import GlobalMap, MapFrame, insert_frame, state_digest
 from .overlap import OverlapVerdict
-from .wire import KeyframeUploadMsg, OverlapResponseMsg, PointRecord
+from .wire import KeyframeUploadMsg, OverlapResponseMsg, point_table
 
 
 class DegenerateCorrespondencesError(ValueError):
@@ -66,15 +66,11 @@ class Keyframe:
         )
 
     def to_upload_msg(self, client_id: int) -> KeyframeUploadMsg:
-        points = [
-            PointRecord(
-                id=int(self.landmark_ids[i]),
-                position=self.positions[i],
-                descriptor=self.descriptors[i].tobytes(),
-                observation_count=min(int(self.observation_counts[i]), 0xFFFF),
-            )
-            for i in range(len(self))
-        ]
+        points = point_table(len(self))
+        points["id"] = self.landmark_ids
+        points["position"] = self.positions
+        points["descriptor"] = self.descriptors
+        points["observation_count"] = np.minimum(self.observation_counts, 0xFFFF)
         return KeyframeUploadMsg(client_id, self.keyframe_id, self.pose, self.fov, points)
 
 
@@ -172,10 +168,7 @@ def integrate_upload(
 ) -> int:
     """Map an uploaded keyframe into the global frame and store it."""
     pose = transform.apply_pose(msg.pose) if not transform.is_identity else msg.pose
-    ids = [p.id for p in msg.points]
-    positions = np.array(
-        [p.position for p in msg.points], dtype=np.float64
-    ).reshape(len(ids), 3)
+    positions = msg.points["position"].astype(np.float64)
     positions = transform.apply(positions) if not transform.is_identity else positions
     frame = MapFrame.create(
         frame_id=map.allocate_frame_id(),
@@ -183,14 +176,10 @@ def integrate_upload(
         keyframe_id=msg.keyframe_id,
         pose=pose,
         fov=msg.fov,
-        point_ids=ids,
+        point_ids=msg.points["id"],
         np_max=map.np_max,
     )
-    records = [
-        MapPoint(id=p.id, position=positions[i], descriptor=p.descriptor)
-        for i, p in enumerate(msg.points)
-    ]
-    return insert_frame(map, frame, records)
+    return insert_frame(map, frame, positions, msg.points["descriptor"])
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Server-side global map: frames, points, and incremental spatial indices.
 
-Point metadata lives in per-id records; positions and observation counts are
-mirrored into columnar arrays so cone filtering and neighbor gathering stay
-vectorized. Two persistent ``spatial.KdTree`` indices, one over point
-positions and one over frame positions, absorb inserts through a side buffer
-and rebuild once it exceeds 10% of the tree size. Single-center radius
-queries scan the buffer linearly; batch queries (overlap classification)
-search it through a small tree of its own, built on demand and kept until
-the next insert.
+Points live only in row-indexed columns (ids, float64 positions, 32-byte
+descriptors, observation counts) found through an id-to-row dict. Which
+frames list which points is kept as two flat membership columns, frame row
+and point row, appended in each frame's order on insert: a point's owners
+are the frames whose rows list it, and its observation count is their
+number. Two persistent ``spatial.KdTree`` indices, one over point positions
+and one over frame positions, absorb inserts through a side buffer and
+rebuild once it exceeds 10% of the tree size. Single-center radius queries
+scan the buffer linearly; batch queries (overlap classification) search it
+through a small tree of its own, built on demand and kept until the next
+insert.
 
 Neighbor gathering never sorts: the gated frames' rows are deduplicated by
 setting them in a boolean mask over the point table, and overlap assessment
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +48,6 @@ class FrameTooLargeError(ValueError):
 
 class SnapshotError(ValueError):
     """Raised when a snapshot file is malformed."""
-
-
-@dataclass
-class MapPoint:
-    """A 3D landmark stored on the server."""
-
-    id: int
-    position: np.ndarray
-    descriptor: bytes = b"\x00" * 32
-    observation_count: int = 1
-    owner_frames: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -118,14 +110,23 @@ class NeighborSet:
     point_positions: np.ndarray
 
 
+def _reserve(columns: tuple, need: int, floor: int) -> tuple:
+    """The columns, reallocated by capacity doubling to hold ``need`` rows."""
+    cap = len(columns[0])
+    if need <= cap:
+        return columns
+    cap = max(floor, 2 * cap, need)
+    return tuple(np.resize(c, (cap,) + c.shape[1:]) for c in columns)
+
+
 class _IncrementalIndex:
     """KdTree plus side buffer keyed by external integer rows."""
 
     def __init__(self, rebuild_fraction: float = 0.1, min_pending: int = 16):
         self._tree = KdTree(np.empty((0, 3)))
         self._tree_rows = np.empty(0, dtype=np.int64)
-        self._pending_rows: list[int] = []
-        self._pending_pos: list[np.ndarray] = []
+        self._pending_rows = np.empty(0, dtype=np.int64)
+        self._pending_pos = np.empty((0, 3), dtype=np.float64)
         self._pending_tree = None  # over _pending_pos; dropped on every add
         self._rebuild_fraction = rebuild_fraction
         self._min_pending = min_pending
@@ -133,118 +134,116 @@ class _IncrementalIndex:
     def __len__(self) -> int:
         return len(self._tree_rows) + len(self._pending_rows)
 
-    def add(self, row: int, position: np.ndarray):
-        self._pending_rows.append(row)
-        self._pending_pos.append(np.asarray(position, dtype=np.float64))
+    def add(self, rows: np.ndarray, positions: np.ndarray):
+        """Index a batch of rows; rebuild once the side buffer outgrows its share."""
+        self._pending_rows = np.concatenate([self._pending_rows, rows])
+        self._pending_pos = np.concatenate([self._pending_pos, positions])
         self._pending_tree = None
         threshold = max(self._min_pending, self._rebuild_fraction * len(self._tree_rows))
         if len(self._pending_rows) > threshold:
             self.rebuild()
 
     def rebuild(self):
-        self._tree = KdTree(np.concatenate([self._tree.points, self._pending_array()]))
+        self._tree = KdTree(np.concatenate([self._tree.points, self._pending_pos]))
         self._tree_rows = self.rows()
-        self._pending_rows = []
-        self._pending_pos = []
+        self._pending_rows = np.empty(0, dtype=np.int64)
+        self._pending_pos = np.empty((0, 3), dtype=np.float64)
         self._pending_tree = None
 
-    def _pending_array(self) -> np.ndarray:
-        return np.array(self._pending_pos, dtype=np.float64).reshape(-1, 3)
-
     def rows(self) -> np.ndarray:
-        return np.concatenate(
-            [self._tree_rows, np.asarray(self._pending_rows, dtype=np.int64)]
-        )
+        return np.concatenate([self._tree_rows, self._pending_rows])
 
     def radius_rows(self, center, r: float) -> np.ndarray:
         """Ascending rows with distance <= r; identical arithmetic to the linear oracle."""
         center = np.asarray(center, dtype=np.float64)
-        hits = [self._tree_rows[self._tree.radius_search(center, r)]]
-        if self._pending_rows:
-            d2 = np.sum((self._pending_array() - center) ** 2, axis=1)
-            hits.append(
-                np.asarray(self._pending_rows, dtype=np.int64)[d2 <= r * r]
-            )
+        d2 = np.sum((self._pending_pos - center) ** 2, axis=1)
+        hits = [self._tree_rows[self._tree.radius_search(center, r)], self._pending_rows[d2 <= r * r]]
         return np.sort(np.concatenate(hits))
 
     def any_within(self, centers: np.ndarray, r: float, allowed: np.ndarray) -> np.ndarray:
         """Per center: does a point whose row is set in ``allowed`` lie within r?"""
         found = self._tree.any_within(centers, r, allowed[self._tree_rows])
-        pending = np.asarray(self._pending_rows, dtype=np.int64)
         todo = np.flatnonzero(~found)
-        if len(todo) and allowed[pending].any():
+        if len(todo) and allowed[self._pending_rows].any():
             if self._pending_tree is None:
-                self._pending_tree = KdTree(self._pending_array())
-            found[todo] = self._pending_tree.any_within(centers[todo], r, allowed[pending])
+                self._pending_tree = KdTree(self._pending_pos)
+            found[todo] = self._pending_tree.any_within(
+                centers[todo], r, allowed[self._pending_rows]
+            )
         return found
 
 
 class GlobalMap:
     """The server's shared map."""
 
-    def __init__(self, np_max: int = 300, merge_radius: float | None = None):
+    def __init__(self, np_max: int = 300):
         self.np_max = np_max
-        self.merge_radius = merge_radius
         self.frames: dict[int, MapFrame] = {}
-        self.points: dict[int, MapPoint] = {}
         self._next_frame_id = 1
-        # Columnar mirrors of the point table (row-indexed).
+        # Point table (row-indexed): the one store of map points.
         self._pt_ids = np.empty(0, dtype=np.int64)
         self._pt_pos = np.empty((0, 3), dtype=np.float64)
+        self._pt_desc = np.empty((0, 32), dtype=np.uint8)
         self._pt_obs = np.empty(0, dtype=np.int64)
         self._pt_count = 0
         self._id_to_row: dict[int, int] = {}
         self._point_index = _IncrementalIndex()
         # Frame pose table (row-indexed) and its index.
-        self._fr_ids: list[int] = []
+        self._fr_ids = np.empty(0, dtype=np.int64)
         self._fr_pos = np.empty((0, 3), dtype=np.float64)
         self._fr_axis = np.empty((0, 3), dtype=np.float64)
         self._fr_fov = np.empty(0, dtype=np.float64)
         self._fr_client = np.empty(0, dtype=np.int64)
         self._fr_count = 0
+        self._fid_to_row: dict[int, int] = {}
         self._frame_index = _IncrementalIndex()
-        self._frame_rows: dict[int, np.ndarray] = {}
-
-    # -- capacity-doubling appends ------------------------------------
-
-    def _grow_points(self, extra: int):
-        need = self._pt_count + extra
-        cap = len(self._pt_ids)
-        if need <= cap:
-            return
-        cap = max(64, cap)
-        while cap < need:
-            cap *= 2
-        self._pt_ids = np.resize(self._pt_ids, cap)
-        self._pt_pos = np.resize(self._pt_pos, (cap, 3))
-        self._pt_obs = np.resize(self._pt_obs, cap)
-
-    def _grow_frames(self, extra: int):
-        need = self._fr_count + extra
-        cap = len(self._fr_fov)
-        if need <= cap:
-            return
-        cap = max(16, cap)
-        while cap < need:
-            cap *= 2
-        self._fr_pos = np.resize(self._fr_pos, (cap, 3))
-        self._fr_axis = np.resize(self._fr_axis, (cap, 3))
-        self._fr_fov = np.resize(self._fr_fov, cap)
-        self._fr_client = np.resize(self._fr_client, cap)
+        # Memberships: frame row and point row per listed id, appended in
+        # frame order, so the frame rows are ascending.
+        self._mem_fr = np.empty(0, dtype=np.int64)
+        self._mem_pt = np.empty(0, dtype=np.int64)
+        self._mem_count = 0
 
     # -- views ----------------------------------------------------------
+
+    @property
+    def points(self) -> np.ndarray:
+        """Read-only ids of the stored points, in row order."""
+        ids = self._pt_ids[: self._pt_count]
+        ids.flags.writeable = False
+        return ids
 
     @property
     def point_positions(self) -> np.ndarray:
         return self._pt_pos[: self._pt_count]
 
     @property
-    def point_id_array(self) -> np.ndarray:
-        return self._pt_ids[: self._pt_count]
+    def point_descriptors(self) -> np.ndarray:
+        return self._pt_desc[: self._pt_count]
 
     @property
     def point_observation_counts(self) -> np.ndarray:
         return self._pt_obs[: self._pt_count]
+
+    def memberships(self) -> tuple[np.ndarray, np.ndarray]:
+        """(frame row, point row) per listed id, in insertion order."""
+        return self._mem_fr[: self._mem_count], self._mem_pt[: self._mem_count]
+
+    def frame_point_rows(self, frame_row: int) -> np.ndarray:
+        """Point rows of one frame's ids, in the frame's order."""
+        fr, pt = self.memberships()
+        start, end = np.searchsorted(fr, [frame_row, frame_row + 1])
+        return pt[start:end]
+
+    def owner_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(point row, frame id), once per frame listing the point, ordered
+        by point id, then frame id."""
+        fr, pt = self.memberships()
+        fids = self._fr_ids[fr]
+        order = np.lexsort((fids, self._pt_ids[pt]))
+        pt, fids = pt[order], fids[order]
+        keep = np.ones(len(pt), dtype=bool)
+        keep[1:] = (pt[1:] != pt[:-1]) | (fids[1:] != fids[:-1])
+        return pt[keep], fids[keep]
 
     def any_point_within(self, centers: np.ndarray, r: float, rows: np.ndarray) -> np.ndarray:
         """Per center: is one of the point-table ``rows`` within r (inclusive)?
@@ -259,7 +258,10 @@ class GlobalMap:
         return self._point_index.any_within(centers, r, allowed)
 
     def rows_for_ids(self, ids) -> np.ndarray:
-        return np.array([self._id_to_row[int(i)] for i in ids], dtype=np.int64)
+        """Point-table row of each id; -1 where the id is not stored."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        get = self._id_to_row.get
+        return np.fromiter((get(i, -1) for i in ids.tolist()), np.int64, len(ids))
 
     def allocate_frame_id(self) -> int:
         fid = self._next_frame_id
@@ -282,99 +284,82 @@ class GlobalMap:
 
     # -- mutation ---------------------------------------------------------
 
-    def _add_point_row(self, point: MapPoint) -> int:
-        self._grow_points(1)
-        row = self._pt_count
-        self._pt_ids[row] = point.id
-        self._pt_pos[row] = point.position
-        self._pt_obs[row] = point.observation_count
-        self._pt_count += 1
-        self._id_to_row[point.id] = row
-        self._point_index.add(row, point.position)
-        return row
+    def _append_points(self, ids: np.ndarray, positions: np.ndarray, descriptors: np.ndarray):
+        base, k = self._pt_count, len(ids)
+        self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs = _reserve(
+            (self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs), base + k, 64
+        )
+        self._pt_ids[base : base + k] = ids
+        self._pt_pos[base : base + k] = positions
+        self._pt_desc[base : base + k] = descriptors
+        self._pt_obs[base : base + k] = 1
+        self._pt_count += k
+        self._id_to_row.update(zip(ids.tolist(), range(base, base + k)))
+        self._point_index.add(np.arange(base, base + k), positions)
 
-    def _observe_existing(self, point_id: int, frame_id: int):
-        mp = self.points[point_id]
-        if frame_id not in mp.owner_frames:
-            mp.owner_frames.add(frame_id)
-            mp.observation_count += 1
-            self._pt_obs[self._id_to_row[point_id]] += 1
+    def _append_frame(self, frame: MapFrame, point_rows: np.ndarray):
+        row = self._fr_count
+        self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client = _reserve(
+            (self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client), row + 1, 16
+        )
+        self._fr_ids[row] = frame.frame_id
+        self._fr_pos[row] = frame.pose.position
+        self._fr_axis[row] = optical_axis(frame.pose)
+        self._fr_fov[row] = frame.fov
+        self._fr_client[row] = frame.client_id
+        self._fr_count += 1
+        self._fid_to_row[frame.frame_id] = row
+        self._frame_index.add(np.array([row]), frame.pose.position.reshape(1, 3))
+        m, k = self._mem_count, len(point_rows)
+        self._mem_fr, self._mem_pt = _reserve((self._mem_fr, self._mem_pt), m + k, 256)
+        self._mem_fr[m : m + k] = row
+        self._mem_pt[m : m + k] = point_rows
+        self._mem_count += k
+        self.frames[frame.frame_id] = frame
 
 
-def insert_frame(map: GlobalMap, frame: MapFrame, points) -> int:
+def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -> int:
     """Store a frame and integrate its points into the global map.
 
-    Points whose id already exists are merged: the stored position wins,
-    the observation count grows by one per new owning frame. With
-    ``merge_radius`` set, unknown ids are coalesced onto an existing point
-    within that radius and the frame's id list is rewritten accordingly.
+    ``positions`` (and ``descriptors``, 32 bytes each, zero when omitted)
+    align with ``frame.ids``. An id already stored keeps its position and
+    descriptor, and its observation count grows by one. An id repeated
+    within the frame is counted once, with its first position.
     """
-    if frame.frame_id in map.frames:
-        raise DuplicateFrameError(f"frame {frame.frame_id} already stored")
+    fid = frame.frame_id
+    if fid in map.frames:
+        raise DuplicateFrameError(f"frame {fid} already stored")
     if frame.np_new > map.np_max:
         raise FrameTooLargeError(
-            f"frame {frame.frame_id} carries {frame.np_new} points, capacity {map.np_max}"
+            f"frame {fid} carries {frame.np_new} points, capacity {map.np_max}"
         )
-    if len(points) != frame.np_new or any(
-        int(p.id) != int(i) for p, i in zip(points, frame.ids)
-    ):
-        raise ValueError("frame point_ids do not match the supplied point records")
-    for p in points:
-        pos = np.asarray(p.position, dtype=np.float64)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise ValueError(f"point {p.id} has invalid position {p.position}")
+    ids = frame.ids
+    n = len(ids)
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.shape != (n, 3):
+        raise ValueError(f"frame {fid} lists {n} points, positions have shape {positions.shape}")
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"point {ids[j]} has invalid position {positions[j]}")
+    if descriptors is None:
+        descriptors = np.zeros((n, 32), dtype=np.uint8)
+    descriptors = np.asarray(descriptors, dtype=np.uint8).reshape(n, 32)
 
-    fid = frame.frame_id
-    resolved = np.array(frame.ids, dtype=np.int64)
-    rows = np.empty(len(resolved), dtype=np.int64)
-    for j, p in enumerate(points):
-        pid = int(p.id)
-        if pid not in map.points and map.merge_radius is not None:
-            near = map._point_index.radius_rows(
-                np.asarray(p.position, dtype=np.float64), map.merge_radius
-            )
-            if len(near):
-                dists = np.sum(
-                    (map._pt_pos[near] - np.asarray(p.position)) ** 2, axis=1
-                )
-                pid = int(map._pt_ids[near[np.argmin(dists)]])
-                resolved[j] = pid
-        if pid in map.points:
-            map._observe_existing(pid, fid)
-            rows[j] = map._id_to_row[pid]
-        else:
-            mp = MapPoint(
-                id=pid,
-                position=np.asarray(p.position, dtype=np.float64).copy(),
-                descriptor=bytes(p.descriptor),
-                observation_count=1,
-                owner_frames={fid},
-            )
-            map.points[pid] = mp
-            rows[j] = map._add_point_row(mp)
-
-    stored = MapFrame.create(
-        frame_id=fid,
-        client_id=frame.client_id,
-        keyframe_id=frame.keyframe_id,
-        pose=frame.pose,
-        fov=frame.fov,
-        point_ids=resolved,
-        np_max=map.np_max,
-        timestamp=frame.timestamp,
-        feature_slots=frame.feature_slots,
-    )
-    map.frames[fid] = stored
-    map._grow_frames(1)
-    row = map._fr_count
-    map._fr_pos[row] = frame.pose.position
-    map._fr_axis[row] = optical_axis(frame.pose)
-    map._fr_fov[row] = frame.fov
-    map._fr_client[row] = frame.client_id
-    map._fr_ids.append(fid)
-    map._fr_count += 1
-    map._frame_index.add(row, frame.pose.position)
-    map._frame_rows[fid] = rows
+    rows = map.rows_for_ids(ids)
+    known = rows >= 0
+    map._pt_obs[np.unique(rows[known])] += 1
+    new = np.flatnonzero(~known)
+    if len(new):
+        # New ids take rows in order of first appearance.
+        _, first, inverse = np.unique(ids[new], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        rows[new] = map._pt_count + rank[inverse]
+        src = new[first[order]]
+        map._append_points(ids[src], positions[src], descriptors[src])
+    map._append_frame(frame, rows)
     return fid
 
 
@@ -408,16 +393,15 @@ def neighbor_point_rows(
     exclude_client: int | None = None,
 ) -> np.ndarray:
     """Deduplicated point-table rows of the gated neighbor frames."""
-    cand = _gated_frames(map, q, q_fov, t_d, exclude_client)
-    return _union_rows(map, [map._fr_ids[int(r)] for r in cand])
+    return _union_rows(map, _gated_frames(map, q, q_fov, t_d, exclude_client))
 
 
-def _union_rows(map: GlobalMap, frame_ids) -> np.ndarray:
-    """Ascending, deduplicated point-table rows of the given frames."""
-    if not len(frame_ids):
+def _union_rows(map: GlobalMap, frame_rows) -> np.ndarray:
+    """Ascending, deduplicated point-table rows of the given frame rows."""
+    if not len(frame_rows):
         return np.empty(0, dtype=np.int64)
     mask = np.zeros(map._pt_count, dtype=bool)
-    mask[np.concatenate([map._frame_rows[f] for f in frame_ids])] = True
+    mask[np.concatenate([map.frame_point_rows(int(r)) for r in frame_rows])] = True
     return np.flatnonzero(mask)
 
 
@@ -438,8 +422,8 @@ def select_neighbors(
     cand = _gated_frames(map, q, q_fov, t_d, exclude_client)
     if not len(cand):
         return NeighborSet([], np.empty(0, dtype=np.int64), np.empty((0, 3)))
-    frame_ids = sorted(map._fr_ids[int(r)] for r in cand)
-    rows = _union_rows(map, frame_ids)
+    frame_ids = sorted(map._fr_ids[cand].tolist())
+    rows = _union_rows(map, cand)
     ids = map._pt_ids[rows]
     order = np.argsort(ids, kind="stable")
     rows, ids = rows[order], ids[order]
@@ -449,40 +433,28 @@ def select_neighbors(
 def audit(map: GlobalMap) -> list[str]:
     """Referential-integrity and index-consistency check; empty when healthy."""
     violations = []
+    ids = map.points
+    n = len(ids)
     for fid, frame in map.frames.items():
-        for pid in frame.ids:
-            if int(pid) not in map.points:
-                violations.append(f"frame {fid} references missing point {pid}")
-        rows = map._frame_rows.get(fid)
-        if rows is None or not np.array_equal(map._pt_ids[rows], frame.ids):
+        row = map._fid_to_row.get(fid)
+        if row is None or not np.array_equal(map._pt_ids[map.frame_point_rows(row)], frame.ids):
             violations.append(f"frame {fid} row cache out of sync")
-    for pid, mp in map.points.items():
-        missing = mp.owner_frames - map.frames.keys()
-        if missing:
-            violations.append(f"point {pid} owned by missing frames {sorted(missing)}")
-        if mp.observation_count != len(mp.owner_frames):
-            violations.append(
-                f"point {pid} observation_count {mp.observation_count} != "
-                f"{len(mp.owner_frames)} owners"
-            )
-        row = map._id_to_row.get(pid)
-        if row is None:
-            violations.append(f"point {pid} missing from columnar table")
-        else:
-            if int(map._pt_obs[row]) != mp.observation_count:
-                violations.append(f"point {pid} columnar count out of sync")
-            if not np.array_equal(map._pt_pos[row], mp.position):
-                violations.append(f"point {pid} columnar position out of sync")
+    if len(map._id_to_row) != n or any(
+        not 0 <= row < n or ids[row] != pid for pid, row in map._id_to_row.items()
+    ):
+        violations.append(f"id index out of sync with the {n}-row point table")
+    owners = np.bincount(map.owner_pairs()[0], minlength=n)[:n]
+    for row in np.flatnonzero(map.point_observation_counts != owners):
+        violations.append(
+            f"point {ids[row]} observation_count {map._pt_obs[row]} != "
+            f"{owners[row]} owners"
+        )
 
     idx_rows = np.sort(map._point_index.rows())
     want = np.arange(map._pt_count, dtype=np.int64)
     if len(idx_rows) != map._pt_count or not np.array_equal(idx_rows, want):
         violations.append(
             f"point index holds {len(idx_rows)} rows, table holds {map._pt_count}"
-        )
-    if map._pt_count != len(map.points):
-        violations.append(
-            f"point table holds {map._pt_count} rows, dict holds {len(map.points)}"
         )
     fr_rows = np.sort(map._frame_index.rows())
     want = np.arange(map._fr_count, dtype=np.int64)
@@ -497,6 +469,10 @@ def audit(map: GlobalMap) -> list[str]:
     return violations
 
 
+# Per point, in id order: the bytes state_digest hashes.
+_DIGEST_POINT = np.dtype([("id", "<i8"), ("obs", "<i4"), ("position", "<f8", (3,))])
+
+
 def state_digest(map: GlobalMap) -> str:
     """Order-independent digest of poses, points, and counts."""
     h = hashlib.sha1()
@@ -505,41 +481,67 @@ def state_digest(map: GlobalMap) -> str:
         h.update(struct.pack("<q", fid))
         h.update(f.pose.as_array().tobytes())
         h.update(np.sort(f.ids).tobytes())
-    for pid in sorted(map.points):
-        p = map.points[pid]
-        h.update(struct.pack("<qi", pid, p.observation_count))
-        h.update(np.asarray(p.position, dtype=np.float64).tobytes())
+    order = np.argsort(map.points, kind="stable")
+    table = np.empty(len(order), dtype=_DIGEST_POINT)
+    table["id"] = map.points[order]
+    table["obs"] = map.point_observation_counts[order]
+    table["position"] = map.point_positions[order]
+    h.update(table.tobytes())
     return h.hexdigest()
 
 
 # -- snapshot persistence ------------------------------------------------
 
+# A snapshot point record up to its owner list (docs/formats.md).
+_SNAPSHOT_POINT = np.dtype(
+    [
+        ("id", "<i8"),
+        ("position", "<f8", (3,)),
+        ("descriptor", "u1", (32,)),
+        ("observation_count", "<u4"),
+        ("owner_count", "<u2"),
+    ]
+)
+
 
 def save_snapshot(map: GlobalMap, path):
     """Versioned little-endian binary snapshot (see docs/formats.md)."""
-    buf = bytearray()
-    buf += SNAPSHOT_MAGIC
-    buf += struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), len(map.points))
-    for pid in sorted(map.points):
-        p = map.points[pid]
-        desc = bytes(p.descriptor)[:32].ljust(32, b"\x00")
-        buf += struct.pack("<q3d", pid, *np.asarray(p.position, dtype=np.float64))
-        buf += desc
-        owners = sorted(p.owner_frames)
-        buf += struct.pack("<IH", p.observation_count, len(owners))
-        buf += struct.pack(f"<{len(owners)}q", *owners) if owners else b""
+    order = np.argsort(map.points, kind="stable")
+    owner_rows, owner_fids = map.owner_pairs()
+    table = np.empty(len(order), dtype=_SNAPSHOT_POINT)
+    table["id"] = map.points[order]
+    table["position"] = map.point_positions[order]
+    table["descriptor"] = map.point_descriptors[order]
+    table["observation_count"] = map.point_observation_counts[order]
+    table["owner_count"] = np.bincount(owner_rows, minlength=len(order))[order]
+    records, owners = table.tobytes(), owner_fids.astype("<i8").tobytes()
+    size = _SNAPSHOT_POINT.itemsize
+    parts = [
+        SNAPSHOT_MAGIC,
+        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), len(order)),
+    ]
+    at = 0
+    for i, k in enumerate(table["owner_count"].tolist()):
+        parts += (records[i * size : (i + 1) * size], owners[at : at + 8 * k])
+        at += 8 * k
     for fid in sorted(map.frames):
         f = map.frames[fid]
-        buf += struct.pack("<qIId", fid, f.client_id, f.keyframe_id, f.timestamp)
-        buf += f.pose.as_array().tobytes()
-        buf += struct.pack("<dHH", f.fov, f.feature_slots, f.np_new)
-        ids = f.ids
-        buf += struct.pack(f"<{len(ids)}q", *ids) if len(ids) else b""
+        parts.append(struct.pack("<qIId", fid, f.client_id, f.keyframe_id, f.timestamp))
+        parts.append(f.pose.as_array().tobytes())
+        parts.append(struct.pack("<dHH", f.fov, f.feature_slots, f.np_new))
+        parts.append(f.ids.astype("<i8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(b"".join(parts))
 
 
 def load_snapshot(path) -> GlobalMap:
+    """Rebuild a map from a snapshot through ``insert_frame``.
+
+    Raises SnapshotError when the file is malformed, or when its point
+    table disagrees with its frames: an id no frame lists or missing from
+    the table, or a recorded owner list or observation count other than
+    the frames that list the point.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != SNAPSHOT_MAGIC:
@@ -548,25 +550,13 @@ def load_snapshot(path) -> GlobalMap:
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
     off = 16
-    m = GlobalMap(np_max=np_max)
+    size = _SNAPSHOT_POINT.itemsize
     try:
-        points: dict[int, MapPoint] = {}
-        for _ in range(n_points):
-            pid, x, y, z = struct.unpack_from("<q3d", data, off)
-            off += 32
-            desc = data[off : off + 32]
-            off += 32
-            obs, n_owners = struct.unpack_from("<IH", data, off)
-            off += 6
-            owners = struct.unpack_from(f"<{n_owners}q", data, off)
-            off += 8 * n_owners
-            points[pid] = MapPoint(
-                id=pid,
-                position=np.array([x, y, z]),
-                descriptor=desc,
-                observation_count=obs,
-                owner_frames=set(owners),
-            )
+        starts = np.empty(n_points, dtype=np.int64)
+        for i in range(n_points):
+            starts[i] = off
+            (k,) = struct.unpack_from("<H", data, off + size - 2)
+            off += size + 8 * k
         frames = []
         for _ in range(n_frames):
             fid, client_id, keyframe_id, ts = struct.unpack_from("<qIId", data, off)
@@ -575,29 +565,60 @@ def load_snapshot(path) -> GlobalMap:
             off += 48
             fov, slots, np_new = struct.unpack_from("<dHH", data, off)
             off += 12
-            ids = struct.unpack_from(f"<{np_new}q", data, off)
+            ids = np.frombuffer(data, dtype="<i8", count=np_new, offset=off)
             off += 8 * np_new
             frames.append(
                 MapFrame.create(
                     fid, client_id, keyframe_id, pose, fov, ids, np_max, ts, slots
                 )
             )
-    except struct.error as e:
-        raise SnapshotError(f"truncated snapshot at offset {off}: {e}") from e
+    except (struct.error, ValueError) as e:
+        raise SnapshotError(f"malformed snapshot at offset {off}: {e}") from e
+    if off > len(data):
+        raise SnapshotError(f"truncated snapshot: need {off} bytes, have {len(data)}")
 
-    # Rebuild through insert_frame so indices and counts are reconstructed,
-    # then restore the recorded ownership metadata.
+    raw = np.frombuffer(data, dtype=np.uint8)
+    table = raw[starts[:, None] + np.arange(size)].view(_SNAPSHOT_POINT).reshape(-1)
+    counts = table["owner_count"].astype(np.int64)
+    owner_at = np.repeat(starts + size - 8 * (np.cumsum(counts) - counts), counts)
+    owner_at += 8 * np.arange(len(owner_at))
+    owners = raw[owner_at[:, None] + np.arange(8)].view("<i8").reshape(-1)
+
+    ids = table["id"]
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        raise SnapshotError("point table lists an id twice")
+    m = GlobalMap(np_max=np_max)
     for f in frames:
-        missing = [int(i) for i in f.ids if int(i) not in points]
-        if missing:
-            raise SnapshotError(f"frame {f.frame_id} lists points {missing} absent from the table")
-        insert_frame(m, f, [points[int(i)] for i in f.ids])
+        at = np.searchsorted(sorted_ids, f.ids)
+        listed = at < n_points
+        listed[listed] = sorted_ids[at[listed]] == f.ids[listed]
+        if not listed.all():
+            raise SnapshotError(
+                f"frame {f.frame_id} lists points {f.ids[~listed].tolist()} absent from the table"
+            )
+        src = order[at]
+        insert_frame(m, f, table["position"][src], table["descriptor"][src])
         m._next_frame_id = max(m._next_frame_id, f.frame_id + 1)
-    for pid, p in points.items():
-        mp = m.points.get(pid)
-        if mp is None:
-            raise SnapshotError(f"point {pid} is listed by no frame")
-        mp.owner_frames = set(p.owner_frames)
-        mp.observation_count = p.observation_count
-        m._pt_obs[m._id_to_row[pid]] = p.observation_count
+
+    rows = m.rows_for_ids(ids)
+    if (rows < 0).any():
+        raise SnapshotError(f"point {ids[np.argmin(rows)]} is listed by no frame")
+    obs = m.point_observation_counts[rows]
+    bad = np.flatnonzero(obs != table["observation_count"])
+    if len(bad):
+        i = bad[0]
+        raise SnapshotError(
+            f"point {ids[i]} records observation count {table['observation_count'][i]}, "
+            f"but {obs[i]} frames list it"
+        )
+    owned = np.repeat(ids, counts)
+    recorded = np.lexsort((owners, owned))
+    derived_rows, derived_fids = m.owner_pairs()
+    if not (
+        np.array_equal(owned[recorded], m.points[derived_rows])
+        and np.array_equal(owners[recorded], derived_fids)
+    ):
+        raise SnapshotError("recorded owner lists disagree with the frames listing the points")
     return m

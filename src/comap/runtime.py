@@ -179,9 +179,15 @@ class MapServer:
 
     # -- message handling -------------------------------------------------
 
-    def malformed_reply(self, error: DecodeError) -> bytes:
-        """The E_MALFORMED error frame answering undecodable bytes."""
-        out = encode(ErrorMsg(wire.E_MALFORMED, str(error)))
+    @property
+    def max_frame_bytes(self) -> int:
+        """Largest frame accepted over TCP; a longer header is malformed."""
+        np_max = max(self.map.np_max, self.params.np_max)
+        return wire.max_request_bytes(np_max, self.params.update_window)
+
+    def decode_error_reply(self, error: DecodeError) -> bytes:
+        """The error frame answering undecodable bytes, coded as ``error`` says."""
+        out = encode(ErrorMsg(error.code, str(error)))
         with self._stats_lock:
             self.egress_bytes += len(out)
         return out
@@ -193,7 +199,7 @@ class MapServer:
         try:
             msg = decode(raw)
         except DecodeError as e:
-            return self.malformed_reply(e)
+            return self.decode_error_reply(e)
         t0 = time.perf_counter()
         try:
             reply = self.handle(msg)
@@ -299,11 +305,12 @@ class MapServer:
 
     def _try_align(self, session: Session, msg: KeyframeUploadMsg):
         """Estimate the client-to-global transform from shared landmark ids."""
-        pairs = []
-        for p in msg.points:
-            mp = self.map.points.get(p.id)
-            if mp is not None:
-                pairs.append((np.asarray(p.position, dtype=np.float64), mp.position))
+        rows = self.map.rows_for_ids(msg.points["id"])
+        known = rows >= 0
+        pairs = list(zip(
+            msg.points["position"][known].astype(np.float64),
+            self.map.point_positions[rows[known]],
+        ))
         if len(self.map.points) == 0:
             # First contributor defines the global frame.
             session.aligned = True
@@ -402,24 +409,31 @@ class InProcTransport:
         pass
 
 
-def _read_frame(sock: socket.socket) -> bytes:
-    """Read exactly one frame (fixed 64-byte or variable-length)."""
+def _read_exact(sock: socket.socket, view: memoryview):
+    while len(view):
+        n = sock.recv_into(view)
+        if not n:
+            raise TransportError("connection closed mid-frame")
+        view = view[n:]
 
-    def read_exact(n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            chunk = sock.recv(n - len(buf))
-            if not chunk:
-                raise TransportError("connection closed mid-frame")
-            buf += chunk
-        return buf
 
-    head = read_exact(4)
+def _read_frame(sock: socket.socket, max_bytes: int | None = None) -> bytearray:
+    """Read exactly one frame (fixed 64-byte or variable-length) into one
+    preallocated buffer. A header announcing more than ``max_bytes`` raises
+    DecodeError before any of the payload is read."""
+    head = bytearray(8)
+    _read_exact(sock, memoryview(head)[:4])
     if head[3] in wire.FIXED_TYPES:
-        return head + read_exact(wire.QUERY_FRAME_SIZE - 4)
-    head += read_exact(4)
-    total = frame_length(head)
-    return head + read_exact(total - 8)
+        total, known = wire.QUERY_FRAME_SIZE, 4
+    else:
+        _read_exact(sock, memoryview(head)[4:])
+        total, known = frame_length(head), 8
+        if max_bytes is not None and total > max_bytes:
+            raise DecodeError(f"frame of {total} bytes exceeds the {max_bytes}-byte limit", 4)
+    buf = bytearray(total)
+    buf[:known] = head[:known]
+    _read_exact(sock, memoryview(buf)[known:])
+    return buf
 
 
 class TcpTransport:
@@ -495,17 +509,18 @@ class TcpMapServer:
                 continue
             except OSError:
                 break
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
             t.start()
             self._threads.append(t)
 
     def _serve_conn(self, conn: socket.socket):
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        """Answer frames on one connected stream socket until it closes."""
         conn.settimeout(30.0)
         try:
             while not self._stop.is_set():
                 try:
-                    raw = _read_frame(conn)
+                    raw = _read_frame(conn, self.server.max_frame_bytes)
                 except TransportError:
                     break
                 except DecodeError as e:
@@ -513,7 +528,7 @@ class TcpMapServer:
                     # cannot be resynchronised: answer, then hang up. What
                     # the peer already sent is drained (up to 1 MiB) so the
                     # close is a FIN, not a reset that discards the answer.
-                    conn.sendall(self.server.malformed_reply(e))
+                    conn.sendall(self.server.decode_error_reply(e))
                     conn.shutdown(socket.SHUT_WR)
                     conn.settimeout(1.0)
                     for _ in range(16):
@@ -673,7 +688,7 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
         for kf in keyframes:
             result.keyframes += 1
             stats.note_keyframe()
-            state.note_keyframe(kf.to_upload_msg(cfg.client_id))
+            state.note_keyframe(kf)
             trace.append(
                 {
                     "event": "keyframe",

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .expansion import Keyframe
 from .geometry import Pose, ViewCone, cone_from_fov, contains, contains_many
 from .mapstore import GlobalMap, select_neighbors
 from .params import DEFAULT_PARAMS, ProtocolParams
@@ -20,13 +21,13 @@ from .spatial import KdTree
 from .wire import (
     FrameRecord,
     KeyframeUploadMsg,
-    PointRecord,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
     UpdateCheckMsg,
     UpdateStatusMsg,
     VERDICT_EXPANSION,
     VERDICT_UPDATING,
+    point_table,
 )
 
 
@@ -48,14 +49,10 @@ class SharedMapSlice:
         return len(self.point_ids) == 0 and not self.frames
 
     def to_response(self) -> SharedMapResponseMsg:
-        points = [
-            PointRecord(
-                id=int(pid),
-                position=self.point_positions[i],
-                observation_count=min(int(self.point_observations[i]), 0xFFFF),
-            )
-            for i, pid in enumerate(self.point_ids)
-        ]
+        points = point_table(len(self.point_ids))
+        points["id"] = self.point_ids
+        points["position"] = self.point_positions
+        points["observation_count"] = np.minimum(self.point_observations, 0xFFFF)
         return SharedMapResponseMsg(frames=list(self.frames), points=points)
 
 
@@ -80,66 +77,51 @@ def build_shared_map(
     cone = cone_from_fov(q, q_fov, params.h, alpha)
     positions = map.point_positions
     in_cone = contains_many(cone, positions)
-    in_rows = np.nonzero(in_cone)[0]
+    mem_fr, mem_pt = map.memberships()
+    owner = in_cone[mem_pt]
+    if exclude_client is not None:
+        # A point is shared only when another client's frame lists it, and
+        # only other clients' frames are shared.
+        owner &= map._fr_client[mem_fr] != exclude_client
+        in_cone = np.zeros_like(in_cone)
+        in_cone[mem_pt[owner]] = True
 
-    def eligible(pid: int) -> bool:
-        if exclude_client is None:
-            return True
-        owners = map.points[pid].owner_frames
-        return any(map.frames[f].client_id != exclude_client for f in owners)
-
-    if exclude_client is not None and len(in_rows):
-        keep = [i for i, pid in enumerate(map.point_id_array[in_rows]) if eligible(int(pid))]
-        in_rows = in_rows[keep] if keep else np.empty(0, dtype=np.int64)
-
-    # Frames owning an in-cone point always intersect the cone; gated
+    # Frames listing a shared point always intersect the cone; gated
     # neighbor frames are kept only when they do.
-    frame_ids: set[int] = set()
-    in_ids = set(int(i) for i in map.point_id_array[in_rows])
-    for pid in in_ids:
-        frame_ids.update(
-            f
-            for f in map.points[pid].owner_frames
-            if exclude_client is None or map.frames[f].client_id != exclude_client
-        )
+    frame_rows = set(mem_fr[owner].tolist())
     neighbors = select_neighbors(map, q, q_fov, params.t_d, exclude_client=exclude_client)
     for fid in neighbors.frame_ids:
-        f = map.frames[fid]
-        if contains(cone, f.pose.position) or any(int(i) in in_ids for i in f.ids):
-            frame_ids.add(fid)
-
-    rows = in_rows
-    ids = map.point_id_array[rows]
-    order = np.argsort(ids, kind="stable")
-    rows, ids = rows[order], ids[order]
-    id_set = set(int(i) for i in ids)
+        if contains(cone, map.frames[fid].pose.position):
+            frame_rows.add(map._fid_to_row[fid])
 
     records = []
-    for fid in sorted(frame_ids):
-        f = map.frames[fid]
-        shared_ids = np.array(
-            [int(i) for i in f.ids if int(i) in id_set], dtype=np.int64
-        )
+    for row in sorted(frame_rows, key=lambda r: map._fr_ids[r]):
+        f = map.frames[int(map._fr_ids[row])]
+        rows = map.frame_point_rows(row)
         records.append(
             FrameRecord(
-                frame_id=fid,
+                frame_id=f.frame_id,
                 client_id=f.client_id,
                 keyframe_id=f.keyframe_id,
                 pose=f.pose,
                 fov=f.fov,
-                point_ids=shared_ids,
+                point_ids=map.points[rows[in_cone[rows]]],
             )
         )
 
+    rows = np.flatnonzero(in_cone)
+    ids = map.points[rows]
+    order = np.argsort(ids, kind="stable")
+    rows, ids = rows[order], ids[order]
     return SharedMapSlice(
         origin_client=client_id,
         origin_keyframe=keyframe_id,
         origin_pose=q,
         cone=cone,
         frames=records,
-        point_ids=ids.copy(),
-        point_positions=positions[rows].copy(),
-        point_observations=map.point_observation_counts[rows].copy(),
+        point_ids=ids,
+        point_positions=positions[rows],
+        point_observations=map.point_observation_counts[rows],
     )
 
 
@@ -147,23 +129,6 @@ def build_shared_map(
 class LocalizationOutcome:
     matched_count: int
     success: bool
-
-
-def localize(
-    frame_observations: np.ndarray,
-    slice_points: np.ndarray,
-    r_match: float,
-    threshold: int = 75,
-) -> LocalizationOutcome:
-    """Count observations with a slice point within r_match; succeed at the threshold."""
-    if r_match <= 0:
-        raise ValueError(f"r_match must be positive, got {r_match}")
-    obs = np.asarray(frame_observations, dtype=np.float64).reshape(-1, 3)
-    pts = np.asarray(slice_points, dtype=np.float64).reshape(-1, 3)
-    if not len(obs) or not len(pts):
-        return LocalizationOutcome(0, False)
-    matched = int(KdTree(pts).any_within(obs, r_match).sum())
-    return LocalizationOutcome(matched, matched >= threshold)
 
 
 class UpdateVerdict(enum.Enum):
@@ -242,9 +207,7 @@ def get_update_status(
     if examined == 0:
         return UpdateStatus(UpdateVerdict.EXPANSION, set())
 
-    obs = np.vstack(
-        [np.asarray([p.position for p in kf.points], dtype=np.float64).reshape(-1, 3) for kf in kfs]
-    )
+    obs = np.concatenate([kf.points["position"] for kf in kfs]).astype(np.float64)
     if not len(obs):
         return UpdateStatus(UpdateVerdict.EXPANSION, set(), examined=examined)
     observed = KdTree(obs).any_within(positions, r_match)
@@ -265,7 +228,7 @@ def get_update_status(
         and max(sizes) >= params.cluster_min
     )
     stale_ids = (
-        set(int(i) for i in map.point_id_array[confirmed]) if updating else set()
+        set(map.points[confirmed].tolist()) if updating else set()
     )
     return UpdateStatus(
         verdict=UpdateVerdict.UPDATING if updating else UpdateVerdict.EXPANSION,
@@ -319,13 +282,12 @@ class DeviceLoopState:
             self.r_match = default_r_match(self.fov, self.params)
         self.recent_kfs = deque(self.recent_kfs, maxlen=self.params.update_window)
 
-    def note_keyframe(self, upload_msg: KeyframeUploadMsg):
-        self.recent_kfs.append(upload_msg)
+    def note_keyframe(self, kf: Keyframe):
+        """Keep a keyframe for the next update check's window."""
+        self.recent_kfs.append(kf)
 
     def set_slice(self, resp: SharedMapResponseMsg):
-        pts = np.asarray(
-            [p.position for p in resp.points], dtype=np.float64
-        ).reshape(-1, 3)
+        pts = resp.points["position"].astype(np.float64)
         self.slice_points = pts
         self.slice_tree = KdTree(pts) if len(pts) else None
 
@@ -386,7 +348,9 @@ def run_device_loop(
             state.trace.append({"event": "slice_empty", "keyframe_id": keyframe_id})
             return DeviceAction.EXPAND
 
-    check = UpdateCheckMsg(state.client_id, list(state.recent_kfs))
+    check = UpdateCheckMsg(
+        state.client_id, [kf.to_upload_msg(state.client_id) for kf in state.recent_kfs]
+    )
     state.trace.append(
         {"event": "update_check", "keyframe_id": keyframe_id, "window": len(check.keyframes)}
     )

@@ -42,12 +42,20 @@ _VAR_HEADER = struct.Struct("<HBBI")
 _FIXED_PREFIX = struct.Struct("<HBB")
 
 
-class DecodeError(ValueError):
-    """Malformed frame; ``offset`` points at the first unusable byte."""
+E_MALFORMED = 1
+E_PROTOCOL = 2
+E_UNKNOWN_TYPE = 3
+E_INTERNAL = 4
 
-    def __init__(self, message: str, offset: int):
+
+class DecodeError(ValueError):
+    """Undecodable frame; ``offset`` points at the first unusable byte and
+    ``code`` is the error code that answers it."""
+
+    def __init__(self, message: str, offset: int, code: int = E_MALFORMED):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+        self.code = code
 
 
 def _f32(x: float) -> float:
@@ -57,6 +65,23 @@ def _f32(x: float) -> float:
 def _f32_points(pts) -> np.ndarray:
     a = np.asarray(pts, dtype=np.float32)
     return a.reshape(0, 3) if a.size == 0 else a.reshape(-1, 3)
+
+
+# The 54-byte point record of docs/formats.md, as one packed table row.
+POINT_DTYPE = np.dtype(
+    [
+        ("id", "<i8"),
+        ("position", "<f4", (3,)),
+        ("descriptor", "u1", (32,)),
+        ("observation_count", "<u2"),
+    ]
+)
+assert POINT_DTYPE.itemsize == 54
+
+
+def point_table(n: int = 0) -> np.ndarray:
+    """``n`` zeroed point records."""
+    return np.zeros(n, dtype=POINT_DTYPE)
 
 
 @dataclass(eq=False)
@@ -104,33 +129,12 @@ class OverlapResponseMsg:
 
 
 @dataclass(eq=False)
-class PointRecord:
-    id: int
-    position: np.ndarray  # float32 on the wire
-    descriptor: bytes = b"\x00" * 32
-    observation_count: int = 1
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float32).reshape(3)
-        self.descriptor = bytes(self.descriptor)[:32].ljust(32, b"\x00")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointRecord)
-            and self.id == other.id
-            and self.observation_count == other.observation_count
-            and self.descriptor == other.descriptor
-            and np.array_equal(self.position, other.position)
-        )
-
-
-@dataclass(eq=False)
 class KeyframeUploadMsg:
     client_id: int
     keyframe_id: int
     pose: Pose
     fov: float
-    points: list[PointRecord] = field(default_factory=list)
+    points: np.ndarray = field(default_factory=point_table)  # POINT_DTYPE rows
 
     def __eq__(self, other):
         return (
@@ -138,7 +142,7 @@ class KeyframeUploadMsg:
             and (self.client_id, self.keyframe_id, self.fov)
             == (other.client_id, other.keyframe_id, other.fov)
             and self.pose == other.pose
-            and self.points == other.points
+            and self.points.tobytes() == other.points.tobytes()
         )
 
 
@@ -169,18 +173,18 @@ class SharedMapResponseMsg:
     """Frames intersecting the shared cone plus a deduplicated point table."""
 
     frames: list[FrameRecord] = field(default_factory=list)
-    points: list[PointRecord] = field(default_factory=list)
+    points: np.ndarray = field(default_factory=point_table)  # POINT_DTYPE rows
 
     def __eq__(self, other):
         return (
             isinstance(other, SharedMapResponseMsg)
             and self.frames == other.frames
-            and self.points == other.points
+            and self.points.tobytes() == other.points.tobytes()
         )
 
     @property
     def empty(self) -> bool:
-        return not self.frames and not self.points
+        return not self.frames and not len(self.points)
 
 
 @dataclass(frozen=True)
@@ -260,12 +264,6 @@ class ErrorMsg:
     message: str
 
 
-E_MALFORMED = 1
-E_PROTOCOL = 2
-E_UNKNOWN_TYPE = 3
-E_INTERNAL = 4
-
-
 # -- payload codecs --------------------------------------------------------
 
 
@@ -278,43 +276,30 @@ def _unpack_pose(data: bytes, off: int) -> tuple[Pose, int]:
     return Pose(*vals), off + 48
 
 
-def _pack_point(p: PointRecord) -> bytes:
-    return (
-        struct.pack("<q", p.id)
-        + p.position.astype("<f4").tobytes()
-        + p.descriptor
-        + struct.pack("<H", p.observation_count)
-    )
-
-
-_POINT_BYTES = 8 + 12 + 32 + 2
-
-
-def _unpack_point(data: bytes, off: int) -> tuple[PointRecord, int]:
-    (pid,) = struct.unpack_from("<q", data, off)
-    pos = np.frombuffer(data, dtype="<f4", count=3, offset=off + 8).copy()
-    desc = data[off + 20 : off + 52]
-    (obs,) = struct.unpack_from("<H", data, off + 52)
-    return PointRecord(pid, pos, desc, obs), off + _POINT_BYTES
+def _decode_points(data: bytes, off: int, n: int) -> np.ndarray:
+    """The ``n``-row point table at ``off``, which must end the payload."""
+    if len(data) - off != n * POINT_DTYPE.itemsize:
+        raise DecodeError(
+            f"{n} point records need {n * POINT_DTYPE.itemsize} bytes, "
+            f"{len(data) - off} remain", off
+        )
+    return np.frombuffer(data, dtype=POINT_DTYPE, count=n, offset=off).copy()
 
 
 def _pack_keyframe_payload(m: KeyframeUploadMsg) -> bytes:
     out = struct.pack("<II", m.client_id, m.keyframe_id)
     out += _pack_pose(m.pose)
     out += struct.pack("<dI", m.fov, len(m.points))
-    return out + b"".join(_pack_point(p) for p in m.points)
+    return out + m.points.tobytes()
 
 
-def _unpack_keyframe_payload(data: bytes, off: int) -> tuple[KeyframeUploadMsg, int]:
-    client_id, keyframe_id = struct.unpack_from("<II", data, off)
-    pose, off2 = _unpack_pose(data, off + 8)
-    fov, n = struct.unpack_from("<dI", data, off2)
-    off2 += 12
-    points = []
-    for _ in range(n):
-        p, off2 = _unpack_point(data, off2)
-        points.append(p)
-    return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, points), off2
+def _unpack_keyframe_payload(data: bytes) -> KeyframeUploadMsg:
+    """One keyframe-upload payload; its point count must account for every byte."""
+    client_id, keyframe_id = struct.unpack_from("<II", data, 0)
+    pose, off = _unpack_pose(data, 8)
+    fov, n = struct.unpack_from("<dI", data, off)
+    points = _decode_points(data, off + 12, n)
+    return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, points)
 
 
 def _encode_payload(msg) -> bytes:
@@ -332,7 +317,7 @@ def _encode_payload(msg) -> bytes:
             out += _pack_pose(f.pose)
             out += struct.pack("<dI", f.fov, len(f.point_ids))
             out += f.point_ids.astype("<i8").tobytes()
-        return out + b"".join(_pack_point(p) for p in msg.points)
+        return out + msg.points.tobytes()
     if isinstance(msg, SessionRegisterMsg):
         i = msg.intrinsics
         return struct.pack("<I4d", msg.client_id, i.fx, i.fy, i.cx, i.cy)
@@ -415,6 +400,17 @@ def encode(msg) -> bytes:
     return _VAR_HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
 
 
+# client u32, keyframe u32, pose 6 x f64, fov f64, point count u32.
+_KEYFRAME_HEADER_BYTES = 68
+
+
+def max_request_bytes(np_max: int, update_window: int) -> int:
+    """Largest frame a device sends: an update check of ``update_window``
+    keyframes of ``np_max`` points each, or one such keyframe upload."""
+    keyframe = _KEYFRAME_HEADER_BYTES + POINT_DTYPE.itemsize * np_max
+    return 8 + max(keyframe, 6 + update_window * (4 + keyframe))
+
+
 def frame_length(prefix: bytes) -> int:
     """Total frame size implied by the first 8 bytes (4 suffice for fixed types)."""
     if len(prefix) < 4:
@@ -453,8 +449,7 @@ def decode(data: bytes):
             pts = np.frombuffer(payload, dtype="<f4", count=3 * n, offset=9)
             return OverlapResponseMsg(status, r, pts.reshape(n, 3).copy())
         if mtype == T_KEYFRAME_UPLOAD:
-            msg, _ = _unpack_keyframe_payload(payload, 0)
-            return msg
+            return _unpack_keyframe_payload(payload)
         if mtype == T_SHARED_MAP_RESPONSE:
             n_frames, n_points = struct.unpack_from("<II", payload, 0)
             off = 8
@@ -467,11 +462,7 @@ def decode(data: bytes):
                 ids = np.frombuffer(payload, dtype="<i8", count=n_ids, offset=off2).copy()
                 off = off2 + 8 * n_ids
                 frames.append(FrameRecord(fid, client_id, keyframe_id, pose, fov, ids))
-            points = []
-            for _ in range(n_points):
-                p, off = _unpack_point(payload, off)
-                points.append(p)
-            return SharedMapResponseMsg(frames, points)
+            return SharedMapResponseMsg(frames, _decode_points(payload, off, n_points))
         if mtype == T_SESSION_REGISTER:
             client_id, fx, fy, cx, cy = struct.unpack_from("<I4d", payload, 0)
             return SessionRegisterMsg(client_id, CameraIntrinsics(fx, fy, cx, cy))
@@ -484,9 +475,12 @@ def decode(data: bytes):
             kfs = []
             for _ in range(n):
                 (length,) = struct.unpack_from("<I", payload, off)
-                kf, _ = _unpack_keyframe_payload(payload[off + 4 : off + 4 + length], 0)
-                kfs.append(kf)
+                if off + 4 + length > len(payload):
+                    raise DecodeError(f"keyframe of {length} bytes overruns the payload", 8 + off)
+                kfs.append(_unpack_keyframe_payload(payload[off + 4 : off + 4 + length]))
                 off += 4 + length
+            if off != len(payload):
+                raise DecodeError("trailing bytes after the last keyframe", 8 + off)
             return UpdateCheckMsg(client_id, kfs)
         if mtype == T_UPDATE_STATUS:
             verdict, examined, high, cand, clusters, n = struct.unpack_from("<BIIIII", payload, 0)
@@ -506,7 +500,7 @@ def decode(data: bytes):
         if isinstance(e, DecodeError):
             raise
         raise DecodeError(f"malformed payload for type {mtype}: {e}", 8) from e
-    raise DecodeError(f"unknown message type {mtype}", 3)
+    raise DecodeError(f"unknown message type {mtype}", 3, code=E_UNKNOWN_TYPE)
 
 
 # -- traffic metering -------------------------------------------------------

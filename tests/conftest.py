@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from comap.geometry import Pose
-from comap.mapstore import GlobalMap, MapFrame, MapPoint, insert_frame
+from comap.mapstore import GlobalMap, MapFrame, insert_frame
 from comap.params import CAMERA_PRESETS, ProtocolParams
 from comap.scenario import ScenarioConfig, UserSpec
 from comap.sim import TrajectorySpec
+from comap.wire import point_table
 
 SIM_INTR = CAMERA_PRESETS["sim_752x480"]
 
@@ -23,7 +24,7 @@ def insert_point_cloud(gmap: GlobalMap, positions, client_id=1, frame_pose=None,
     """Insert a raw point cloud as consecutive frames of <= frames_of points."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     if start_id is None:
-        start_id = (max(gmap.points) + 1) if gmap.points else 1
+        start_id = int(gmap.points.max()) + 1 if len(gmap.points) else 1
     pose = frame_pose or Pose(0, 0, 0)
     ids = np.arange(start_id, start_id + len(positions), dtype=np.int64)
     for off in range(0, len(positions), frames_of):
@@ -33,9 +34,20 @@ def insert_point_cloud(gmap: GlobalMap, positions, client_id=1, frame_pose=None,
         frame = MapFrame.create(
             fid, client_id, keyframe_id + off // frames_of, pose, fov, chunk_ids, gmap.np_max
         )
-        pts = [MapPoint(id=int(i), position=p) for i, p in zip(chunk_ids, chunk_pos)]
-        insert_frame(gmap, frame, pts)
+        insert_frame(gmap, frame, chunk_pos)
     return ids
+
+
+def point_records(ids, positions, descriptors=None, observation_counts=1):
+    """A wire point table; omitted fields take the documented defaults
+    (zero descriptor, observation count 1)."""
+    table = point_table(len(ids))
+    table["id"] = ids
+    table["position"] = np.asarray(positions).reshape(-1, 3)
+    if descriptors is not None:
+        table["descriptor"] = descriptors
+    table["observation_count"] = observation_counts
+    return table
 
 
 def straight_trajectory(length=80.0, d_kf=2.0, z=1.5, heading=0.0):

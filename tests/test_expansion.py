@@ -19,9 +19,9 @@ from comap.geometry import Pose, cone_from_fov, sample_cone
 from comap.mapstore import GlobalMap, state_digest
 from comap.overlap import OverlapVerdict
 from comap.sim import landmark_descriptor
-from comap.wire import KeyframeUploadMsg, OverlapResponseMsg, PointRecord
+from comap.wire import KeyframeUploadMsg, OverlapResponseMsg
 
-from conftest import insert_point_cloud
+from conftest import insert_point_cloud, point_records
 
 
 def make_keyframe(rng, n=40, pose=None, counts=None, spread=10.0):
@@ -171,11 +171,11 @@ class TestInjectRedundancy:
 
 class TestIntegrateUpload:
     def upload_msg(self, rng, n=15, client=4):
-        points = [
-            PointRecord(id=100 + i, position=rng.uniform(-5, 5, 3),
-                        descriptor=landmark_descriptor(100 + i), observation_count=2)
-            for i in range(n)
-        ]
+        ids = 100 + np.arange(n)
+        points = point_records(
+            ids, rng.uniform(-5, 5, (n, 3)),
+            [np.frombuffer(landmark_descriptor(i), np.uint8) for i in ids], 2,
+        )
         return KeyframeUploadMsg(client, 7, Pose(1, 2, 0.5, yaw=0.3), 1.38, points)
 
     def test_identity_transform_stores_positions_verbatim(self, rng):
@@ -184,20 +184,20 @@ class TestIntegrateUpload:
         fid = integrate_upload(gmap, msg, RigidTransform.identity())
         frame = gmap.frames[fid]
         assert frame.client_id == 4 and frame.keyframe_id == 7
-        for p in msg.points:
-            np.testing.assert_allclose(
-                gmap.points[p.id].position, np.asarray(p.position, dtype=np.float64)
-            )
+        rows = gmap.rows_for_ids(msg.points["id"])
+        np.testing.assert_allclose(
+            gmap.point_positions[rows], msg.points["position"].astype(np.float64)
+        )
 
     def test_pure_translation(self, rng):
         gmap = GlobalMap()
         msg = self.upload_msg(rng)
         t = np.array([10.0, -4.0, 2.0])
         fid = integrate_upload(gmap, msg, RigidTransform(np.eye(3), t))
-        for p in msg.points:
-            np.testing.assert_allclose(
-                gmap.points[p.id].position, np.asarray(p.position, dtype=np.float64) + t
-            )
+        rows = gmap.rows_for_ids(msg.points["id"])
+        np.testing.assert_allclose(
+            gmap.point_positions[rows], msg.points["position"].astype(np.float64) + t
+        )
         np.testing.assert_allclose(
             gmap.frames[fid].pose.position, msg.pose.position + t
         )
@@ -207,14 +207,14 @@ class TestIntegrateUpload:
         oracle = {}
         for kf_id in range(12):
             ids = rng.choice(np.arange(200, 400), size=30, replace=False)
-            points = [PointRecord(id=int(i), position=rng.uniform(-8, 8, 3)) for i in ids]
+            points = point_records(ids, rng.uniform(-8, 8, (len(ids), 3)))
             msg = KeyframeUploadMsg(1, kf_id, Pose(0, 0, 0), 1.38, points)
             integrate_upload(gmap, msg, RigidTransform.identity())
             for i in ids:
                 oracle[int(i)] = oracle.get(int(i), 0) + 1
-        assert set(gmap.points) == set(oracle)
+        assert set(gmap.points.tolist()) == set(oracle)
         for pid, n in oracle.items():
-            assert gmap.points[pid].observation_count == n
+            assert gmap.point_observation_counts[gmap.rows_for_ids([pid])[0]] == n
 
     def test_rotation_maps_pose_axis(self, rng):
         gmap = GlobalMap()
@@ -242,9 +242,7 @@ class TestIntegrateUpload:
             fid = integrate_upload(
                 gmap, pruned.to_upload_msg(1), RigidTransform.identity()
             )
-            stored = np.array(
-                [gmap.points[int(i)].position for i in gmap.frames[fid].ids]
-            ).reshape(-1, 3)
+            stored = gmap.point_positions[gmap.rows_for_ids(gmap.frames[fid].ids)]
             if len(stored):
                 d2 = np.sum(
                     (stored[:, None, :] - resp.samples.astype(np.float64)[None, :, :]) ** 2,

@@ -1,16 +1,17 @@
+import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from comap.expansion import RigidTransform, integrate_upload
 from comap.geometry import Pose
 from comap.mapstore import (
     DuplicateFrameError,
     FrameTooLargeError,
     GlobalMap,
     MapFrame,
-    MapPoint,
     SnapshotError,
     audit,
     insert_frame,
@@ -19,14 +20,19 @@ from comap.mapstore import (
     select_neighbors,
     state_digest,
 )
+from comap.sim import generate_scene, observe
 
-from conftest import insert_point_cloud
+from conftest import SIM_INTR, insert_point_cloud
 
 
 def frame_with_points(fid, pose, ids, positions, np_max=300, client=1, fov=1.4):
     frame = MapFrame.create(fid, client, fid, pose, fov, ids, np_max)
-    pts = [MapPoint(id=int(i), position=np.asarray(p)) for i, p in zip(ids, positions)]
-    return frame, pts
+    return frame, np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+
+
+def owners_of(gmap, pid):
+    rows, fids = gmap.owner_pairs()
+    return set(fids[rows == gmap.rows_for_ids([pid])[0]].tolist())
 
 
 class TestInsertFrame:
@@ -46,11 +52,11 @@ class TestInsertFrame:
         f2, p2 = frame_with_points(2, Pose(1, 0, 0), [7], [[1.01, 2, 3]])
         insert_frame(gmap, f1, p1)
         insert_frame(gmap, f2, p2)
-        mp = gmap.points[7]
-        assert mp.observation_count == 2
-        assert mp.owner_frames == {1, 2}
+        (row,) = gmap.rows_for_ids([7])
+        assert gmap.point_observation_counts[row] == 2
+        assert owners_of(gmap, 7) == {1, 2}
         # First stored position wins.
-        np.testing.assert_array_equal(mp.position, [1, 2, 3])
+        np.testing.assert_array_equal(gmap.point_positions[row], [1, 2, 3])
 
     def test_duplicate_frame_id_rejected_without_side_effects(self):
         gmap = GlobalMap()
@@ -88,8 +94,8 @@ class TestInsertFrame:
             insert_frame(gmap, frame, pts)
             seen.update(int(i) for i in ids)
         assert len(gmap.points) == len(seen)
-        for pid, mp in gmap.points.items():
-            assert mp.observation_count == len(mp.owner_frames)
+        for row, pid in enumerate(gmap.points):
+            assert gmap.point_observation_counts[row] == len(owners_of(gmap, pid))
         assert audit(gmap) == []
 
     def test_point_ids_padded_to_capacity(self):
@@ -112,16 +118,37 @@ class TestInsertFrame:
             insert_frame(gmap, f, p)
             assert gmap.frame_footprint_bytes() == base
 
-    def test_position_based_merge(self):
-        gmap = GlobalMap(merge_radius=0.5)
-        f1, p1 = frame_with_points(1, Pose(0, 0, 0), [1], [[0, 0, 0]])
+
+    def test_repeated_id_within_a_frame_counts_once(self):
+        gmap = GlobalMap()
+        f1, p1 = frame_with_points(1, Pose(0, 0, 0), [5, 6], [[0, 0, 0], [1, 1, 1]])
         insert_frame(gmap, f1, p1)
-        # New id, but within the merge radius of point 1: coalesces.
-        f2, p2 = frame_with_points(2, Pose(1, 0, 0), [99], [[0.1, 0, 0]])
+        # 6 is stored, 9 is new; each appears twice.
+        f2, p2 = frame_with_points(
+            2, Pose(1, 0, 0), [9, 6, 9, 6, 4],
+            [[9, 9, 9], [2, 2, 2], [8, 8, 8], [3, 3, 3], [4, 4, 4]],
+        )
         insert_frame(gmap, f2, p2)
-        assert len(gmap.points) == 1
-        assert gmap.points[1].observation_count == 2
-        assert 1 in set(int(i) for i in gmap.frames[2].ids)
+        np.testing.assert_array_equal(gmap.points, [5, 6, 9, 4])
+        np.testing.assert_array_equal(gmap.point_observation_counts, [1, 2, 1, 1])
+        np.testing.assert_array_equal(gmap.point_positions[1:3], [[1, 1, 1], [9, 9, 9]])
+        assert owners_of(gmap, 9) == {2} and owners_of(gmap, 6) == {1, 2}
+        np.testing.assert_array_equal(gmap.frames[2].ids, [9, 6, 9, 6, 4])
+        assert audit(gmap) == []
+
+    def test_positions_must_align_with_ids(self):
+        gmap = GlobalMap()
+        f, p = frame_with_points(1, Pose(0, 0, 0), [1, 2], [[0, 0, 0], [1, 1, 1]])
+        with pytest.raises(ValueError):
+            insert_frame(gmap, f, p[:1])
+        assert len(gmap.points) == 0 and not gmap.frames
+
+    def test_points_column_is_read_only(self):
+        gmap = GlobalMap()
+        f, p = frame_with_points(1, Pose(0, 0, 0), [1], [[0, 0, 0]])
+        insert_frame(gmap, f, p)
+        with pytest.raises(ValueError):
+            gmap.points[0] = 2
 
 
 class TestSelectNeighbors:
@@ -205,22 +232,26 @@ class TestAudit:
     def test_detects_missing_point(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        pid = next(iter(gmap.points))
-        del gmap.points[pid]
+        pid = int(gmap.points[0])
+        del gmap._id_to_row[pid]
         assert audit(gmap) != []
 
     def test_detects_corrupted_observation_count(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        pid = next(iter(gmap.points))
-        gmap.points[pid].observation_count += 5
+        gmap._pt_obs[0] += 5
         assert any("observation_count" in v for v in audit(gmap))
+
+    def test_detects_id_index_pointing_at_another_row(self, rng):
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
+        gmap._id_to_row[int(gmap.points[0])] = 1
+        assert any("id index" in v for v in audit(gmap))
 
     def test_detects_index_divergence(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        gmap._point_index._pending_rows.append(9999)
-        gmap._point_index._pending_pos.append(np.zeros(3))
+        gmap._point_index.add(np.array([9999]), np.zeros((1, 3)))
         assert any("point index" in v for v in audit(gmap))
 
 
@@ -244,10 +275,53 @@ class TestSnapshot:
         assert state_digest(loaded) == state_digest(gmap)
         assert audit(loaded) == []
         assert loaded.np_max == gmap.np_max
-        for pid, mp in gmap.points.items():
-            other = loaded.points[pid]
-            assert other.descriptor == mp.descriptor
-            assert other.observation_count == mp.observation_count
+        rows = loaded.rows_for_ids(gmap.points)
+        np.testing.assert_array_equal(loaded.point_descriptors[rows], gmap.point_descriptors)
+        np.testing.assert_array_equal(
+            loaded.point_observation_counts[rows], gmap.point_observation_counts
+        )
+
+    def test_bytes_and_digest_pinned(self, tmp_path):
+        # Values computed by the per-point map store this one replaced.
+        scene = generate_scene(11, np.array([[-10.0, -15.0, -8.0], [50.0, 15.0, 12.0]]), 1500)
+        gmap = GlobalMap(np_max=120)
+        shift = RigidTransform(np.eye(3), np.array([0.25, -0.5, 0.125]))
+        rng = np.random.default_rng(4)
+        for client, transform in ((1, RigidTransform.identity()), (2, shift)):
+            counters = {}
+            for k, x in enumerate(np.arange(0.0, 30.0, 3.0)):
+                pose = Pose(x, 0.5 * client, 1.5, 0.0, math.pi / 2, 0.1 * k)
+                kf = observe(scene, pose, SIM_INTR, 120, 0.05, rng, counters, keyframe_id=k)
+                integrate_upload(gmap, kf.to_upload_msg(client), transform)
+        path = tmp_path / "map.mpps"
+        save_snapshot(gmap, path)
+        raw = path.read_bytes()
+        assert (len(gmap.frames), len(gmap.points), len(raw)) == (20, 437, 70686)
+        assert hashlib.sha256(raw).hexdigest() == (
+            "afb6cd1ee3ddd8944710b2ea4f2232361d361c097a001cd55a6d01833acea4e2"
+        )
+        assert state_digest(gmap) == "96a5fd8b738bf3147a299cae04c4173128f54f5f"
+        loaded = load_snapshot(path)
+        assert state_digest(loaded) == state_digest(gmap)
+        save_snapshot(loaded, tmp_path / "again.mpps")
+        assert (tmp_path / "again.mpps").read_bytes() == raw
+
+    @pytest.mark.parametrize("field", ["observation_count", "owner"])
+    def test_recorded_ownership_must_match_frames(self, tmp_path, rng, field):
+        # The first record is point 10, listed by frame 1 only: observation
+        # count 1 at offset 16 + 64, one owner (frame 1) at 16 + 70.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<q56xIHq", data, 16) == (10, 1, 1, 1)
+        if field == "observation_count":
+            struct.pack_into("<I", data, 16 + 64, 2)
+        else:
+            struct.pack_into("<q", data, 16 + 70, 2)
+        bad = tmp_path / "owners.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
 
     def test_magic_and_version_checked(self, tmp_path, rng):
         path = tmp_path / "map.mpps"
@@ -271,6 +345,17 @@ class TestSnapshot:
         data = path.read_bytes()
         bad = tmp_path / "trunc.mpps"
         bad.write_bytes(data[: len(data) // 2])
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_owner_list_past_end_of_file_detected(self, tmp_path):
+        # No frames follow a point record whose three owners are cut off.
+        raw = (
+            b"MPPS" + struct.pack("<HHII", 1, 300, 0, 1) + struct.pack("<q3d", 1, 0, 0, 0)
+            + bytes(32) + struct.pack("<IHq", 3, 3, 1)
+        )
+        bad = tmp_path / "owners.mpps"
+        bad.write_bytes(raw)
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
 

@@ -2,11 +2,15 @@ import json
 import math
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+
+from comap.expansion import Keyframe
 from comap.geometry import Pose
 from comap.mapstore import GlobalMap
 from comap.params import ProtocolParams
@@ -15,9 +19,11 @@ from comap.runtime import (
     InProcTransport,
     MapServer,
     SessionState,
+    TcpMapServer,
     TcpTransport,
     TokenBucket,
     TransportError,
+    _read_frame,
     client_pipeline,
     serve,
     throttle,
@@ -40,7 +46,8 @@ from comap.wire import (
     encode,
 )
 
-from conftest import SIM_INTR, two_user_config
+from conftest import SIM_INTR, planted_change_config, point_records, two_user_config
+from test_wire import mutated_frames
 
 PARAMS = ProtocolParams()
 
@@ -53,6 +60,26 @@ def register(server, client_id=1):
     reply = decode(server.handle_bytes(encode(SessionRegisterMsg(client_id, SIM_INTR))))
     assert isinstance(reply, RegisterAckMsg)
     return reply
+
+
+class ServedSocket:
+    """One end of a socket pair whose other end a ``TcpMapServer`` connection
+    thread serves."""
+
+    def __init__(self, server, timeout=5.0):
+        self.front = TcpMapServer(server)
+        self.sock, theirs = socket.socketpair()
+        self.sock.settimeout(timeout)
+        self.thread = threading.Thread(target=self.front._serve_conn, args=(theirs,), daemon=True)
+        self.thread.start()
+
+    def __enter__(self):
+        return self.sock
+
+    def __exit__(self, *exc):
+        self.sock.close()
+        self.thread.join(timeout=5.0)
+        self.front.stop()
 
 
 class TestServerDispatch:
@@ -70,10 +97,9 @@ class TestServerDispatch:
         register(server, 1)
         register(server, 2)
         pose = Pose(0, 0, 1.5, 0, math.pi / 2, 0)
-        pts = [
-            wire.PointRecord(id=i + 1, position=pose.position + rng.uniform(0, 12, 3))
-            for i in range(200)
-        ]
+        pts = point_records(
+            np.arange(1, 201), pose.position + rng.uniform(0, 12, (200, 3))
+        )
         ack = decode(server.handle_bytes(encode(KeyframeUploadMsg(1, 0, pose, 1.38, pts))))
         assert isinstance(ack, UploadAckMsg)
         # Client 2 asks for a slice at the mapped pose.
@@ -143,6 +169,26 @@ class TestServerDispatch:
         stats = server.latency_percentiles()
         assert stats["OverlapQueryMsg"]["count"] == 5
         assert stats["OverlapQueryMsg"]["p50_ms"] >= 0.0
+
+
+class TestUploadMessages:
+    def test_to_upload_msg_runs_once_per_keyframe_sent(self, monkeypatch):
+        # Uploads build one message each; the update-check window keeps
+        # device keyframes and builds messages only when a check is sent.
+        built = []
+        original = Keyframe.to_upload_msg
+
+        def counted(kf, client_id):
+            built.append(kf.keyframe_id)
+            return original(kf, client_id)
+
+        monkeypatch.setattr(Keyframe, "to_upload_msg", counted)
+        metrics = run_scenario(planted_change_config())
+        events = [ev for trace in metrics.traces.values() for ev in trace]
+        uploads = sum(ev["event"] == "upload" for ev in events)
+        windows = [ev["window"] for ev in events if ev["event"] == "update_check"]
+        assert windows, "the planted change never reached an update check"
+        assert len(built) == uploads + sum(windows)
 
 
 class TestTokenBucket:
@@ -229,6 +275,54 @@ class TestTcpTransport:
             assert reply == expected
         finally:
             front.stop()
+
+    def test_unknown_type_gets_unknown_type_code_and_connection_stays_open(self):
+        raw = struct.pack("<HBBI", 0x4D51, 1, 99, 4) + b"abcd"
+        expected = fresh_server().handle_bytes(raw)
+        assert decode(expected).code == wire.E_UNKNOWN_TYPE
+        front = serve(GlobalMap(np_max=PARAMS.np_max), params=PARAMS)
+        try:
+            t = TcpTransport(front.addr)
+            assert t.request(raw) == expected
+            reply = decode(t.request(encode(SessionRegisterMsg(1, SIM_INTR))))
+            assert isinstance(reply, RegisterAckMsg)
+            t.close()
+        finally:
+            front.stop()
+
+    def test_oversized_length_gets_malformed_promptly(self):
+        with ServedSocket(fresh_server(), timeout=2.0) as sock:
+            t0 = time.perf_counter()
+            sock.sendall(struct.pack("<HBBI", 0x4D51, 1, wire.T_KEYFRAME_UPLOAD, 0xFFFFFFFF))
+            reply = decode(_read_frame(sock))
+            assert time.perf_counter() - t0 < 1.0
+            assert isinstance(reply, ErrorMsg) and reply.code == wire.E_MALFORMED
+            assert sock.recv(1) == b""  # then the server hangs up
+
+    def test_largest_update_check_is_accepted(self):
+        server = fresh_server()
+        register(server, 1)
+        n, window = PARAMS.np_max, PARAMS.update_window
+        kf = Keyframe(0, Pose(0, 0, 0), 1.4, np.arange(n), np.zeros((n, 3)),
+                      np.zeros((n, 32), np.uint8), np.ones(n))
+        raw = encode(wire.UpdateCheckMsg(1, [kf.to_upload_msg(1)] * window))
+        assert len(raw) == server.max_frame_bytes
+        with ServedSocket(server) as sock:
+            sock.sendall(raw)
+            assert isinstance(decode(_read_frame(sock)), wire.UpdateStatusMsg)
+
+    @given(mutated_frames(framed=True))
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_frames_get_equal_replies_in_process_and_over_tcp(self, raw):
+        inproc, remote = fresh_server(), fresh_server()
+        if len(raw) >= 12:
+            (client_id,) = struct.unpack_from("<I", raw, 8)
+            register(inproc, client_id)
+            register(remote, client_id)
+        expected = inproc.handle_bytes(raw)
+        with ServedSocket(remote) as sock:
+            sock.sendall(raw)
+            assert _read_frame(sock) == expected
 
     def test_connection_refused_raises_transport_error(self):
         t = TcpTransport(("127.0.0.1", 1))  # nothing listens on port 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from comap.geometry import Pose, compute_fov, cone_from_fov, contains_many
-from comap.mapstore import GlobalMap, MapFrame, MapPoint, insert_frame
+from comap.expansion import Keyframe
+from comap.mapstore import GlobalMap, MapFrame, insert_frame
 from comap.params import ProtocolParams
 from comap.scenario import run_scenario
 from comap.sharing import (
@@ -16,14 +17,12 @@ from comap.sharing import (
     count_map_requests,
     default_r_match,
     get_update_status,
-    localize,
     run_device_loop,
 )
 from comap.sim import generate_scene, mutate_scene, observe
 from comap.spatial import linear_radius_search
 from comap.wire import (
     KeyframeUploadMsg,
-    PointRecord,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
     UpdateCheckMsg,
@@ -32,7 +31,13 @@ from comap.wire import (
     VERDICT_UPDATING,
 )
 
-from conftest import SIM_INTR, canonical_curve_config, insert_point_cloud, two_user_config
+from conftest import (
+    SIM_INTR,
+    canonical_curve_config,
+    insert_point_cloud,
+    point_records,
+    two_user_config,
+)
 
 FOV = compute_fov(SIM_INTR)
 PARAMS = ProtocolParams()
@@ -58,11 +63,7 @@ def map_from_passes(scene, poses, passes=2, np_max=400, noise=0.05, seed=5):
             kf = observe(scene, pose, SIM_INTR, np_max, noise, rng, counters)
             fid = gmap.allocate_frame_id()
             frame = MapFrame.create(fid, p + 1, fid, pose, kf.fov, kf.landmark_ids, np_max)
-            pts = [
-                MapPoint(id=int(i), position=kf.positions[j])
-                for j, i in enumerate(kf.landmark_ids)
-            ]
-            insert_frame(gmap, frame, pts)
+            insert_frame(gmap, frame, kf.positions)
     return gmap
 
 
@@ -98,8 +99,8 @@ class TestBuildSharedMap:
         want = set(ids[contains_many(cone, pts)].tolist())
         assert set(slice_.point_ids.tolist()) == want
         # positions align with ids
-        for pid, pos in zip(slice_.point_ids[:25], slice_.point_positions[:25]):
-            np.testing.assert_array_equal(pos, gmap.points[int(pid)].position)
+        rows = gmap.rows_for_ids(slice_.point_ids[:25])
+        np.testing.assert_array_equal(slice_.point_positions[:25], gmap.point_positions[rows])
 
     def test_frame_records_reference_only_slice_points(self, rng):
         gmap = GlobalMap(np_max=400)
@@ -120,32 +121,51 @@ class TestBuildSharedMap:
 
 
 class TestLocalize:
+    """On-slice localization, through the slice the device receives."""
+
+    def localize(self, observations, slice_points, r_match, threshold=75):
+        state = DeviceLoopState(
+            client_id=9, fov=FOV, link=None,
+            params=ProtocolParams(match_threshold=threshold), r_match=r_match,
+        )
+        state.set_slice(slice_response(slice_points))
+        return state.localize_on_slice(observations)
+
     def test_identical_observations_match_fully(self, rng):
         pts = rng.uniform(-10, 10, (120, 3))
-        out = localize(pts, pts, r_match=0.5, threshold=75)
+        out = self.localize(pts, pts, r_match=0.5, threshold=75)
         assert out.matched_count == 120
         assert out.success
 
     def test_below_threshold_fails(self, rng):
         pts = rng.uniform(-10, 10, (60, 3))
-        out = localize(pts, pts, r_match=0.5, threshold=75)
+        out = self.localize(pts, pts, r_match=0.5, threshold=75)
         assert out.matched_count == 60
         assert not out.success
 
+    def test_threshold_boundary_succeeds(self, rng):
+        pts = rng.uniform(-10, 10, (75, 3))
+        out = self.localize(pts, pts, r_match=0.5, threshold=75)
+        assert out.matched_count == 75
+        assert out.success
+
     def test_empty_slice_fails(self, rng):
-        out = localize(rng.uniform(-1, 1, (100, 3)), np.empty((0, 3)), r_match=1.0)
+        out = self.localize(rng.uniform(-1, 1, (100, 3)), np.empty((0, 3)), r_match=1.0)
         assert out.matched_count == 0 and not out.success
 
     def test_offset_just_past_radius_matches_nothing(self):
         r = 1.25
         slice_pts = np.stack([np.arange(100) * 4.0, np.zeros(100), np.zeros(100)], axis=1)
         obs = slice_pts + np.array([0.0, 1.01 * r, 0.0])
-        out = localize(obs, slice_pts, r_match=r, threshold=1)
+        out = self.localize(obs, slice_pts, r_match=r, threshold=1)
         assert out.matched_count == 0
 
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            localize(np.zeros((1, 3)), np.zeros((1, 3)), r_match=0.0)
+    def test_offset_of_exactly_radius_matches(self):
+        r = 1.25
+        slice_pts = np.stack([np.arange(100) * 4.0, np.zeros(100), np.zeros(100)], axis=1)
+        obs = slice_pts + np.array([0.0, r, 0.0])
+        out = self.localize(obs, slice_pts, r_match=r, threshold=100)
+        assert out.matched_count == 100 and out.success
 
 
 class ScriptedLink:
@@ -160,7 +180,7 @@ class ScriptedLink:
 
 def slice_response(points):
     return SharedMapResponseMsg(
-        frames=[], points=[PointRecord(id=i + 1, position=p) for i, p in enumerate(points)]
+        frames=[], points=point_records(np.arange(1, len(points) + 1), points)
     )
 
 
@@ -192,9 +212,7 @@ class TestDeviceLoop:
         status = UpdateStatusMsg(VERDICT_UPDATING, np.array([4, 5, 6]))
         link = ScriptedLink([far, far, status])
         state = self.make_state(link)
-        from comap.wire import KeyframeUploadMsg
-
-        state.note_keyframe(KeyframeUploadMsg(9, 3, Pose(0, 0, 0), FOV, []))
+        state.note_keyframe(Keyframe.empty(3, Pose(0, 0, 0), FOV))
         action = run_device_loop(state, 3, Pose(0, 0, 0), obs)
         assert action is DeviceAction.UPDATE_DETECTED
         kinds = [type(m).__name__ for m in link.sent]
@@ -207,19 +225,15 @@ class TestDeviceLoop:
         status = UpdateStatusMsg(VERDICT_EXPANSION, np.empty(0, dtype=np.int64))
         link = ScriptedLink([far, far, status])
         state = self.make_state(link)
-        from comap.wire import KeyframeUploadMsg
-
-        state.note_keyframe(KeyframeUploadMsg(9, 3, Pose(0, 0, 0), FOV, []))
+        state.note_keyframe(Keyframe.empty(3, Pose(0, 0, 0), FOV))
         action = run_device_loop(state, 3, Pose(0, 0, 0), obs)
         assert action is DeviceAction.EXPAND
         assert not state.update_events
 
     def test_recent_window_bounded(self):
-        from comap.wire import KeyframeUploadMsg
-
         state = self.make_state(ScriptedLink([]))
         for i in range(12):
-            state.note_keyframe(KeyframeUploadMsg(9, i, Pose(0, 0, 0), FOV, []))
+            state.note_keyframe(Keyframe.empty(i, Pose(0, 0, 0), FOV))
         assert len(state.recent_kfs) == PARAMS.update_window
 
 
@@ -309,7 +323,7 @@ def reference_confirmation(gmap, kfs, k_nn, r_match, params=PARAMS):
         in_cone = contains_many(cone_from_fov(kf.pose, kf.fov, params.h), positions)
         if in_cone.any():
             high |= in_cone & (counts >= float(np.median(counts[in_cone])))
-    obs = np.array([p.position for kf in kfs for p in kf.points], dtype=np.float64)
+    obs = np.concatenate([kf.points["position"] for kf in kfs]).astype(np.float64)
     observed = np.array([len(linear_radius_search(obs, p, r_match)) > 0 for p in positions])
     candidates = np.flatnonzero(high & ~observed)
     confirmed, self_dropped = [], 0
@@ -347,7 +361,7 @@ class TestUpdateCheckOracle:
         seen = base[(base[:, 1] > 0.5) | (rng.uniform(size=len(base)) < 0.3)]
         kfs = [
             KeyframeUploadMsg(
-                9, i, pose, FOV, [PointRecord(i * 1000 + j, p) for j, p in enumerate(chunk)]
+                9, i, pose, FOV, point_records(i * 1000 + np.arange(len(chunk)), chunk)
             )
             for i, chunk in enumerate(np.array_split(seen, 2))
         ]
@@ -359,7 +373,7 @@ class TestUpdateCheckOracle:
         status = get_update_status(gmap, kfs, r_match=r_match, params=PARAMS)
         assert status.verdict is UpdateVerdict.UPDATING
         assert status.stale_candidates == len(candidates)
-        assert status.stale_point_ids == set(int(i) for i in gmap.point_id_array[confirmed])
+        assert status.stale_point_ids == set(int(i) for i in gmap.points[confirmed])
         assert status.cluster_count == sum(1 for s in sizes if s >= PARAMS.cluster_min)
 
 

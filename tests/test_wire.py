@@ -16,7 +16,6 @@ from comap.wire import (
     KeyframeUploadMsg,
     OverlapQueryMsg,
     OverlapResponseMsg,
-    PointRecord,
     RegisterAckMsg,
     SessionEndMsg,
     SessionRegisterMsg,
@@ -30,7 +29,15 @@ from comap.wire import (
     encode,
     frame_length,
     meter,
+    E_MALFORMED,
+    E_UNKNOWN_TYPE,
+    POINT_DTYPE,
+    T_KEYFRAME_UPLOAD,
+    T_SHARED_MAP_RESPONSE,
+    T_UPDATE_CHECK,
 )
+
+from conftest import point_records
 
 
 def rand_pose(rng):
@@ -38,19 +45,16 @@ def rand_pose(rng):
 
 
 def rand_points(rng, n):
-    return [
-        PointRecord(
-            id=int(rng.integers(0, 1 << 50)),
-            position=rng.uniform(-50, 50, 3).astype(np.float32),
-            descriptor=rng.bytes(32),
-            observation_count=int(rng.integers(0, 1 << 16)),
-        )
-        for _ in range(n)
-    ]
+    return point_records(
+        rng.integers(0, 1 << 50, n),
+        rng.uniform(-50, 50, (n, 3)).astype(np.float32),
+        rng.integers(0, 256, (n, 32)),
+        rng.integers(0, 1 << 16, n),
+    )
 
 
-def rand_message(rng):
-    kind = rng.integers(0, 10)
+def rand_message(rng, kind=None):
+    kind = rng.integers(0, 10) if kind is None else kind
     if kind == 0:
         return OverlapQueryMsg(int(rng.integers(0, 1 << 32)), int(rng.integers(0, 1 << 32)),
                                int(rng.integers(0, 1 << 16)), rand_pose(rng))
@@ -87,6 +91,67 @@ def rand_message(rng):
                                rng.integers(0, 1 << 40, size=int(rng.integers(0, 30))),
                                *(int(rng.integers(0, 1 << 20)) for _ in range(4)))
     return ErrorMsg(int(rng.integers(0, 1 << 16)), "p" * int(rng.integers(0, 60)))
+
+
+# rand_message kinds of the frames whose point tables carry a count.
+COUNTED_KINDS = (3, 4, 7)
+COUNTED_TYPES = (T_KEYFRAME_UPLOAD, T_SHARED_MAP_RESPONSE, T_UPDATE_CHECK)
+
+
+def count_fields(raw) -> list[tuple[int, str]]:
+    """Frame offsets and struct formats of every count and length field of
+    an encoded keyframe upload, shared-map response or update check."""
+    if raw[3] == T_KEYFRAME_UPLOAD:
+        return [(72, "<I")]
+    if raw[3] == T_SHARED_MAP_RESPONSE:
+        (n_frames,) = struct.unpack_from("<I", raw, 8)
+        fields, off = [(8, "<I"), (12, "<I")], 16
+        for _ in range(n_frames):
+            (n_ids,) = struct.unpack_from("<I", raw, off + 72)
+            fields.append((off + 72, "<I"))
+            off += 76 + 8 * n_ids
+        return fields
+    (n,) = struct.unpack_from("<H", raw, 12)
+    fields, off = [(12, "<H")], 14
+    for _ in range(n):
+        (length,) = struct.unpack_from("<I", raw, off)
+        fields += [(off, "<I"), (off + 4 + 64, "<I")]
+        off += 4 + length
+    return fields
+
+
+@st.composite
+def mutated_frames(draw, framed=None):
+    """A keyframe upload, shared-map response or update check, truncated,
+    extended or with one count field rewritten. With ``framed`` (drawn when
+    None) the header's length is then set to the payload actually present."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = bytearray(encode(rand_message(rng, kind=draw(st.sampled_from(COUNTED_KINDS)))))
+    how = draw(st.sampled_from(["truncate", "extend", "count"]))
+    if how == "truncate":
+        del raw[draw(st.integers(8, len(raw) - 1)):]
+    elif how == "extend":
+        raw += draw(st.binary(min_size=1, max_size=120))
+    else:
+        off, fmt = draw(st.sampled_from(count_fields(raw)))
+        (old,) = struct.unpack_from(fmt, raw, off)
+        limit = 2 ** (8 * struct.calcsize(fmt)) - 1
+        new = draw(st.integers(0, limit) | st.integers(-3, 3).map(lambda d: old + d))
+        struct.pack_into(fmt, raw, off, min(max(new, 0), limit))
+    if framed if framed is not None else draw(st.booleans()):
+        struct.pack_into("<I", raw, 4, len(raw) - 8)
+    return bytes(raw)
+
+
+def keyframe_upload(n, kf_id=1):
+    ids = np.arange(1, n + 1)
+    return KeyframeUploadMsg(
+        1, kf_id, Pose(1, 2, 3), 1.4, point_records(ids, np.ones((n, 3)) * ids[:, None])
+    )
+
+
+def reframed(payload: bytes, mtype: int) -> bytes:
+    return struct.pack("<HBBI", 0x4D51, 1, mtype, len(payload)) + payload
 
 
 class TestQueryFrameContract:
@@ -144,6 +209,22 @@ class TestRoundTrip:
         assert decode(encode(msg)) == msg
 
 
+class TestPointTable:
+    def test_dtype_is_the_documented_54_byte_record(self):
+        assert POINT_DTYPE.itemsize == 54
+        assert [POINT_DTYPE.fields[f][1] for f in POINT_DTYPE.names] == [0, 8, 20, 52]
+
+    def test_record_bytes_match_the_documented_layout(self):
+        msg = KeyframeUploadMsg(
+            7, 9, Pose(0, 0, 0), 1.4,
+            point_records([-5], [[1.5, -2.25, 3.0]], [np.arange(32)], [65535]),
+        )
+        want = (
+            struct.pack("<q3f", -5, 1.5, -2.25, 3.0) + bytes(range(32)) + struct.pack("<H", 65535)
+        )
+        assert encode(msg)[-54:] == want
+
+
 class TestDecodeErrors:
     def test_truncated_query_reports_offset(self):
         raw = encode(OverlapQueryMsg(1, 1, 300, Pose(0, 0, 0)))[:63]
@@ -169,6 +250,49 @@ class TestDecodeErrors:
         raw = struct.pack("<HBBI", 0x4D51, 1, 200, 0)
         with pytest.raises(DecodeError):
             decode(raw)
+
+    def test_unknown_type_carries_unknown_type_code(self):
+        raw = struct.pack("<HBBI", 0x4D51, 1, 99, 4) + b"abcd"
+        with pytest.raises(DecodeError) as err:
+            decode(raw)
+        assert err.value.code == E_UNKNOWN_TYPE
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_keyframe_count_must_account_for_payload(self, count):
+        payload = bytearray(encode(keyframe_upload(2))[8:])
+        struct.pack_into("<I", payload, 64, count)
+        with pytest.raises(DecodeError) as err:
+            decode(reframed(bytes(payload), T_KEYFRAME_UPLOAD))
+        assert err.value.code == E_MALFORMED
+
+    def test_shared_map_response_trailing_point_rejected(self):
+        msg = SharedMapResponseMsg([], keyframe_upload(2).points)
+        raw = encode(msg)
+        assert decode(raw) == msg
+        with pytest.raises(DecodeError):
+            decode(reframed(raw[8:] + raw[-54:], T_SHARED_MAP_RESPONSE))
+
+    def test_update_check_keyframe_must_fill_its_length(self):
+        inner = encode(keyframe_upload(2))[8:]
+        head = struct.pack("<IH", 1, 1)
+        assert decode(reframed(head + struct.pack("<I", len(inner)) + inner, T_UPDATE_CHECK))
+        padded = inner + inner[-54:]
+        with pytest.raises(DecodeError):
+            decode(reframed(head + struct.pack("<I", len(padded)) + padded, T_UPDATE_CHECK))
+        with pytest.raises(DecodeError):
+            decode(reframed(head + struct.pack("<I", len(inner)) + inner + b"\x00", T_UPDATE_CHECK))
+        with pytest.raises(DecodeError):
+            decode(reframed(head + struct.pack("<I", len(inner) + 1) + inner, T_UPDATE_CHECK))
+
+    @given(mutated_frames())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_frames_decode_exactly_or_raise(self, raw):
+        try:
+            msg = decode(raw)
+        except DecodeError:
+            return
+        assert raw[3] in COUNTED_TYPES
+        assert encode(msg) == raw
 
     def test_trailing_bytes_rejected(self):
         raw = encode(SessionEndMsg(1)) + b"\x00"
