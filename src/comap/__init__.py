@@ -72,7 +72,6 @@ from .sharing import (
     UpdateStatus,
     UpdateVerdict,
     build_shared_map,
-    count_map_requests,
     get_update_status,
     run_device_loop,
 )

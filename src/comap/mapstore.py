@@ -8,14 +8,19 @@ are the frames whose rows list it, and its observation count is their
 number. Two persistent ``spatial.KdTree`` indices, one over point positions
 and one over frame positions, absorb inserts through a side buffer and
 rebuild once it exceeds 10% of the tree size. Single-center radius queries
-scan the buffer linearly; batch queries (overlap classification) search it
-through a small tree of its own, built on demand and kept until the next
-insert.
+scan the buffer linearly; batch queries (overlap classification, k nearest
+neighbors) search it through a small tree of its own, built on demand and
+kept until the next insert. Nearest-neighbor lists merge the tree's and the
+buffer's by (squared distance, row).
 
-Neighbor gathering never sorts: the gated frames' rows are deduplicated by
-setting them in a boolean mask over the point table, and overlap assessment
-queries the persistent point index once, counting only points whose row is
-set in that mask.
+Reads are query-local: shared slices and update checks take the points of
+a cone from a radius query of the point index (``point_rows_within``) and
+their neighbors from ``nearest_point_rows``, not from a scan of every
+point. Neighbor gathering never sorts: the gated frames' memberships are
+slices of the ascending frame-row column, gathered with one batched
+``searchsorted`` and deduplicated in a boolean mask over the point table,
+and overlap assessment queries the persistent point index once, counting
+only points whose row is set in that mask.
 """
 
 from __future__ import annotations
@@ -160,6 +165,29 @@ class _IncrementalIndex:
         hits = [self._tree_rows[self._tree.radius_search(center, r)], self._pending_rows[d2 <= r * r]]
         return np.sort(np.concatenate(hits))
 
+    def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
+        """Rows of each center's k nearest points, closest first, ties by row.
+
+        The tree's and the buffer's k nearest are merged by (squared
+        distance, row). Rows enter the tree in ascending order, so the
+        tree's own ties by position are ties by row, and the result equals
+        ``KdTree.query_nearest`` over all indexed points in row order.
+        """
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        parts = [(self._tree, self._tree_rows)]
+        if len(self._pending_rows):
+            if self._pending_tree is None:
+                self._pending_tree = KdTree(self._pending_pos)
+            parts.append((self._pending_tree, self._pending_rows))
+        rows, d2 = [], []
+        for tree, tree_rows in parts:
+            nn = tree.query_nearest(centers, k)
+            rows.append(tree_rows[nn])
+            d2.append(np.sum((tree.points[nn] - centers[:, None, :]) ** 2, axis=-1))
+        rows, d2 = np.concatenate(rows, axis=1), np.concatenate(d2, axis=1)
+        order = np.lexsort((rows, d2))
+        return np.take_along_axis(rows, order, axis=1)[:, : min(k, len(self))]
+
     def any_within(self, centers: np.ndarray, r: float, allowed: np.ndarray) -> np.ndarray:
         """Per center: does a point whose row is set in ``allowed`` lie within r?"""
         found = self._tree.any_within(centers, r, allowed[self._tree_rows])
@@ -256,6 +284,16 @@ class GlobalMap:
         allowed = np.zeros(self._pt_count, dtype=bool)
         allowed[rows] = True
         return self._point_index.any_within(centers, r, allowed)
+
+    def point_rows_within(self, center, r: float) -> np.ndarray:
+        """Ascending rows of the points within r of ``center`` (inclusive),
+        from the persistent point index."""
+        return self._point_index.radius_rows(center, r)
+
+    def nearest_point_rows(self, centers, k: int) -> np.ndarray:
+        """Per center, the rows of its k nearest points, closest first,
+        ties by row, from the persistent point index."""
+        return self._point_index.query_nearest(centers, k)
 
     def rows_for_ids(self, ids) -> np.ndarray:
         """Point-table row of each id; -1 where the id is not stored."""
@@ -398,10 +436,16 @@ def neighbor_point_rows(
 
 def _union_rows(map: GlobalMap, frame_rows) -> np.ndarray:
     """Ascending, deduplicated point-table rows of the given frame rows."""
+    frame_rows = np.asarray(frame_rows, dtype=np.int64)
     if not len(frame_rows):
         return np.empty(0, dtype=np.int64)
+    # Each frame's memberships are one slice of the ascending frame-row column.
+    fr, pt = map.memberships()
+    starts = np.searchsorted(fr, frame_rows)
+    lengths = np.searchsorted(fr, frame_rows + 1) - starts
+    at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
     mask = np.zeros(map._pt_count, dtype=bool)
-    mask[np.concatenate([map.frame_point_rows(int(r)) for r in frame_rows])] = True
+    mask[pt[at]] = True
     return np.flatnonzero(mask)
 
 

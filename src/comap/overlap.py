@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, cone_from_fov, sample_cone
+from .geometry import Pose, cone_from_fov, sample_cone, sample_spacing
 from .mapstore import GlobalMap, neighbor_point_rows
 from .params import DEFAULT_PARAMS, ProtocolParams
 from .spatial import KdTree
@@ -25,7 +25,9 @@ class OverlapVerdict:
     overlap_degree: float
     seen: bool
     redundant_samples: np.ndarray
-    fresh_samples: np.ndarray
+    # None when the cone was not sampled: no gated neighbor point exists,
+    # so all ``sample_count`` samples are fresh.
+    fresh_samples: np.ndarray | None
     r: float
     sample_count: int
 
@@ -35,7 +37,7 @@ class OverlapVerdict:
 
     @property
     def fresh_count(self) -> int:
-        return len(self.fresh_samples)
+        return self.sample_count - self.redundant_count
 
 
 def classify_samples(samples: np.ndarray, neighbor_points: np.ndarray, r: float) -> np.ndarray:
@@ -61,11 +63,13 @@ def assess_overlap(
     axis angle. The samples are classified against the map's persistent
     point index, counting only points that belong to a gated frame, so no
     tree is built per query. The verdict is deterministic given the map
-    contents, query, and seed.
+    contents, query, and seed. When no gated frame lists a point, every
+    sample is fresh and the cone is not sampled at all.
 
     ``redundancy_filter(samples, mask, neighbor_positions) -> mask`` is a
     hook for stricter classification (e.g. view-direction aware); it ships
-    disabled, and the gated positions are gathered only when it is set.
+    disabled, runs only when some gated point exists, and the gated
+    positions are gathered only when it is set.
     """
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
@@ -74,8 +78,10 @@ def assess_overlap(
         raise ValueError(f"t_seen must be in (0, 1), got {t_seen}")
 
     cone = cone_from_fov(q, q_fov, params.h)
-    samples, r = sample_cone(cone, k, seed)
     rows = neighbor_point_rows(map, q, q_fov, params.t_d, exclude_client=exclude_client)
+    if not len(rows):
+        return OverlapVerdict(0.0, False, np.empty((0, 3)), None, sample_spacing(cone, k), k)
+    samples, r = sample_cone(cone, k, seed)
     redundant = map.any_point_within(samples, r, rows)
     if redundancy_filter is not None:
         redundant = np.asarray(

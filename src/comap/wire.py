@@ -8,6 +8,7 @@ Byte-level layouts are documented in docs/formats.md.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -271,9 +272,18 @@ def _pack_pose(p: Pose) -> bytes:
     return struct.pack("<6d", p.x, p.y, p.z, p.roll, p.pitch, p.yaw)
 
 
+def _canonical_pose(vals, off: int) -> Pose:
+    """The pose of six decoded fields starting at ``off``. ``Pose`` wraps
+    angles to (-pi, pi]; an angle outside that range would not re-encode to
+    the bytes it came from, so it is refused."""
+    for i, angle in enumerate(vals[3:]):
+        if not -math.pi < angle <= math.pi:
+            raise DecodeError(f"pose angle {angle!r} outside (-pi, pi]", off + 24 + 8 * i)
+    return Pose(*vals)
+
+
 def _unpack_pose(data: bytes, off: int) -> tuple[Pose, int]:
-    vals = struct.unpack_from("<6d", data, off)
-    return Pose(*vals), off + 48
+    return _canonical_pose(struct.unpack_from("<6d", data, off), off), off + 48
 
 
 def _decode_points(data: bytes, off: int, n: int) -> np.ndarray:
@@ -440,7 +450,7 @@ def decode(data: bytes):
         if mtype in FIXED_TYPES:
             client_id, keyframe_id, np_hint, *pose_vals = _FIXED_BODY.unpack_from(data, 4)
             cls = OverlapQueryMsg if mtype == T_OVERLAP_QUERY else SharedMapRequestMsg
-            return cls(client_id, keyframe_id, np_hint, Pose(*pose_vals))
+            return cls(client_id, keyframe_id, np_hint, _canonical_pose(pose_vals, 14))
         payload = data[8:]
         if mtype == T_OVERLAP_RESPONSE:
             status, r, n = struct.unpack_from("<BfI", payload, 0)

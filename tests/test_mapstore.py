@@ -13,6 +13,7 @@ from comap.mapstore import (
     GlobalMap,
     MapFrame,
     SnapshotError,
+    _union_rows,
     audit,
     insert_frame,
     load_snapshot,
@@ -21,6 +22,7 @@ from comap.mapstore import (
     state_digest,
 )
 from comap.sim import generate_scene, observe
+from comap.spatial import KdTree
 
 from conftest import SIM_INTR, insert_point_cloud
 
@@ -221,6 +223,44 @@ class TestSelectNeighbors:
         ns = select_neighbors(gmap, Pose(0, 0, 0), 1.4, 40.0, exclude_client=1)
         assert ns.frame_ids == [2]
         np.testing.assert_array_equal(ns.point_ids, [2])
+
+
+class TestPointIndexQueries:
+    def test_nearest_rows_match_a_tree_over_all_points(self, rng):
+        # Snapped points on a coarse grid tie often; the buffered second wave
+        # repeats positions the tree already holds, and so does the tree.
+        base = np.round(rng.uniform(-4, 4, (600, 3)))
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, np.vstack([base, base[:40]]))
+        gmap._point_index.rebuild()
+        insert_point_cloud(gmap, np.vstack([base[:30], np.round(rng.uniform(-4, 4, (20, 3)))]))
+        assert len(gmap._point_index._pending_rows) == 50
+        positions = gmap.point_positions
+        centers = np.vstack([positions[::7], np.round(rng.uniform(-5, 5, (40, 3)) * 2) / 2])
+        full = KdTree(positions)
+        for k in (1, 2, 7, 33, len(positions) + 3):
+            np.testing.assert_array_equal(
+                gmap.nearest_point_rows(centers, k), full.query_nearest(centers, k)
+            )
+        gmap._point_index.rebuild()
+        np.testing.assert_array_equal(
+            gmap.nearest_point_rows(centers, 7), full.query_nearest(centers, 7)
+        )
+        assert GlobalMap().nearest_point_rows(np.zeros((2, 3)), 3).shape == (2, 0)
+
+    def test_neighbor_rows_gather_each_frames_memberships(self, rng):
+        gmap = GlobalMap()
+        ids = np.arange(1, 501)
+        for fid in range(1, 21):
+            listed = rng.choice(ids, int(rng.integers(0, 60)), replace=False)
+            frame, pos = frame_with_points(fid, Pose(0, 0, 0), listed, listed[:, None] * [1.0, 0, 0])
+            insert_frame(gmap, frame, pos)
+        for _ in range(20):
+            frame_rows = rng.choice(20, int(rng.integers(0, 21)), replace=False)
+            want = np.unique(
+                np.concatenate([gmap.frame_point_rows(r) for r in frame_rows] + [np.empty(0, int)])
+            )
+            np.testing.assert_array_equal(_union_rows(gmap, frame_rows), want)
 
 
 class TestAudit:

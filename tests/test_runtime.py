@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,24 @@ class TestTcpTransport:
             assert isinstance(reply, ErrorMsg) and reply.code == wire.E_MALFORMED
             assert sock.recv(1) == b""  # then the server hangs up
 
+    def test_uncapped_read_grows_with_the_payload(self):
+        # A 64 MiB shared-map-response header, then the peer hangs up: the
+        # client's reader must fail without reserving the announced length.
+        mine, theirs = socket.socketpair()
+        mine.settimeout(5.0)
+        theirs.sendall(struct.pack("<HBBI", 0x4D51, 1, wire.T_SHARED_MAP_RESPONSE, 64 << 20))
+        theirs.sendall(b"\x00" * 1000)
+        theirs.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError):
+                _read_frame(mine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            mine.close()
+        assert peak < 4 << 20
+
     def test_largest_update_check_is_accepted(self):
         server = fresh_server()
         register(server, 1)
@@ -316,7 +335,7 @@ class TestTcpTransport:
     def test_fuzzed_frames_get_equal_replies_in_process_and_over_tcp(self, raw):
         inproc, remote = fresh_server(), fresh_server()
         if len(raw) >= 12:
-            (client_id,) = struct.unpack_from("<I", raw, 8)
+            (client_id,) = struct.unpack_from("<I", raw, 4 if raw[3] in wire.FIXED_TYPES else 8)
             register(inproc, client_id)
             register(remote, client_id)
         expected = inproc.handle_bytes(raw)

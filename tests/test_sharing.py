@@ -3,25 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from comap.geometry import Pose, compute_fov, cone_from_fov, contains_many
+from comap.geometry import Pose, compute_fov, cone_from_fov, contains, contains_many
 from comap.expansion import Keyframe
-from comap.mapstore import GlobalMap, MapFrame, insert_frame
+from comap.mapstore import GlobalMap, MapFrame, insert_frame, select_neighbors
 from comap.params import ProtocolParams
 from comap.scenario import run_scenario
 from comap.sharing import (
     DeviceAction,
     DeviceLoopState,
+    SharedMapSlice,
+    UpdateStatus,
     UpdateVerdict,
     _cluster_sizes,
+    _cone_rows,
     build_shared_map,
-    count_map_requests,
     default_r_match,
     get_update_status,
     run_device_loop,
 )
 from comap.sim import generate_scene, mutate_scene, observe
-from comap.spatial import linear_radius_search
+from comap.spatial import KdTree, linear_radius_search
 from comap.wire import (
+    FrameRecord,
     KeyframeUploadMsg,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
@@ -196,7 +199,7 @@ class TestDeviceLoop:
         assert action is DeviceAction.CONTINUE_ON_SHARED_MAP
         assert len(link.sent) == 1
         assert isinstance(link.sent[0], SharedMapRequestMsg)
-        assert count_map_requests(state.trace) == 1
+        assert sum(ev.get("event") == "shared_map_request" for ev in state.trace) == 1
 
     def test_empty_slice_expands_without_update_check(self, rng):
         link = ScriptedLink([SharedMapResponseMsg()])
@@ -237,14 +240,19 @@ class TestDeviceLoop:
         assert len(state.recent_kfs) == PARAMS.update_window
 
 
+def uploads_at(scene, poses, seed=17, np_max=400):
+    """Client 9's keyframe uploads observed at the given poses."""
+    rng = np.random.default_rng(seed)
+    counters = {}
+    return [
+        observe(scene, p, SIM_INTR, np_max, 0.05, rng, counters, keyframe_id=i).to_upload_msg(9)
+        for i, p in enumerate(poses)
+    ]
+
+
 class TestGetUpdateStatus:
     def kfs_at(self, scene, poses, seed=17, np_max=400):
-        rng = np.random.default_rng(seed)
-        counters = {}
-        return [
-            observe(scene, p, SIM_INTR, np_max, 0.05, rng, counters, keyframe_id=i).to_upload_msg(9)
-            for i, p in enumerate(poses)
-        ]
+        return uploads_at(scene, poses, seed, np_max)
 
     def test_unchanged_world_is_expansion(self):
         scene = corridor_scene()
@@ -377,11 +385,168 @@ class TestUpdateCheckOracle:
         assert status.cluster_count == sum(1 for s in sizes if s >= PARAMS.cluster_min)
 
 
+def full_scan_build_shared_map(gmap, q, q_fov, alpha, params=PARAMS, exclude_client=None):
+    """Reference slice from whole-map scans, as first written: the cone test
+    over every map point, and one ``contains`` per sorted gated neighbor."""
+    cone = cone_from_fov(q, q_fov, params.h, alpha)
+    positions = gmap.point_positions
+    in_cone = contains_many(cone, positions)
+    mem_fr, mem_pt = gmap.memberships()
+    owner = in_cone[mem_pt]
+    if exclude_client is not None:
+        owner &= gmap._fr_client[mem_fr] != exclude_client
+        in_cone = np.zeros_like(in_cone)
+        in_cone[mem_pt[owner]] = True
+    frame_rows = set(mem_fr[owner].tolist())
+    neighbors = select_neighbors(gmap, q, q_fov, params.t_d, exclude_client=exclude_client)
+    for fid in neighbors.frame_ids:
+        if contains(cone, gmap.frames[fid].pose.position):
+            frame_rows.add(gmap._fid_to_row[fid])
+    records = []
+    for row in sorted(frame_rows, key=lambda r: gmap._fr_ids[r]):
+        f = gmap.frames[int(gmap._fr_ids[row])]
+        rows = gmap.frame_point_rows(row)
+        records.append(
+            FrameRecord(f.frame_id, f.client_id, f.keyframe_id, f.pose, f.fov,
+                        gmap.points[rows[in_cone[rows]]])
+        )
+    rows = np.flatnonzero(in_cone)
+    rows = rows[np.argsort(gmap.points[rows], kind="stable")]
+    return SharedMapSlice(0, 0, q, cone, records, gmap.points[rows], positions[rows],
+                          gmap.point_observation_counts[rows])
+
+
+def full_scan_update_status(gmap, kfs, k_nn, r_match, params=PARAMS):
+    """Reference update check from whole-map scans, as first written: every
+    map point tested against each cone and for re-observation, and a tree
+    over the whole map for the neighbours."""
+    positions = gmap.point_positions
+    counts = gmap.point_observation_counts
+    if not len(positions):
+        return UpdateStatus(UpdateVerdict.EXPANSION, set())
+    high = np.zeros(len(positions), dtype=bool)
+    for kf in kfs:
+        in_cone = contains_many(cone_from_fov(kf.pose, kf.fov, params.h), positions)
+        if in_cone.any():
+            high |= in_cone & (counts >= float(np.median(counts[in_cone])))
+    examined = int(high.sum())
+    if examined == 0:
+        return UpdateStatus(UpdateVerdict.EXPANSION, set())
+    obs = np.concatenate([kf.points["position"] for kf in kfs]).astype(np.float64)
+    if not len(obs):
+        return UpdateStatus(UpdateVerdict.EXPANSION, set(), examined=examined)
+    observed = KdTree(obs).any_within(positions, r_match)
+    candidate_rows = np.flatnonzero(high & ~observed)
+    confirmed = candidate_rows
+    if len(candidate_rows):
+        nn = KdTree(positions).query_nearest(positions[candidate_rows], k_nn + 1)
+        keep = nn != candidate_rows[:, None]
+        keep &= np.cumsum(keep, axis=1) <= k_nn
+        unobserved = np.sum(keep & ~observed[nn], axis=1)
+        confirmed = candidate_rows[unobserved >= max(1, math.ceil(k_nn / 2))]
+    sizes = _cluster_sizes(positions[confirmed], 2.0 * r_match)
+    updating = (
+        len(confirmed) >= params.stale_min and bool(sizes) and max(sizes) >= params.cluster_min
+    )
+    return UpdateStatus(
+        verdict=UpdateVerdict.UPDATING if updating else UpdateVerdict.EXPANSION,
+        stale_point_ids=set(gmap.points[confirmed].tolist()) if updating else set(),
+        examined=examined,
+        high_confidence=examined,
+        stale_candidates=int(len(candidate_rows)),
+        cluster_count=sum(1 for s in sizes if s >= params.cluster_min),
+    )
+
+
+def cone_boundary_points(rng, cone, n):
+    """Points on the cone's base rim, at the apex, on the apex ball that bounds
+    the cone (padded as the index is asked) and just inside and outside it."""
+    R = cone.apex_pose.rotation_matrix()
+    theta = rng.uniform(0, 2 * math.pi, n)
+    radial = cone.h * math.tan(cone.fov / 2.0)
+    rim = np.stack([radial * np.cos(theta), radial * np.sin(theta), np.full(n, cone.h)], axis=1)
+    bound = cone.h / math.cos(cone.fov / 2.0)
+    directions = rim / np.linalg.norm(rim, axis=1, keepdims=True)
+    shells = [bound * (1 + 1e-9) + 1e-9, bound * (1 - 1e-12), bound * (1 + 1e-12)]
+    local = np.vstack([rim, np.zeros((1, 3))] + [directions * d for d in shells])
+    return cone.apex_pose.position + local @ R.T
+
+
+def map_with_buffered_duplicates(rng, scene, poses):
+    """Two mapping passes (clients 1 and 2), then client 3's frames, still in
+    the point index's side buffer, repeating existing positions under new ids."""
+    gmap = map_from_passes(scene, poses)
+    gmap._point_index.rebuild()
+    rows = rng.choice(len(gmap.points), 60, replace=False)
+    insert_point_cloud(gmap, gmap.point_positions[rows], client_id=3,
+                       frame_pose=poses[len(poses) // 2], fov=FOV, frames_of=20)
+    assert len(gmap._point_index._pending_rows) == 60
+    return gmap
+
+
+class TestQueryLocalReads:
+    """The read handlers ask the persistent point index for the query's
+    neighbourhood; they must return exactly what whole-map scans return."""
+
+    def test_cone_rows_match_full_scan(self, rng):
+        for _ in range(8):
+            q = Pose(*rng.uniform(-20, 20, 3), *rng.uniform(-math.pi, math.pi, 3))
+            cones = [cone_from_fov(q, FOV, PARAMS.h, alpha) for alpha in (1.0, 1.3, 2.5)]
+            gmap = GlobalMap(np_max=400)
+            insert_point_cloud(gmap, q.position + rng.uniform(-30, 30, (3000, 3)), fov=FOV)
+            for cone in cones:
+                insert_point_cloud(gmap, cone_boundary_points(rng, cone, 20), fov=FOV)
+            gmap._point_index.rebuild()
+            buffered = [
+                insert_point_cloud(gmap, cone_boundary_points(rng, cone, 20), fov=FOV)
+                for cone in cones
+            ]
+            in_buffer = set(gmap._point_index._pending_rows.tolist())
+            assert set(gmap.rows_for_ids(np.concatenate(buffered)).tolist()) <= in_buffer
+            for cone in cones:
+                want = np.flatnonzero(contains_many(cone, gmap.point_positions))
+                np.testing.assert_array_equal(_cone_rows(gmap, cone), want)
+
+    def test_build_shared_map_matches_full_scan(self, rng):
+        scene = corridor_scene()
+        poses = path_poses()
+        gmap = map_with_buffered_duplicates(rng, scene, poses)
+        for q in poses[::3] + [Pose(200, 0, 1.5, 0.0, math.pi / 2, 0.0)]:
+            for alpha in (1.0, 1.3):
+                for exclude in (None, 1, 2, 3):
+                    got = build_shared_map(gmap, q, FOV, alpha, params=PARAMS,
+                                           exclude_client=exclude)
+                    want = full_scan_build_shared_map(gmap, q, FOV, alpha, exclude_client=exclude)
+                    assert got.frames == want.frames
+                    np.testing.assert_array_equal(got.point_ids, want.point_ids)
+                    np.testing.assert_array_equal(got.point_positions, want.point_positions)
+                    np.testing.assert_array_equal(got.point_observations,
+                                                  want.point_observations)
+
+    def test_update_status_matches_full_scan(self, rng):
+        scene = corridor_scene()
+        poses = path_poses()
+        gmap = map_with_buffered_duplicates(rng, scene, poses)
+        mutated = mutate_scene(scene, "remove_cluster", "cars")
+        verdicts = set()
+        for x in (0.0, 14.0, 26.0, 30.0, 50.0, 500.0):
+            for world in (scene, mutated):
+                kfs = uploads_at(world, path_poses(x, x + 8), seed=int(x))
+                for r_match in (None, 0.3):
+                    r = default_r_match(kfs[0].fov, PARAMS) if r_match is None else r_match
+                    got = get_update_status(gmap, kfs, r_match=r, params=PARAMS)
+                    want = full_scan_update_status(gmap, kfs, PARAMS.k_nn, r)
+                    assert got == want
+                    verdicts.add(got.verdict)
+        assert verdicts == {UpdateVerdict.EXPANSION, UpdateVerdict.UPDATING}
+
+
 class TestRequestCounts:
     def requests(self, alpha):
         metrics = run_scenario(canonical_curve_config(alpha))
         u2 = metrics.user(2)
-        assert count_map_requests(metrics.traces[2]) == u2.map_requests
+        requests = sum(ev.get("event") == "shared_map_request" for ev in metrics.traces[2])
+        assert requests == u2.map_requests
         return u2.map_requests
 
     def test_oversharing_strictly_reduces_requests_on_canonical_path(self):

@@ -31,6 +31,7 @@ from comap.wire import (
     meter,
     E_MALFORMED,
     E_UNKNOWN_TYPE,
+    FIXED_TYPES,
     POINT_DTYPE,
     T_KEYFRAME_UPLOAD,
     T_SHARED_MAP_RESPONSE,
@@ -120,15 +121,56 @@ def count_fields(raw) -> list[tuple[int, str]]:
     return fields
 
 
+# rand_message kinds of the frames that carry poses: the two fixed 64-byte
+# queries, keyframe uploads, shared-map responses and update checks.
+POSED_KINDS = (0, 1, 3, 4, 7)
+
+
+def pose_fields(raw) -> list[int]:
+    """Frame offsets of the six ``<f64`` fields of every pose in a frame."""
+    if raw[3] in FIXED_TYPES:
+        starts = [14]
+    elif raw[3] == T_KEYFRAME_UPLOAD:
+        starts = [16]
+    elif raw[3] == T_SHARED_MAP_RESPONSE:
+        (n_frames,) = struct.unpack_from("<I", raw, 8)
+        starts, off = [], 16
+        for _ in range(n_frames):
+            (n_ids,) = struct.unpack_from("<I", raw, off + 72)
+            starts.append(off + 16)
+            off += 76 + 8 * n_ids
+    else:
+        (n,) = struct.unpack_from("<H", raw, 12)
+        starts, off = [], 14
+        for _ in range(n):
+            (length,) = struct.unpack_from("<I", raw, off)
+            starts.append(off + 12)
+            off += 4 + length
+    return [start + 8 * i for start in starts for i in range(6)]
+
+
+# Pose field values: anything, plus the edges of the canonical angle range.
+POSE_VALUES = st.floats() | st.floats(-7.0, 7.0) | st.sampled_from(
+    [math.pi, -math.pi, np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, 0.0), -0.0, 4.0]
+)
+
+
 @st.composite
 def mutated_frames(draw, framed=None):
     """A keyframe upload, shared-map response or update check, truncated,
-    extended or with one count field rewritten. With ``framed`` (drawn when
-    None) the header's length is then set to the payload actually present."""
+    extended or with one count field rewritten; or any frame carrying a pose
+    (the fixed 64-byte queries too) with one pose field rewritten. With
+    ``framed`` (drawn when None) a variable frame's header length is then
+    set to the payload actually present."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    raw = bytearray(encode(rand_message(rng, kind=draw(st.sampled_from(COUNTED_KINDS)))))
-    how = draw(st.sampled_from(["truncate", "extend", "count"]))
-    if how == "truncate":
+    how = draw(st.sampled_from(["truncate", "extend", "count", "pose"]))
+    kinds = POSED_KINDS if how == "pose" else COUNTED_KINDS
+    raw = bytearray(encode(rand_message(rng, kind=draw(st.sampled_from(kinds)))))
+    if how == "pose":
+        fields = pose_fields(raw)
+        if fields:
+            struct.pack_into("<d", raw, draw(st.sampled_from(fields)), draw(POSE_VALUES))
+    elif how == "truncate":
         del raw[draw(st.integers(8, len(raw) - 1)):]
     elif how == "extend":
         raw += draw(st.binary(min_size=1, max_size=120))
@@ -138,7 +180,7 @@ def mutated_frames(draw, framed=None):
         limit = 2 ** (8 * struct.calcsize(fmt)) - 1
         new = draw(st.integers(0, limit) | st.integers(-3, 3).map(lambda d: old + d))
         struct.pack_into(fmt, raw, off, min(max(new, 0), limit))
-    if framed if framed is not None else draw(st.booleans()):
+    if (framed if framed is not None else draw(st.booleans())) and raw[3] not in FIXED_TYPES:
         struct.pack_into("<I", raw, 4, len(raw) - 8)
     return bytes(raw)
 
@@ -284,6 +326,13 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             decode(reframed(head + struct.pack("<I", len(inner) + 1) + inner, T_UPDATE_CHECK))
 
+    def test_non_canonical_pose_angle_rejected(self):
+        raw = bytearray(encode(keyframe_upload(2)))
+        struct.pack_into("<d", raw, 16 + 24, 4.0)  # roll of the upload's pose
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(raw))
+        assert err.value.code == E_MALFORMED
+
     @given(mutated_frames())
     @settings(max_examples=400, deadline=None)
     def test_mutated_frames_decode_exactly_or_raise(self, raw):
@@ -291,7 +340,7 @@ class TestDecodeErrors:
             msg = decode(raw)
         except DecodeError:
             return
-        assert raw[3] in COUNTED_TYPES
+        assert raw[3] in COUNTED_TYPES or raw[3] in FIXED_TYPES
         assert encode(msg) == raw
 
     def test_trailing_bytes_rejected(self):
