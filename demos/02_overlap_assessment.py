@@ -29,7 +29,7 @@ scene = generate_scene(11, [[-25, -25, -18], [65, 25, 22]], 14000)
 
 gmap = GlobalMap(np_max=300)
 rng = np.random.default_rng(0)
-counters = {}
+counters = np.zeros(len(scene), dtype=np.int64)
 for i, x in enumerate(np.arange(0.0, 30.0, 2.0)):
     pose = Pose(x, 0, 1.5, 0.0, np.pi / 2, 0.0)
     kf = observe(scene, pose, intr, 300, 0.05, rng, counters, keyframe_id=i)

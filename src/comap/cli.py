@@ -31,6 +31,7 @@ from .scenario import (
     vanilla_twin,
     write_metrics_csv,
     write_metrics_json,
+    write_telemetry_json,
     write_trace_jsonl,
 )
 from .sim import generate_keyframes
@@ -77,6 +78,7 @@ def cmd_simulate(args) -> int:
     metrics = run_scenario(cfg)
     write_metrics_csv(metrics, out / f"metrics_{cfg.mode}.csv")
     write_metrics_json(metrics, out / f"metrics_{cfg.mode}.json")
+    write_telemetry_json(metrics, out / f"telemetry_{cfg.mode}.json")
     for client_id, trace in metrics.traces.items():
         write_trace_jsonl(trace, out / f"trace_{cfg.mode}_{client_id}.jsonl")
     vanilla = None
@@ -84,6 +86,7 @@ def cmd_simulate(args) -> int:
         vanilla = run_scenario(vanilla_twin(cfg))
         write_metrics_csv(vanilla, out / "metrics_vanilla.csv")
         write_metrics_json(vanilla, out / "metrics_vanilla.json")
+        write_telemetry_json(vanilla, out / "telemetry_vanilla.json")
     if metrics.audit_violations:
         print("map audit FAILED:", file=sys.stderr)
         for v in metrics.audit_violations:

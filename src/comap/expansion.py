@@ -11,6 +11,7 @@ import numpy as np
 from .geometry import Pose, euler_from_matrix
 from .mapstore import GlobalMap, MapFrame, insert_frame, state_digest
 from .overlap import OverlapVerdict
+from .spatial import KdTree
 from .wire import KeyframeUploadMsg, OverlapResponseMsg, point_table
 
 
@@ -126,25 +127,19 @@ def build_response(verdict: OverlapVerdict) -> OverlapResponseMsg:
     return OverlapResponseMsg(1, verdict.r, verdict.fresh_samples)
 
 
-def _near_any_sample(positions: np.ndarray, samples: np.ndarray, r: float) -> np.ndarray:
-    """Mask over positions: within r of at least one listed sample."""
-    if not len(positions) or not len(samples):
-        return np.zeros(len(positions), dtype=bool)
-    s = np.asarray(samples, dtype=np.float64)
-    d2 = np.sum((positions[:, None, :] - s[None, :, :]) ** 2, axis=2)
-    return np.any(d2 <= r * r, axis=1)
-
-
 def partition_keyframe(kf: Keyframe, resp: OverlapResponseMsg) -> Keyframe:
     """Drop the map points the response marks redundant.
 
     With a REDUNDANT list (status 0) every point within r of a listed sample
     is removed; with a FRESH list (status 1) only points within r of a listed
-    sample survive. Pose and fov are unchanged.
+    sample survive; a point at exactly r is within it. Pose and fov are
+    unchanged.
     """
     if resp.r <= 0:
         raise ValueError(f"response spacing must be positive, got {resp.r}")
-    near = _near_any_sample(kf.positions, resp.samples, float(resp.r))
+    near = np.zeros(len(kf), dtype=bool)
+    if len(resp.samples):
+        near = KdTree(resp.samples).any_within(kf.positions, float(resp.r))
     keep = ~near if resp.status == 0 else near
     return kf.subset(keep)
 

@@ -186,6 +186,12 @@ def contains_many(cone: ViewCone, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def cone_reach(cone: ViewCone) -> float:
+    """Distance from the apex to the rim of the base, h / cos(fov/2): every
+    point inside the cone lies within it."""
+    return cone.h / math.cos(cone.fov / 2.0)
+
+
 def sample_spacing(cone: ViewCone, k: int) -> float:
     """Mean adjacent-sample spacing for ``k`` uniform samples: (V/k)^(1/3)."""
     return (cone.volume() / k) ** (1.0 / 3.0)

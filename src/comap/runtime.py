@@ -133,7 +133,6 @@ class Session:
     traffic: TrafficStats = field(default_factory=TrafficStats)
     transform: RigidTransform = field(default_factory=RigidTransform.identity)
     aligned: bool = False
-    overlap_degrees: list = field(default_factory=list)
 
     def transition(self, to: SessionState):
         if self.state is SessionState.ENDED:
@@ -265,7 +264,6 @@ class MapServer:
             self.map, msg.pose, session.fov, k, seed, params=self.params,
             exclude_client=msg.client_id,
         )
-        session.overlap_degrees.append(verdict.overlap_degree)
         return verdict, seed
 
     def _on_overlap_query(self, msg: OverlapQueryMsg):

@@ -192,9 +192,9 @@ class Metrics:
                 return u
         raise KeyError(client_id)
 
-    def to_dict(self, include_traces: bool = False, include_latency: bool = False) -> dict:
-        """Serializable form; latency is opt-in so that fixed-seed runs stay
-        byte-identical."""
+    def to_dict(self, include_traces: bool = False) -> dict:
+        """Serializable form, free of wall-clock data, so that fixed-seed runs
+        stay byte-identical; latency goes to ``write_telemetry_json``."""
         out = {
             "mode": self.mode,
             "seed": self.seed,
@@ -208,8 +208,6 @@ class Metrics:
             },
             "audit_violations": list(self.audit_violations),
         }
-        if include_latency:
-            out["server"]["latency_percentiles"] = self.latency_percentiles
         if include_traces:
             out["traces"] = self.traces
         return out
@@ -419,15 +417,19 @@ def write_metrics_csv(metrics: Metrics, path):
             w.writerow({k: getattr(u, k) for k in fields})
 
 
-def write_metrics_json(metrics: Metrics, path, include_traces: bool = False):
+def _write_json(obj, path):
     with open(path, "w") as fh:
-        json.dump(
-            metrics.to_dict(include_traces=include_traces, include_latency=True),
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_metrics_json(metrics: Metrics, path, include_traces: bool = False):
+    _write_json(metrics.to_dict(include_traces=include_traces), path)
+
+
+def write_telemetry_json(metrics: Metrics, path):
+    """The run's wall-clock measurements: per-message server latency."""
+    _write_json({"server": {"latency_percentiles": metrics.latency_percentiles}}, path)
 
 
 def write_trace_jsonl(trace: list, path):

@@ -23,7 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .expansion import Keyframe
-from .geometry import Pose, ViewCone, cone_from_fov, contains_many
+from .geometry import Pose, ViewCone, cone_from_fov, cone_reach, contains_many
 from .mapstore import GlobalMap, _gated_frames
 # Re-exported: the benchmark's tracer patches mapstore.select_neighbors by this name.
 from .mapstore import select_neighbors  # noqa: F401
@@ -74,7 +74,7 @@ def _cone_rows(map: GlobalMap, cone: ViewCone) -> np.ndarray:
     asked for the rows within that reach, padded like every index query,
     and ``contains_many`` decides on those rows alone.
     """
-    reach = _search_radius(cone.h / math.cos(cone.fov / 2.0))
+    reach = _search_radius(cone_reach(cone))
     rows = map.point_rows_within(cone.apex_pose.position, reach)
     return rows[contains_many(cone, map.point_positions[rows])]
 

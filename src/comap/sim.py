@@ -1,23 +1,46 @@
 """Synthetic world: clustered landmark scenes, trajectory-driven keyframe
 generation with a running observation counter, and scripted scene mutation
-for staleness experiments."""
+for staleness experiments.
+
+A ``Scene`` lazily builds two tables that every observation of it shares: a
+``KdTree`` over its landmark positions and a table of 32-byte landmark
+descriptors, hashed the first time a landmark is observed. An observation
+asks the index for the landmarks within the cone's reach and lets
+``contains_many`` decide on those alone. A device's running observation
+counts are an int64 array over the scene's rows.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expansion import Keyframe
-from .geometry import CameraIntrinsics, Pose, compute_fov, cone_from_fov, contains_many
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    compute_fov,
+    cone_from_fov,
+    cone_reach,
+    contains_many,
+)
 from .params import DEFAULT_PARAMS, ProtocolParams
+from .spatial import KdTree, _search_radius
 
 
 @dataclass
 class Scene:
-    """Present landmarks plus the cluster catalog used for mutations."""
+    """Present landmarks plus the cluster catalog used for mutations.
+
+    The landmark index and the descriptor table are built on first use and
+    belong to this scene alone; ``mutate_scene`` returns a scene without
+    them. A lock guards their construction and the descriptor fill, so
+    threads may observe one scene concurrently.
+    """
 
     landmark_ids: np.ndarray
     positions: np.ndarray
@@ -25,6 +48,12 @@ class Scene:
     seed: int
     clusters: dict[str, np.ndarray] = field(default_factory=dict)
     _catalog: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    _index: KdTree | None = field(default=None, init=False, repr=False, compare=False)
+    _descriptors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _described: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.landmark_ids)
@@ -33,6 +62,27 @@ class Scene:
         if label not in self._catalog:
             raise ValueError(f"unknown cluster {label!r}")
         return self._catalog[label][0]
+
+    def index(self) -> KdTree:
+        """The spatial index over ``positions``, built on first use."""
+        with self._lock:
+            if self._index is None:
+                self._index = KdTree(self.positions)
+            return self._index
+
+    def descriptors(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), 32) descriptors of the landmarks at ``rows``; a row is
+        hashed the first time any observation asks for it."""
+        with self._lock:
+            if self._descriptors is None:
+                self._descriptors = np.zeros((len(self), 32), dtype=np.uint8)
+                self._described = np.zeros(len(self), dtype=bool)
+            new = rows[~self._described[rows]]
+            if len(new):
+                hashed = b"".join(landmark_descriptor(int(i)) for i in self.landmark_ids[new])
+                self._descriptors[new] = np.frombuffer(hashed, np.uint8).reshape(-1, 32)
+                self._described[new] = True
+            return self._descriptors[rows]
 
 
 def generate_scene(
@@ -132,20 +182,25 @@ def observe(
     np_max: int,
     noise_sigma: float,
     rng: np.random.Generator,
-    counters: dict[int, int],
+    counters: np.ndarray,
     keyframe_id: int = 0,
     params: ProtocolParams = DEFAULT_PARAMS,
 ) -> Keyframe:
     """Manufacture a keyframe: in-cone landmarks, axis-nearest first.
 
-    Selected landmarks bump the device's running per-landmark counter and
-    carry the updated count; positions get isotropic Gaussian noise.
+    Candidates are the scene index's landmarks within the cone's reach of
+    the apex (padded like every index query); ``contains_many`` decides on
+    them alone. ``counters`` is the device's running per-landmark count, an
+    int64 array over the scene's rows: selected landmarks bump it and carry
+    the updated count. Descriptors come from the scene's table; positions
+    get isotropic Gaussian noise.
     """
     fov = compute_fov(intrinsics)
     cone = cone_from_fov(pose, fov, params.h)
-    mask = contains_many(cone, scene.positions)
-    ids = scene.landmark_ids[mask]
-    pos = scene.positions[mask]
+    rows = scene.index().radius_search(pose.position, _search_radius(cone_reach(cone)))
+    rows = rows[contains_many(cone, scene.positions[rows])]
+    ids = scene.landmark_ids[rows]
+    pos = scene.positions[rows]
     if len(ids) > np_max:
         v = pos - pose.position
         norm = np.linalg.norm(v, axis=1)
@@ -154,25 +209,18 @@ def observe(
             ang = np.arccos(np.clip(np.where(norm > 0, axial / norm, 1.0), -1.0, 1.0))
         pick = np.lexsort((ids, ang))[:np_max]
         pick.sort()
-        ids, pos = ids[pick], pos[pick]
+        rows, ids, pos = rows[pick], ids[pick], pos[pick]
     if noise_sigma > 0 and len(ids):
         pos = pos + rng.normal(0.0, noise_sigma, pos.shape)
-    counts = np.empty(len(ids), dtype=np.int64)
-    for i, lid in enumerate(ids):
-        c = counters.get(int(lid), 0) + 1
-        counters[int(lid)] = c
-        counts[i] = c
-    descs = np.frombuffer(
-        b"".join(landmark_descriptor(int(i)) for i in ids), dtype=np.uint8
-    ).reshape(len(ids), 32) if len(ids) else np.empty((0, 32), dtype=np.uint8)
+    counters[rows] += 1
     return Keyframe(
         keyframe_id=keyframe_id,
         pose=pose,
         fov=fov,
-        landmark_ids=ids.copy(),
+        landmark_ids=ids,
         positions=np.asarray(pos, dtype=np.float64),
-        descriptors=descs,
-        observation_counts=counts,
+        descriptors=scene.descriptors(rows),
+        observation_counts=counters[rows],
     )
 
 
@@ -246,7 +294,7 @@ def generate_keyframes(
 ):
     """Stream of observed keyframes along the trajectory (deterministic per seed)."""
     rng = np.random.default_rng(seed)
-    counters: dict[int, int] = {}
+    counters = np.zeros(len(scene), dtype=np.int64)
     for i, pose in enumerate(trajectory_poses(spec)):
         yield observe(
             scene, pose, intrinsics, np_max, noise_sigma, rng, counters,

@@ -553,9 +553,6 @@ class TrafficStats:
     def total_download(self) -> int:
         return sum(self.download_bytes.values())
 
-    def category_bytes(self, category: str) -> int:
-        return self.upload_bytes.get(category, 0) + self.download_bytes.get(category, 0)
-
     def per_keyframe_kb(self, category: str | None = None, direction: str = "upload") -> float:
         if self.keyframes == 0:
             return 0.0

@@ -62,6 +62,9 @@ class TestSimulate:
         assert len(rows) == 3
         data = json.loads((out / "metrics_mapxx.json").read_text())
         assert len(data["users"]) == 2
+        assert "latency_percentiles" not in data["server"]
+        telemetry = json.loads((out / "telemetry_mapxx.json").read_text())
+        assert telemetry["server"]["latency_percentiles"]["OverlapQueryMsg"]["count"] > 0
         assert (out / "trace_mapxx_1.jsonl").exists()
         assert "client_id" in capsys.readouterr().out
 

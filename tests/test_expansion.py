@@ -75,6 +75,73 @@ class TestBuildResponse:
         assert build_response(v).r == pytest.approx(1.789, abs=1e-6)
 
 
+def dense_near_any_sample(positions, samples, r):
+    """Reference mask over positions, within r of at least one listed sample,
+    from the dense (points x samples x 3) difference array."""
+    if not len(positions) or not len(samples):
+        return np.zeros(len(positions), dtype=bool)
+    s = np.asarray(samples, dtype=np.float64)
+    d2 = np.sum((positions[:, None, :] - s[None, :, :]) ** 2, axis=2)
+    return np.any(d2 <= r * r, axis=1)
+
+
+def dense_partition(kf, resp):
+    near = dense_near_any_sample(kf.positions, resp.samples, float(resp.r))
+    return kf.subset(~near if resp.status == 0 else near)
+
+
+def keyframe_at(positions):
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = len(positions)
+    return Keyframe(0, Pose(0, 0, 0), 1.38, np.arange(1, n + 1), positions,
+                    np.zeros((n, 32), dtype=np.uint8), np.ones(n, dtype=np.int64))
+
+
+class TestPartitionMatchesDenseReference:
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_points_at_exactly_r_and_just_beyond(self, status):
+        # Sample (1, 2, 3) and r = 0.5 are exact in f32; each offset below is
+        # exactly r, or r plus the ulp of the coordinate moved past it.
+        up, down = np.nextafter(1.5, 2.0), np.nextafter(1.5, 1.0)
+        positions = [
+            (1.5, 2.0, 3.0), (1.0, 1.5, 3.0), (1.0, 2.0, 3.5), (0.5, 2.0, 3.0),
+            (up, 2.0, 3.0), (1.0, down, 3.0), (1.0, 2.0, np.nextafter(3.5, 4.0)),
+            (1.0, 2.0, np.nextafter(2.5, 2.0)),
+        ]
+        kf = keyframe_at(positions)
+        resp = OverlapResponseMsg(status, 0.5, [[1.0, 2.0, 3.0], [-4.0, 0.0, 2.0]])
+        near = np.array([True] * 4 + [False] * 4)
+        out = partition_keyframe(kf, resp)
+        np.testing.assert_array_equal(out.landmark_ids, kf.landmark_ids[near == bool(status)])
+        np.testing.assert_array_equal(out.landmark_ids, dense_partition(kf, resp).landmark_ids)
+
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_random_rim_points_match(self, status):
+        rng = np.random.default_rng(12)
+        samples = rng.uniform(-5, 5, (150, 3)).astype(np.float32)
+        r = float(np.float32(0.7))
+        d = rng.normal(size=(300, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        scale = r * (1.0 + rng.integers(-4, 5, (300, 1)) * 1e-16)
+        kf = keyframe_at(samples[rng.integers(0, 150, 300)] + d * scale)
+        resp = OverlapResponseMsg(status, r, samples)
+        out = partition_keyframe(kf, resp)
+        np.testing.assert_array_equal(out.landmark_ids, dense_partition(kf, resp).landmark_ids)
+        assert 0 < len(out) < len(kf)
+
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_empty_samples_and_empty_keyframes(self, status, rng):
+        kf = make_keyframe(rng)
+        for resp in (OverlapResponseMsg(status, 2.0, np.empty((0, 3))),
+                     OverlapResponseMsg(status, 2.0, kf.positions[:5])):
+            for k in (kf, Keyframe.empty(0, kf.pose, kf.fov)):
+                out = partition_keyframe(k, resp)
+                np.testing.assert_array_equal(out.landmark_ids,
+                                              dense_partition(k, resp).landmark_ids)
+        assert len(partition_keyframe(kf, OverlapResponseMsg(status, 2.0, np.empty((0, 3))))) \
+            == (len(kf) if status == 0 else 0)
+
+
 class TestPartitionKeyframe:
     def test_empty_redundant_list_keeps_everything(self, rng):
         kf = make_keyframe(rng)
@@ -109,14 +176,8 @@ class TestPartitionKeyframe:
         ids1 = set(kept_s1.landmark_ids.tolist())
         # s0 removes near-redundant; s1 keeps near-fresh. A point far from
         # all samples survives s0 but not s1; points near both lists differ.
-        near_redundant = np.any(
-            np.sum((kf.positions[:, None, :] - v.redundant_samples[None, :, :]) ** 2, axis=2)
-            <= r * r, axis=1,
-        )
-        near_fresh = np.any(
-            np.sum((kf.positions[:, None, :] - v.fresh_samples[None, :, :]) ** 2, axis=2)
-            <= r * r, axis=1,
-        )
+        near_redundant = dense_near_any_sample(kf.positions, v.redundant_samples, r)
+        near_fresh = dense_near_any_sample(kf.positions, v.fresh_samples, r)
         assert ids0 == set(kf.landmark_ids[~near_redundant].tolist())
         assert ids1 == set(kf.landmark_ids[near_fresh].tolist())
 

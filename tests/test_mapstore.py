@@ -328,7 +328,7 @@ class TestSnapshot:
         shift = RigidTransform(np.eye(3), np.array([0.25, -0.5, 0.125]))
         rng = np.random.default_rng(4)
         for client, transform in ((1, RigidTransform.identity()), (2, shift)):
-            counters = {}
+            counters = np.zeros(len(scene), dtype=np.int64)
             for k, x in enumerate(np.arange(0.0, 30.0, 3.0)):
                 pose = Pose(x, 0.5 * client, 1.5, 0.0, math.pi / 2, 0.1 * k)
                 kf = observe(scene, pose, SIM_INTR, 120, 0.05, rng, counters, keyframe_id=k)

@@ -145,6 +145,12 @@ class TestMetricsFiles:
         assert {u["client_id"] for u in loaded["users"]} == {1, 2}
         assert loaded["server"]["ingress"] == m.server_ingress
 
+    def test_fixed_config_gives_byte_identical_metrics_json(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            write_metrics_json(run_scenario(two_user_config(length=20.0, landmarks=8000)), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_trace_jsonl(self, tmp_path):
         m = run_scenario(two_user_config(length=10.0, landmarks=6000))
         path = tmp_path / "trace.jsonl"

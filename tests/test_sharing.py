@@ -61,7 +61,7 @@ def map_from_passes(scene, poses, passes=2, np_max=400, noise=0.05, seed=5):
     gmap = GlobalMap(np_max=np_max)
     rng = np.random.default_rng(seed)
     for p in range(passes):
-        counters = {}
+        counters = np.zeros(len(scene), dtype=np.int64)
         for pose in poses:
             kf = observe(scene, pose, SIM_INTR, np_max, noise, rng, counters)
             fid = gmap.allocate_frame_id()
@@ -243,7 +243,7 @@ class TestDeviceLoop:
 def uploads_at(scene, poses, seed=17, np_max=400):
     """Client 9's keyframe uploads observed at the given poses."""
     rng = np.random.default_rng(seed)
-    counters = {}
+    counters = np.zeros(len(scene), dtype=np.int64)
     return [
         observe(scene, p, SIM_INTR, np_max, 0.05, rng, counters, keyframe_id=i).to_upload_msg(9)
         for i, p in enumerate(poses)

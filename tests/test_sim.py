@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from comap.expansion import Keyframe
 from comap.geometry import Pose, compute_fov, cone_from_fov, contains_many
-from comap.params import ProtocolParams
+from comap.params import DEFAULT_PARAMS, ProtocolParams
 from comap.sim import (
     Scene,
     TrajectorySpec,
@@ -16,10 +19,79 @@ from comap.sim import (
     trajectory_poses,
 )
 
-from conftest import SIM_INTR, canonical_curve_config
+from conftest import (
+    SIM_INTR,
+    canonical_curve_config,
+    overlapping_users_config,
+    planted_change_config,
+    randomized_overlap_config,
+    two_user_config,
+)
 
 PARAMS = ProtocolParams()
 BOUNDS = [[-20, -20, -15], [60, 20, 20]]
+
+
+def full_scan_observe(scene, pose, intrinsics, np_max, noise_sigma, rng, counters,
+                      keyframe_id=0, params=DEFAULT_PARAMS) -> Keyframe:
+    """Reference observation: ``contains_many`` over every scene landmark, a
+    dict of counters keyed by landmark id, one descriptor hashed per
+    observed landmark."""
+    fov = compute_fov(intrinsics)
+    cone = cone_from_fov(pose, fov, params.h)
+    mask = contains_many(cone, scene.positions)
+    ids = scene.landmark_ids[mask]
+    pos = scene.positions[mask]
+    if len(ids) > np_max:
+        v = pos - pose.position
+        norm = np.linalg.norm(v, axis=1)
+        axial = v @ cone.axis
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ang = np.arccos(np.clip(np.where(norm > 0, axial / norm, 1.0), -1.0, 1.0))
+        pick = np.lexsort((ids, ang))[:np_max]
+        pick.sort()
+        ids, pos = ids[pick], pos[pick]
+    if noise_sigma > 0 and len(ids):
+        pos = pos + rng.normal(0.0, noise_sigma, pos.shape)
+    counts = np.empty(len(ids), dtype=np.int64)
+    for i, lid in enumerate(ids):
+        c = counters.get(int(lid), 0) + 1
+        counters[int(lid)] = c
+        counts[i] = c
+    descs = np.frombuffer(
+        b"".join(landmark_descriptor(int(i)) for i in ids), dtype=np.uint8
+    ).reshape(len(ids), 32) if len(ids) else np.empty((0, 32), dtype=np.uint8)
+    return Keyframe(
+        keyframe_id=keyframe_id,
+        pose=pose,
+        fov=fov,
+        landmark_ids=ids.copy(),
+        positions=np.asarray(pos, dtype=np.float64),
+        descriptors=descs,
+        observation_counts=counts,
+    )
+
+
+def full_scan_keyframes(spec, scene, intrinsics, np_max=300, noise_sigma=0.05, seed=0,
+                        params=DEFAULT_PARAMS) -> list[Keyframe]:
+    """``generate_keyframes`` on the reference observation."""
+    rng = np.random.default_rng(seed)
+    counters: dict[int, int] = {}
+    return [
+        full_scan_observe(scene, pose, intrinsics, np_max, noise_sigma, rng, counters,
+                          keyframe_id=i, params=params)
+        for i, pose in enumerate(trajectory_poses(spec))
+    ]
+
+
+def assert_same_keyframes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.keyframe_id, a.pose, a.fov) == (b.keyframe_id, b.pose, b.fov)
+        for name in ("landmark_ids", "positions", "descriptors", "observation_counts"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 class TestGenerateScene:
@@ -109,19 +181,22 @@ class TestObserve:
 
     def test_empty_scene_gives_empty_keyframe(self):
         scene = Scene(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.asarray(BOUNDS, dtype=float), 0)
-        kf = observe(scene, self.pose(), SIM_INTR, 300, 0.05, np.random.default_rng(0), {})
+        kf = observe(scene, self.pose(), SIM_INTR, 300, 0.05, np.random.default_rng(0),
+                     np.zeros(len(scene), dtype=np.int64))
         assert len(kf) == 0
 
     def test_zero_noise_reproduces_landmark_positions(self):
         scene = generate_scene(5, BOUNDS, 3000)
-        kf = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, np.random.default_rng(0), {})
+        kf = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, np.random.default_rng(0),
+                     np.zeros(len(scene), dtype=np.int64))
         rows = {int(i): j for j, i in enumerate(scene.landmark_ids)}
         for lid, pos in zip(kf.landmark_ids, kf.positions):
             np.testing.assert_array_equal(pos, scene.positions[rows[int(lid)]])
 
     def test_only_in_cone_landmarks(self):
         scene = generate_scene(5, BOUNDS, 3000)
-        kf = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, np.random.default_rng(0), {})
+        kf = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, np.random.default_rng(0),
+                     np.zeros(len(scene), dtype=np.int64))
         cone = cone_from_fov(self.pose(), compute_fov(SIM_INTR), PARAMS.h)
         assert contains_many(cone, kf.positions).all()
         inside = contains_many(cone, scene.positions).sum()
@@ -129,8 +204,10 @@ class TestObserve:
 
     def test_np_max_cap_prefers_axis(self):
         scene = generate_scene(5, BOUNDS, 6000)
-        kf_all = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, np.random.default_rng(0), {})
-        kf_cap = observe(scene, self.pose(), SIM_INTR, 50, 0.0, np.random.default_rng(0), {})
+        kf_all = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, np.random.default_rng(0),
+                     np.zeros(len(scene), dtype=np.int64))
+        kf_cap = observe(scene, self.pose(), SIM_INTR, 50, 0.0, np.random.default_rng(0),
+                     np.zeros(len(scene), dtype=np.int64))
         assert len(kf_cap) == 50
         cone = cone_from_fov(self.pose(), kf_cap.fov, PARAMS.h)
         apex, axis = self.pose().position, cone.axis
@@ -143,7 +220,7 @@ class TestObserve:
 
     def test_revisit_counter_reaches_five(self):
         scene = generate_scene(5, BOUNDS, 3000)
-        counters = {}
+        counters = np.zeros(len(scene), dtype=np.int64)
         rng = np.random.default_rng(0)
         for i in range(5):
             kf = observe(scene, self.pose(), SIM_INTR, 10_000, 0.0, rng, counters, keyframe_id=i)
@@ -202,3 +279,92 @@ class TestTrajectory:
             np.testing.assert_array_equal(ka.landmark_ids, kb.landmark_ids)
             np.testing.assert_array_equal(ka.positions, kb.positions)
             assert ka.pose == kb.pose
+
+
+def scenario_scene(cfg) -> Scene:
+    return generate_scene(cfg.scene_seed, cfg.bounds, cfg.landmark_count, cfg.clusters)
+
+
+def user_streams(cfg, scene, np_max=None):
+    """(indexed, reference) keyframe streams per user, in config order, with
+    the scene mutations and per-user seeds ``run_scenario`` uses."""
+    np_max = cfg.params.np_max if np_max is None else np_max
+    for spec in cfg.users:
+        for op in spec.scene_ops:
+            scene = mutate_scene(scene, op["op"], op["cluster"])
+        args = (spec.trajectory, scene, spec.intrinsics)
+        kwargs = dict(np_max=np_max, noise_sigma=cfg.noise_sigma,
+                      seed=cfg.seed * 7919 + spec.client_id, params=cfg.params)
+        yield list(generate_keyframes(*args, **kwargs)), full_scan_keyframes(*args, **kwargs)
+
+
+class TestIndexedGeneratorMatchesFullScan:
+    @pytest.mark.parametrize("builder", [
+        two_user_config,
+        overlapping_users_config,
+        lambda: canonical_curve_config(1.3),
+        planted_change_config,
+        lambda: randomized_overlap_config(2),
+    ], ids=["two_user", "overlapping_users", "canonical_curve", "planted_change",
+            "randomized_overlap"])
+    def test_every_scenario_builder(self, builder):
+        cfg = builder()
+        scene = scenario_scene(cfg)
+        for got, want in user_streams(cfg, scene):
+            assert_same_keyframes(got, want)
+
+    @pytest.mark.parametrize("np_max", [10, 50, 300])
+    def test_np_max_caps(self, np_max):
+        cfg = two_user_config(length=30.0, landmarks=20000)
+        got, want = next(user_streams(cfg, scenario_scene(cfg), np_max=np_max))
+        assert max(len(kf) for kf in got) == np_max
+        assert_same_keyframes(got, want)
+
+    def test_mutated_scenes_build_their_own_tables(self):
+        cfg = planted_change_config()
+        scene = scenario_scene(cfg)
+        traj = cfg.users[0].trajectory
+        list(generate_keyframes(traj, scene, SIM_INTR))
+        removed = mutate_scene(scene, "remove_cluster", "cars")
+        restored = mutate_scene(removed, "add_cluster", "cars")
+        for mutated in (removed, restored):
+            assert mutated._index is None and mutated._descriptors is None
+            assert_same_keyframes(list(generate_keyframes(traj, mutated, SIM_INTR)),
+                                  full_scan_keyframes(traj, mutated, SIM_INTR))
+            assert len(mutated.index()) == len(mutated)
+            assert mutated.index() is not scene.index()
+            assert mutated._descriptors is not scene._descriptors
+        assert len(removed) == len(scene) - 55 == len(restored) - 55
+
+    def test_threads_share_one_scene(self):
+        # More threads than cores, switching often, fill one scene's
+        # descriptor table at once; a row marked filled before it is written
+        # would show as a descriptor differing from the reference.
+        cfg = two_user_config(length=40.0, landmarks=20000)
+        scene = scenario_scene(cfg)
+        trajs = [
+            TrajectorySpec([(0.0, y, 1.5, hd), (40.0, y, 1.5, hd)], d_kf=1.0)
+            for y in (0.0, 2.0) for hd in (0.0, math.pi)
+        ]
+        got = [None] * len(trajs)
+        start = threading.Barrier(len(trajs))
+
+        def run(k):
+            start.wait()
+            got[k] = list(generate_keyframes(trajs[k], scene, SIM_INTR, seed=k))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(trajs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, traj in enumerate(trajs):
+            assert_same_keyframes(got[k], full_scan_keyframes(traj, scene, SIM_INTR, seed=k))
+        assert scene._described.sum() == len(np.unique(np.concatenate(
+            [kf.landmark_ids for stream in got for kf in stream])))
