@@ -42,7 +42,7 @@ from .mapstore import (
     save_snapshot,
     select_neighbors,
 )
-from .overlap import OverlapVerdict, assess_overlap, freshness_ratio
+from .overlap import OverlapVerdict, assess_overlap
 from .params import CAMERA_PRESETS, DEFAULT_PARAMS, FULL_KEYFRAME_BYTES, ProtocolParams
 from .runtime import (
     ClientConfig,

@@ -109,13 +109,6 @@ class RigidTransform:
         roll, pitch, yaw = euler_from_matrix(self.rotation @ p.rotation_matrix())
         return Pose(pos[0], pos[1], pos[2], roll, pitch, yaw)
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: x -> self(other(x))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -(self.rotation.T @ self.translation))
 

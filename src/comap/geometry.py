@@ -205,6 +205,13 @@ def sample_cone(cone: ViewCone, k: int, seed: int) -> tuple[np.ndarray, float]:
     pairing between axial and radial order shuffled to avoid streaks.
     Returns ``(points, r)`` where points is (k, 3) and ``r`` is the mean
     spacing ``(V/k)^(1/3)``.
+
+    The samples go on the wire (overlap responses list them, and devices
+    partition against them), so the random draws are a wire contract: one
+    generator seeded with ``seed``, and per layer, in layer order,
+    ``random(n)`` (axial jitter), ``permutation(n)`` (spiral slot),
+    ``random(n)`` (radial jitter), ``random(n)`` (angular jitter). Only the
+    arithmetic after the draws is batched over all layers.
     """
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
@@ -216,31 +223,29 @@ def sample_cone(cone: ViewCone, k: int, seed: int) -> tuple[np.ndarray, float]:
         return (apex + R @ np.array([0.0, 0.0, 0.75 * cone.h]))[None, :], r
 
     rng = np.random.default_rng(seed)
-    tan_half = math.tan(cone.fov / 2.0)
     layers = max(1, int(round(k ** (1.0 / 3.0))))
-    counts = np.full(layers, k // layers, dtype=int)
+    counts = np.full(layers, k // layers, dtype=np.int64)
     counts[: k % layers] += 1
+    draws = []
+    for n in counts.tolist():
+        draws += (rng.random(n), rng.permutation(n), rng.random(n), rng.random(n))
+    u_axial, disk, u_rho, u_theta = (np.concatenate(draws[i::4]) for i in range(4))
 
-    local = np.empty((k, 3), dtype=np.float64)
-    out = 0
-    cum = 0
-    for n in counts:
-        lo, hi = cum / k, (cum + n) / k
-        cum += n
-        idx = np.arange(n)
-        # Axial positions: volume-uniform within the layer's fraction band.
-        frac = lo + (idx + rng.random(n)) / n * (hi - lo)
-        axial = cone.h * np.cbrt(frac)
-        # Disk positions: sunflower spiral, decoupled from the axial order.
-        disk = rng.permutation(n)
-        rho = np.sqrt((disk + rng.random(n)) / n)
-        theta = disk * GOLDEN_ANGLE + rng.random(n) * (2.0 * math.pi / n)
-        radial = rho * axial * tan_half
-        local[out : out + n, 0] = radial * np.cos(theta)
-        local[out : out + n, 1] = radial * np.sin(theta)
-        local[out : out + n, 2] = axial
-        out += n
-
+    # Per sample: its layer's size, index within the layer and fraction
+    # band [lo, lo + width).
+    starts = np.cumsum(counts) - counts
+    n = np.repeat(counts, counts)
+    idx = np.arange(k) - np.repeat(starts, counts)
+    lo = np.repeat(starts / k, counts)
+    width = np.repeat((starts + counts) / k - starts / k, counts)
+    # Axial positions: volume-uniform within the layer's fraction band.
+    frac = lo + (idx + u_axial) / n * width
+    axial = cone.h * np.cbrt(frac)
+    # Disk positions: sunflower spiral, decoupled from the axial order.
+    rho = np.sqrt((disk + u_rho) / n)
+    theta = disk * GOLDEN_ANGLE + u_theta * (2.0 * math.pi / n)
+    radial = rho * axial * math.tan(cone.fov / 2.0)
+    local = np.column_stack((radial * np.cos(theta), radial * np.sin(theta), axial))
     return apex + local @ R.T, r
 
 

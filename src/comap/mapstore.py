@@ -234,6 +234,18 @@ class GlobalMap:
     # -- views ----------------------------------------------------------
 
     @property
+    def version(self) -> int:
+        """Changes whenever what a read can see changes: the frame count.
+
+        The map is append-only. ``insert_frame`` is its only mutator, and
+        each call appends exactly one frame, so two reads at the same
+        version see the same points, frames and memberships. A caller that
+        edits the map any other way (a session-end optimization hook) must
+        drop whatever it keyed on the version.
+        """
+        return self._fr_count
+
+    @property
     def points(self) -> np.ndarray:
         """Read-only ids of the stored points, in row order."""
         ids = self._pt_ids[: self._pt_count]

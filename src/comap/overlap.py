@@ -105,11 +105,3 @@ def overlap_from_response(status: int, listed: int, k: int) -> float:
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     return listed / k if status == 0 else (k - listed) / k
-
-
-def freshness_ratio(verdicts) -> float:
-    """1 minus the mean overlap degree across a trajectory's assessments."""
-    degrees = [v.overlap_degree if isinstance(v, OverlapVerdict) else float(v) for v in verdicts]
-    if not degrees:
-        raise ValueError("freshness ratio needs at least one verdict")
-    return 1.0 - float(np.mean(degrees))

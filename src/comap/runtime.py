@@ -123,7 +123,15 @@ _ALIGN_MIN_PAIRS = 10
 
 @dataclass
 class Session:
-    """Server-side per-client state."""
+    """Server-side per-client state.
+
+    ``memo`` is the last overlap assessment, one tuple ``(key, verdict,
+    shared-map response or None)`` with key ``(keyframe id, pose bits,
+    sample count, map version)``. The session fixes the rest of what a
+    reply depends on (client id, fov, alpha), so the key determines the
+    value. The tuple is replaced whole, never edited: two connections
+    racing on one client id can lose a hit but never serve a wrong reply.
+    """
 
     client_id: int
     intrinsics: CameraIntrinsics
@@ -133,6 +141,7 @@ class Session:
     traffic: TrafficStats = field(default_factory=TrafficStats)
     transform: RigidTransform = field(default_factory=RigidTransform.identity)
     aligned: bool = False
+    memo: tuple | None = None
 
     def transition(self, to: SessionState):
         if self.state is SessionState.ENDED:
@@ -151,6 +160,16 @@ class MapServer:
     Reads run concurrently; map writes are serialized by a single lock
     (single-writer / multi-reader via the GIL for array reads plus an
     exclusive mutation lock).
+
+    Overlap queries and shared-map requests assess each keyframe once per
+    map state: an overlap query followed by a shared-map request for the
+    same keyframe and pose, or ``f`` identical shared-map requests, cost
+    one assessment and one slice. The result is kept in ``Session.memo``
+    under the map's ``version``, read and written under the map read lock.
+    This relies on the map being append-only, with ``insert_frame`` (under
+    the write lock) its only mutator; an optimization hook edits the map in
+    place, so running one clears every session's memo, and SessionEnd
+    clears the ending session's.
     """
 
     def __init__(
@@ -258,39 +277,50 @@ class MapServer:
         return RegisterAckMsg(msg.client_id)
 
     def _assess(self, session: Session, msg) -> tuple:
+        """The session's memo entry for this query, assessing on a miss.
+        Call under the map read lock."""
         k = msg.np_hint if msg.np_hint > 0 else self.params.np_default
+        # Pose bits, not float equality: -0.0 and 0.0 are different keys.
+        key = (msg.keyframe_id, msg.pose.as_array().tobytes(), k, self.map.version)
+        memo = session.memo
+        if memo is not None and memo[0] == key:
+            return memo
         seed = _derive_seed(self.seed, msg.client_id, msg.keyframe_id)
         verdict = assess_overlap(
             self.map, msg.pose, session.fov, k, seed, params=self.params,
             exclude_client=msg.client_id,
         )
-        return verdict, seed
+        entry = (key, verdict, None)
+        session.memo = entry
+        return entry
 
     def _on_overlap_query(self, msg: OverlapQueryMsg):
         session = self._session(msg.client_id)
         session.transition(SessionState.MAPPING)
         with self._map_lock.reading():
-            verdict, _ = self._assess(session, msg)
+            _, verdict, _ = self._assess(session, msg)
         return build_response(verdict)
 
     def _on_shared_map_request(self, msg: SharedMapRequestMsg):
         session = self._session(msg.client_id)
         session.transition(SessionState.SHARING)
         with self._map_lock.reading():
-            verdict, _ = self._assess(session, msg)
-            if not verdict.seen:
-                return SharedMapResponseMsg()
-            slice_ = build_shared_map(
-                self.map,
-                msg.pose,
-                session.fov,
-                session.alpha,
-                client_id=msg.client_id,
-                keyframe_id=msg.keyframe_id,
-                params=self.params,
-                exclude_client=msg.client_id,
-            )
-        return slice_.to_response()
+            key, verdict, response = self._assess(session, msg)
+            if response is None:
+                response = SharedMapResponseMsg()
+                if verdict.seen:
+                    response = build_shared_map(
+                        self.map,
+                        msg.pose,
+                        session.fov,
+                        session.alpha,
+                        client_id=msg.client_id,
+                        keyframe_id=msg.keyframe_id,
+                        params=self.params,
+                        exclude_client=msg.client_id,
+                    ).to_response()
+                session.memo = (key, verdict, response)
+        return response
 
     def _on_upload(self, msg: KeyframeUploadMsg) -> UploadAckMsg:
         session = self._session(msg.client_id)
@@ -330,8 +360,13 @@ class MapServer:
         session = self._session(msg.client_id)
         with self._map_lock.writing():
             report = on_session_end(self.map, msg.client_id, self.optimization_hook)
+            if self.optimization_hook is not None:
+                with self._session_lock:
+                    for other in self.sessions.values():
+                        other.memo = None
         self.reports.append(report)
         session.state = SessionState.ENDED
+        session.memo = None
         return EndAckMsg(
             frame_count=report.frame_count,
             point_count=report.point_count,

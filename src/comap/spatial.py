@@ -19,8 +19,10 @@ from scipy.spatial import cKDTree
 def _search_radius(r):
     """Radius (or array of radii) at which the tree is asked for candidates:
     a little over ``r`` so the tree's own rounding cannot drop a point at
-    exactly ``r``."""
-    if np.any(np.asarray(r) < 0):
+    exactly ``r``. A NaN radius passes through unchecked."""
+    # A float scalar, the common case, skips the array round trip.
+    negative = r < 0 if isinstance(r, (float, np.floating)) else np.any(np.asarray(r) < 0)
+    if negative:
         raise ValueError(f"radius must be non-negative, got {r}")
     return r * (1.0 + 1e-9) + 1e-9
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose
-from .params import FULL_KEYFRAME_BYTES
 
 MAGIC = 0x4D51
 VERSION = 1
@@ -552,20 +551,6 @@ class TrafficStats:
     @property
     def total_download(self) -> int:
         return sum(self.download_bytes.values())
-
-    def per_keyframe_kb(self, category: str | None = None, direction: str = "upload") -> float:
-        if self.keyframes == 0:
-            return 0.0
-        buckets = self.upload_bytes if direction == "upload" else self.download_bytes
-        total = buckets.get(category, 0) if category else sum(buckets.values())
-        return total / self.keyframes / 1024.0
-
-    def ratio_vs_full_keyframe(self, category: str, direction: str = "upload") -> float:
-        """Mean per-keyframe bytes of a category over the 160 KB constant."""
-        if self.keyframes == 0:
-            return 0.0
-        buckets = self.upload_bytes if direction == "upload" else self.download_bytes
-        return buckets.get(category, 0) / self.keyframes / FULL_KEYFRAME_BYTES
 
     def merge(self, other: "TrafficStats"):
         for src, dst in (

@@ -24,6 +24,11 @@ from comap.wire import KeyframeUploadMsg, OverlapResponseMsg
 from conftest import insert_point_cloud, point_records
 
 
+def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
+    """a after b: x -> a(b(x))."""
+    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+
+
 def make_keyframe(rng, n=40, pose=None, counts=None, spread=10.0):
     pose = pose or Pose(0, 0, 0)
     ids = np.arange(1, n + 1, dtype=np.int64)
@@ -358,7 +363,7 @@ class TestEstimateAlignment:
         local = rng.uniform(-10, 10, (50, 3))
         glob = T.apply(local)
         est = estimate_alignment(list(zip(G.apply(local), glob)))
-        expect = T.compose(G.inverse())
+        expect = compose(T, G.inverse())
         np.testing.assert_allclose(est.transform.rotation, expect.rotation, atol=1e-9)
         np.testing.assert_allclose(est.transform.translation, expect.translation, atol=1e-8)
 

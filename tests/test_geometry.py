@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comap.geometry import (
+    GOLDEN_ANGLE,
     CameraIntrinsics,
     Pose,
     ViewCone,
@@ -19,6 +20,7 @@ from comap.geometry import (
     pose_angle,
     pose_distance,
     sample_cone,
+    sample_spacing,
 )
 
 FC = CameraIntrinsics(455.0, 455.0, 376.0, 240.0)
@@ -221,6 +223,72 @@ class TestSampleCone:
         np.fill_diagonal(d2, np.inf)
         mean_nn = float(np.mean(np.sqrt(d2.min(axis=1))))
         assert 0.5 * r <= mean_nn <= 1.5 * r
+
+
+def loop_sample_cone(cone, k, seed):
+    """Reference for ``sample_cone``: the per-layer loop it replaced, with
+    the same draws in the same order and the same arithmetic per sample."""
+    r = sample_spacing(cone, k)
+    apex = cone.apex_pose.position
+    R = cone.apex_pose.rotation_matrix()
+    if k == 1:
+        return (apex + R @ np.array([0.0, 0.0, 0.75 * cone.h]))[None, :], r
+    rng = np.random.default_rng(seed)
+    tan_half = math.tan(cone.fov / 2.0)
+    layers = max(1, int(round(k ** (1.0 / 3.0))))
+    counts = np.full(layers, k // layers, dtype=int)
+    counts[: k % layers] += 1
+    local = np.empty((k, 3), dtype=np.float64)
+    out = 0
+    cum = 0
+    for n in counts:
+        lo, hi = cum / k, (cum + n) / k
+        cum += n
+        idx = np.arange(n)
+        frac = lo + (idx + rng.random(n)) / n * (hi - lo)
+        axial = cone.h * np.cbrt(frac)
+        disk = rng.permutation(n)
+        rho = np.sqrt((disk + rng.random(n)) / n)
+        theta = disk * GOLDEN_ANGLE + rng.random(n) * (2.0 * math.pi / n)
+        radial = rho * axial * tan_half
+        local[out : out + n, 0] = radial * np.cos(theta)
+        local[out : out + n, 1] = radial * np.sin(theta)
+        local[out : out + n, 2] = axial
+        out += n
+    return apex + local @ R.T, r
+
+
+class TestSampleConeMatchesLoop:
+    """The batched arithmetic gives the loop's samples bit for bit: they go
+    on the wire."""
+
+    @staticmethod
+    def random_cone(rng):
+        pose = Pose(*rng.uniform(-100, 100, 3), *rng.uniform(-math.pi, math.pi, 3))
+        return cone_from_fov(pose, float(rng.uniform(0.05, 3.1)), float(rng.uniform(0.5, 60.0)))
+
+    def assert_same(self, cone, k, seed):
+        got, r = sample_cone(cone, k, seed)
+        want, want_r = loop_sample_cone(cone, k, seed)
+        assert got.shape == want.shape == (k, 3)
+        assert got.tobytes() == want.tobytes(), (k, seed)
+        assert r == want_r
+
+    def test_random_cones(self, rng):
+        for _ in range(1200):
+            self.assert_same(self.random_cone(rng), int(rng.integers(1, 401)), int(rng.integers(1 << 31)))
+
+    def test_one_and_two_layer_counts(self, rng):
+        # k = 1 is the centroid; k below 8 rounds to one layer (k <= 3) or two.
+        for k in range(1, 8):
+            for _ in range(30):
+                self.assert_same(self.random_cone(rng), k, int(rng.integers(1 << 31)))
+
+    def test_protocol_sample_counts(self, rng):
+        cone = cone_from_fov(Pose(3, -1, 2, yaw=1.1, pitch=0.15), 1.3812336489575836, 20.0)
+        for k in (8, 9, 27, 64, 254, 300, 399, 400):
+            for seed in range(5):
+                self.assert_same(cone, k, seed)
 
 
 class TestPoseMetrics:

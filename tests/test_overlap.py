@@ -5,13 +5,26 @@ import pytest
 
 from comap.geometry import Pose, cone_from_fov, sample_cone
 from comap.mapstore import GlobalMap, select_neighbors
-from comap.overlap import assess_overlap, classify_samples, freshness_ratio, overlap_from_response
+from comap.overlap import (
+    OverlapVerdict,
+    assess_overlap,
+    classify_samples,
+    overlap_from_response,
+)
 from comap.params import ProtocolParams
 
 from conftest import insert_point_cloud
 
 FOV = 1.3812336489575836
 PARAMS = ProtocolParams()
+
+
+def freshness_ratio(verdicts) -> float:
+    """1 minus the mean overlap degree across a trajectory's assessments."""
+    degrees = [v.overlap_degree if isinstance(v, OverlapVerdict) else float(v) for v in verdicts]
+    if not degrees:
+        raise ValueError("freshness ratio needs at least one verdict")
+    return 1.0 - float(np.mean(degrees))
 
 
 def fill_cone_fraction(rng, pose, fov, h, volume_fraction, density):

@@ -1,7 +1,9 @@
+import collections
 import json
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -11,8 +13,9 @@ import pytest
 
 from hypothesis import given, settings
 
-from comap.expansion import Keyframe
-from comap.geometry import Pose
+from comap import overlap, runtime, scenario, sharing
+from comap.expansion import Keyframe, build_response
+from comap.geometry import Pose, cone_from_fov, sample_cone
 from comap.mapstore import GlobalMap
 from comap.params import ProtocolParams
 from comap.runtime import (
@@ -24,6 +27,7 @@ from comap.runtime import (
     TcpTransport,
     TokenBucket,
     TransportError,
+    _derive_seed,
     _read_frame,
     client_pipeline,
     serve,
@@ -170,6 +174,176 @@ class TestServerDispatch:
         stats = server.latency_percentiles()
         assert stats["OverlapQueryMsg"]["count"] == 5
         assert stats["OverlapQueryMsg"]["p50_ms"] >= 0.0
+
+
+def scratch_reply(server, msg) -> bytes:
+    """The encoded reply to an overlap query or shared-map request, computed
+    from scratch on the server's current map, bypassing its memo."""
+    session = server.sessions[msg.client_id]
+    k = msg.np_hint if msg.np_hint > 0 else server.params.np_default
+    seed = _derive_seed(server.seed, msg.client_id, msg.keyframe_id)
+    verdict = overlap.assess_overlap(
+        server.map, msg.pose, session.fov, k, seed, params=server.params,
+        exclude_client=msg.client_id,
+    )
+    if not isinstance(msg, SharedMapRequestMsg):
+        return encode(build_response(verdict))
+    if not verdict.seen:
+        return encode(SharedMapResponseMsg())
+    return encode(
+        sharing.build_shared_map(
+            server.map, msg.pose, session.fov, session.alpha, client_id=msg.client_id,
+            keyframe_id=msg.keyframe_id, params=server.params, exclude_client=msg.client_id,
+        ).to_response()
+    )
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts of the server's ``assess_overlap`` and ``build_shared_map`` calls."""
+    counts = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("assess_overlap", "build_shared_map"):
+        monkeypatch.setattr(runtime, name, spy(name, getattr(runtime, name)))
+    return counts
+
+
+MEMO_POSE = Pose(0, 0, 1.5, 0, math.pi / 2, 0)
+
+
+def mapped_server(rng, **kw):
+    """Client 1 has mapped the cone at MEMO_POSE densely (three 300-point
+    keyframes), so client 2's queries there are seen; both are registered."""
+    server = fresh_server(**kw)
+    register(server, 1)
+    register(server, 2)
+    for kf in range(3):
+        upload(server, kf, rng)
+    return server
+
+
+def upload(server, keyframe_id, rng):
+    cone = cone_from_fov(MEMO_POSE, 1.38, PARAMS.h)
+    pts, _ = sample_cone(cone, 300, seed=int(rng.integers(1 << 30)))
+    ids = np.arange(1, 301) + 1000 * keyframe_id
+    msg = KeyframeUploadMsg(1, keyframe_id, MEMO_POSE, 1.38, point_records(ids, pts))
+    assert isinstance(decode(server.handle_bytes(encode(msg))), UploadAckMsg)
+
+
+class TestAssessmentMemo:
+    def test_replies_equal_scratch_replies_over_scenarios(self, monkeypatch, engine_calls):
+        checked = collections.Counter()
+
+        class ScratchChecked(InProcTransport):
+            def request(self, raw):
+                msg = decode(raw)
+                want = None
+                if isinstance(msg, (OverlapQueryMsg, SharedMapRequestMsg)):
+                    want = scratch_reply(self.server, msg)
+                reply = super().request(raw)
+                if want is not None:
+                    assert reply == want, (type(msg).__name__, msg.client_id, msg.keyframe_id)
+                    checked[type(msg).__name__] += 1
+                return reply
+
+        monkeypatch.setattr(scenario, "InProcTransport", ScratchChecked)
+        # The follower scenario, then the planted change, whose follower
+        # repeats shared-map requests where the removed cars fail to localize.
+        run_scenario(two_user_config(length=30.0, landmarks=9000))
+        run_scenario(planted_change_config())
+        assert checked["OverlapQueryMsg"] and checked["SharedMapRequestMsg"]
+        # Some replies came from the memo.
+        assert engine_calls["assess_overlap"] < sum(checked.values())
+
+    def test_repeated_request_is_not_reassessed(self, rng, engine_calls):
+        server = mapped_server(rng)
+        req = encode(SharedMapRequestMsg(2, 7, 100, MEMO_POSE))
+        first = server.handle_bytes(req)
+        assert not decode(first).empty
+        assert server.handle_bytes(req) == first
+        assert engine_calls == {"assess_overlap": 1, "build_shared_map": 1}
+        # The overlap query for the same keyframe reuses the assessment ...
+        query = OverlapQueryMsg(2, 7, 100, MEMO_POSE)
+        assert server.handle_bytes(encode(query)) == scratch_reply(server, query)
+        assert engine_calls == {"assess_overlap": 1, "build_shared_map": 1}
+        # ... and so does a shared-map request after an overlap query.
+        query = OverlapQueryMsg(2, 8, 100, MEMO_POSE)
+        req = SharedMapRequestMsg(2, 8, 100, MEMO_POSE)
+        server.handle_bytes(encode(query))
+        assert server.handle_bytes(encode(req)) == scratch_reply(server, req)
+        assert engine_calls == {"assess_overlap": 2, "build_shared_map": 2}
+
+    def test_upload_between_requests_forces_recompute(self, rng, engine_calls):
+        server = mapped_server(rng)
+        req = SharedMapRequestMsg(2, 7, 100, MEMO_POSE)
+        before = server.handle_bytes(encode(req))
+        upload(server, 3, rng)
+        after = server.handle_bytes(encode(req))
+        assert engine_calls == {"assess_overlap": 2, "build_shared_map": 2}
+        assert after == scratch_reply(server, req)
+        assert after != before  # the new frame's points are in the slice
+
+    def test_signed_zero_pose_is_another_key(self, rng, engine_calls):
+        server = mapped_server(rng)
+        plus = Pose(0.0, 0.0, 1.5, 0.0, math.pi / 2, 0.0)
+        minus = Pose(-0.0, 0.0, 1.5, 0.0, math.pi / 2, 0.0)
+        assert plus == minus
+        for pose in (plus, minus):
+            server.handle_bytes(encode(OverlapQueryMsg(2, 7, 100, pose)))
+        assert engine_calls["assess_overlap"] == 2
+
+    def test_session_end_empties_the_memo(self, rng):
+        server = mapped_server(rng)
+        server.handle_bytes(encode(SharedMapRequestMsg(2, 7, 100, MEMO_POSE)))
+        assert server.sessions[2].memo is not None
+        server.handle_bytes(encode(SessionEndMsg(2)))
+        assert server.sessions[2].memo is None
+
+    def test_optimization_hook_empties_every_memo(self, rng, engine_calls):
+        server = mapped_server(rng, optimization_hook=lambda m: None)
+        req = encode(OverlapQueryMsg(2, 7, 100, MEMO_POSE))
+        server.handle_bytes(req)
+        server.handle_bytes(encode(SessionEndMsg(1)))
+        assert server.sessions[2].memo is None
+        server.handle_bytes(req)
+        assert engine_calls["assess_overlap"] == 2
+
+    def test_connections_sharing_a_client_id_get_only_correct_replies(self, rng):
+        server = mapped_server(rng)
+        msgs = [
+            cls(2, kf, np_hint, MEMO_POSE)
+            for cls in (OverlapQueryMsg, SharedMapRequestMsg)
+            for kf in (7, 8)
+            for np_hint in (60, 100)
+        ]
+        want = {encode(m): scratch_reply(server, m) for m in msgs}
+        wrong = []
+
+        def worker(offset):
+            for i in range(24):
+                raw = encode(msgs[(offset + i) % len(msgs)])
+                if server.handle_bytes(raw) != want[raw]:
+                    wrong.append(raw)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(j,)) for j in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestUploadMessages:

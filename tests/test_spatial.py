@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from comap.spatial import KdTree, build_point_kdtree, linear_radius_search
+from comap.spatial import KdTree, _search_radius, build_point_kdtree, linear_radius_search
 
 
 def assert_same_ids(a, b):
@@ -202,6 +202,42 @@ class TestPairsWithin:
         pts = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.5], [0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(KdTree(pts).pairs_within(5.0), [[0, 1], [0, 3], [1, 3]])
         np.testing.assert_array_equal(KdTree(pts).pairs_within(0.0), [[0, 3]])
+
+
+class TestSearchRadius:
+    """The padded candidate radius, for float scalars and for arrays alike."""
+
+    @staticmethod
+    def padded(r):
+        return r * (1.0 + 1e-9) + 1e-9
+
+    def test_python_float(self):
+        for r in (0.0, -0.0, 1e-300, 0.5, 2.25, 1e6):
+            got = _search_radius(r)
+            assert type(got) is float
+            assert got == self.padded(r)
+
+    def test_numpy_float_scalar(self):
+        for r in (np.float64(0.0), np.float64(3.7), np.float32(1.5)):
+            got = _search_radius(r)
+            assert type(got) is type(r)
+            assert got == self.padded(r)
+
+    def test_array(self):
+        r = np.array([0.0, 0.25, 7.0])
+        np.testing.assert_array_equal(_search_radius(r), self.padded(r))
+
+    @pytest.mark.parametrize(
+        "r", [-1e-300, -1.0, np.float64(-2.0), np.float32(-0.5), np.array([1.0, -1.0]), -3]
+    )
+    def test_negative_rejected(self, r):
+        with pytest.raises(ValueError):
+            _search_radius(r)
+
+    def test_nan_passes_through(self):
+        assert np.isnan(_search_radius(float("nan")))
+        assert np.isnan(_search_radius(np.float64("nan")))
+        assert np.isnan(_search_radius(np.array([1.0, np.nan]))).tolist() == [False, True]
 
 
 class TestSublinearScaling:
