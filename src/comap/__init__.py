@@ -9,7 +9,6 @@ slices on seen paths, and detect when the world has changed.
 from .expansion import (
     AlignmentEstimate,
     Keyframe,
-    OptimizationReport,
     RigidTransform,
     build_response,
     estimate_alignment,

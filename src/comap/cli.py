@@ -13,7 +13,6 @@ from .mapstore import GlobalMap, load_snapshot, save_snapshot
 from .runtime import (
     ClientConfig,
     MapServer,
-    SessionState,
     TcpMapServer,
     TcpTransport,
     client_pipeline,
@@ -111,9 +110,7 @@ def cmd_serve(args) -> int:
         while True:
             time.sleep(0.1)
             if args.max_sessions:
-                ended = sum(
-                    1 for s in server.sessions.values() if s.state is SessionState.ENDED
-                )
+                ended = sum(1 for s in server.sessions.values() if s.ended)
                 if ended >= args.max_sessions:
                     break
     except KeyboardInterrupt:
@@ -156,7 +153,6 @@ def cmd_client(args) -> int:
             client_id=spec.client_id,
             intrinsics=spec.intrinsics,
             mode=spec.mode or cfg.mode,
-            alpha=spec.alpha,
             params=cfg.params,
         ),
         stream,
@@ -211,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     cli.add_argument("addr", help="host:port")
     cli.add_argument("trajectory", help="single-user scenario YAML")
     cli.add_argument("--mode", choices=["mapxx", "vanilla"], default=None)
-    cli.add_argument("--alpha", type=float, default=None)
     cli.add_argument("--bandwidth-cap", type=float, default=None, dest="bandwidth_cap")
     cli.add_argument("--trace", default=None, help="write the decision trace here")
     cli.set_defaults(func=cmd_client)

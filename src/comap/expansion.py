@@ -1,18 +1,21 @@
 """Map growth path: response building, keyframe partitioning, redundancy
-injection, upload integration, and rigid coordinate alignment."""
+injection, upload integration, rigid coordinate alignment, and the
+session-end ack."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose, euler_from_matrix
-from .mapstore import GlobalMap, MapFrame, insert_frame, state_digest
+from .mapstore import GlobalMap, MapFrame, insert_frame
 from .overlap import OverlapVerdict
 from .spatial import KdTree
-from .wire import KeyframeUploadMsg, OverlapResponseMsg, point_table
+from .wire import EndAckMsg, KeyframeUploadMsg, OverlapResponseMsg, point_table
+
+# Re-exported: the benchmark's tracer patches mapstore.state_digest by this name.
+from .mapstore import state_digest  # noqa: F401
 
 
 class DegenerateCorrespondencesError(ValueError):
@@ -207,43 +210,10 @@ def estimate_alignment(pairs) -> AlignmentEstimate:
     return AlignmentEstimate(transform, rms, len(pairs))
 
 
-@dataclass
-class OptimizationReport:
-    """Bookkeeping emitted by the session-end optimization hook."""
+def on_session_end(map: GlobalMap, client_id: int) -> EndAckMsg:
+    """The end-ack for ``client_id``: frame and point counts of the whole map.
 
-    client_id: int
-    frame_count: int
-    point_count: int
-    elapsed_seconds: float
-    digest_before: str
-    digest_after: str
-    hook_name: str = "noop"
-
-    @property
-    def map_changed(self) -> bool:
-        return self.digest_before != self.digest_after
-
-
-def on_session_end(map: GlobalMap, client_id: int, hook=None) -> OptimizationReport:
-    """Run the pluggable global-optimization hook and report what it touched.
-
-    Without a hook only frames and points are counted: the map is unchanged,
-    so it is not hashed and both digests stay empty.
+    The server runs no session-end optimization, so the map is unchanged:
+    ``elapsed_seconds`` is 0 and ``map_changed`` false.
     """
-    before = after = ""
-    elapsed = 0.0
-    if hook is not None:
-        before = state_digest(map)
-        t0 = time.perf_counter()
-        hook(map)
-        elapsed = time.perf_counter() - t0
-        after = state_digest(map)
-    return OptimizationReport(
-        client_id=client_id,
-        frame_count=len(map.frames),
-        point_count=len(map.points),
-        elapsed_seconds=elapsed,
-        digest_before=before,
-        digest_after=after,
-        hook_name=getattr(hook, "__name__", "noop") if hook is not None else "noop",
-    )
+    return EndAckMsg(len(map.frames), len(map.points), elapsed_seconds=0.0)

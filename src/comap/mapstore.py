@@ -55,7 +55,7 @@ class SnapshotError(ValueError):
     """Raised when a snapshot file is malformed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapFrame:
     """A stored map frame; point storage is reserved at full capacity."""
 
@@ -93,6 +93,7 @@ class MapFrame:
             )
         padded = np.full(np_max, -1, dtype=np.int64)
         padded[: len(ids)] = ids
+        padded.flags.writeable = False
         return cls(
             frame_id=frame_id,
             client_id=client_id,
@@ -239,9 +240,7 @@ class GlobalMap:
 
         The map is append-only. ``insert_frame`` is its only mutator, and
         each call appends exactly one frame, so two reads at the same
-        version see the same points, frames and memberships. A caller that
-        edits the map any other way (a session-end optimization hook) must
-        drop whatever it keyed on the version.
+        version see the same points, frames and memberships.
         """
         return self._fr_count
 

@@ -54,7 +54,6 @@ def assess_overlap(
     t_seen: float | None = None,
     params: ProtocolParams = DEFAULT_PARAMS,
     exclude_client: int | None = None,
-    redundancy_filter=None,
 ) -> OverlapVerdict:
     """Assess how much of the view cone at ``q`` is already mapped.
 
@@ -65,11 +64,6 @@ def assess_overlap(
     tree is built per query. The verdict is deterministic given the map
     contents, query, and seed. When no gated frame lists a point, every
     sample is fresh and the cone is not sampled at all.
-
-    ``redundancy_filter(samples, mask, neighbor_positions) -> mask`` is a
-    hook for stricter classification (e.g. view-direction aware); it ships
-    disabled, runs only when some gated point exists, and the gated
-    positions are gathered only when it is set.
     """
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
@@ -83,10 +77,6 @@ def assess_overlap(
         return OverlapVerdict(0.0, False, np.empty((0, 3)), None, sample_spacing(cone, k), k)
     samples, r = sample_cone(cone, k, seed)
     redundant = map.any_point_within(samples, r, rows)
-    if redundancy_filter is not None:
-        redundant = np.asarray(
-            redundancy_filter(samples, redundant, map.point_positions[rows]), dtype=bool
-        )
 
     n_red = int(redundant.sum())
     degree = n_red / k

@@ -4,7 +4,6 @@ pipeline that drives the device protocol over a keyframe stream."""
 
 from __future__ import annotations
 
-import enum
 import socket
 import threading
 import time
@@ -61,13 +60,6 @@ class ProtocolError(Exception):
 
 class TransportError(Exception):
     """The transport failed to deliver a frame."""
-
-
-class SessionState(enum.Enum):
-    REGISTERED = "registered"
-    MAPPING = "mapping"
-    SHARING = "sharing"
-    ENDED = "ended"
 
 
 class RWLock:
@@ -131,22 +123,16 @@ class Session:
     reply depends on (client id, fov, alpha), so the key determines the
     value. The tuple is replaced whole, never edited: two connections
     racing on one client id can lose a hit but never serve a wrong reply.
+    Once ``ended`` is set at SessionEnd, every further message is refused.
     """
 
     client_id: int
-    intrinsics: CameraIntrinsics
     fov: float
     alpha: float
-    state: SessionState = SessionState.REGISTERED
-    traffic: TrafficStats = field(default_factory=TrafficStats)
+    ended: bool = False
     transform: RigidTransform = field(default_factory=RigidTransform.identity)
     aligned: bool = False
     memo: tuple | None = None
-
-    def transition(self, to: SessionState):
-        if self.state is SessionState.ENDED:
-            raise ProtocolError(f"client {self.client_id} session already ended")
-        self.state = to
 
 
 def _derive_seed(base: int, client_id: int, keyframe_id: int) -> int:
@@ -167,9 +153,8 @@ class MapServer:
     one assessment and one slice. The result is kept in ``Session.memo``
     under the map's ``version``, read and written under the map read lock.
     This relies on the map being append-only, with ``insert_frame`` (under
-    the write lock) its only mutator; an optimization hook edits the map in
-    place, so running one clears every session's memo, and SessionEnd
-    clears the ending session's.
+    the write lock) its only mutator. SessionEnd clears the ending
+    session's memo.
     """
 
     def __init__(
@@ -178,19 +163,16 @@ class MapServer:
         params: ProtocolParams = DEFAULT_PARAMS,
         seed: int = 0,
         auto_align: bool = False,
-        optimization_hook=None,
     ):
         self.map = map
         self.params = params
         self.seed = seed
         self.auto_align = auto_align
-        self.optimization_hook = optimization_hook
         self.sessions: dict[int, Session] = {}
         self.alpha_overrides: dict[int, float] = {}
         self.ingress_bytes = 0
         self.egress_bytes = 0
         self.latencies: dict[str, list[float]] = {}
-        self.reports = []
         self._map_lock = RWLock()
         self._session_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -226,12 +208,7 @@ class MapServer:
         except Exception as e:  # pragma: no cover - defensive
             reply = ErrorMsg(wire.E_INTERNAL, f"{type(e).__name__}: {e}")
         self._note_latency(type(msg).__name__, time.perf_counter() - t0)
-        session = self.sessions.get(getattr(msg, "client_id", -1))
-        if session is not None:
-            meter(session.traffic, msg, "upload", size=len(raw))
         out = encode(reply)
-        if session is not None:
-            meter(session.traffic, reply, "download", size=len(out))
         with self._stats_lock:
             self.egress_bytes += len(out)
         return out
@@ -244,7 +221,7 @@ class MapServer:
         session = self.sessions.get(client_id)
         if session is None:
             raise ProtocolError(f"client {client_id} is not registered")
-        if session.state is SessionState.ENDED:
+        if session.ended:
             raise ProtocolError(f"client {client_id} session already ended")
         return session
 
@@ -266,11 +243,10 @@ class MapServer:
     def _on_register(self, msg: SessionRegisterMsg) -> RegisterAckMsg:
         with self._session_lock:
             existing = self.sessions.get(msg.client_id)
-            if existing is not None and existing.state is not SessionState.ENDED:
+            if existing is not None and not existing.ended:
                 raise ProtocolError(f"client {msg.client_id} already registered")
             self.sessions[msg.client_id] = Session(
                 client_id=msg.client_id,
-                intrinsics=msg.intrinsics,
                 fov=compute_fov(msg.intrinsics),
                 alpha=self.alpha_overrides.get(msg.client_id, self.params.alpha),
             )
@@ -296,14 +272,12 @@ class MapServer:
 
     def _on_overlap_query(self, msg: OverlapQueryMsg):
         session = self._session(msg.client_id)
-        session.transition(SessionState.MAPPING)
         with self._map_lock.reading():
             _, verdict, _ = self._assess(session, msg)
         return build_response(verdict)
 
     def _on_shared_map_request(self, msg: SharedMapRequestMsg):
         session = self._session(msg.client_id)
-        session.transition(SessionState.SHARING)
         with self._map_lock.reading():
             key, verdict, response = self._assess(session, msg)
             if response is None:
@@ -324,7 +298,6 @@ class MapServer:
 
     def _on_upload(self, msg: KeyframeUploadMsg) -> UploadAckMsg:
         session = self._session(msg.client_id)
-        session.transition(SessionState.MAPPING)
         with self._map_lock.writing():
             if self.auto_align and not session.aligned:
                 self._try_align(session, msg)
@@ -358,21 +331,11 @@ class MapServer:
 
     def _on_end(self, msg: SessionEndMsg) -> EndAckMsg:
         session = self._session(msg.client_id)
-        with self._map_lock.writing():
-            report = on_session_end(self.map, msg.client_id, self.optimization_hook)
-            if self.optimization_hook is not None:
-                with self._session_lock:
-                    for other in self.sessions.values():
-                        other.memo = None
-        self.reports.append(report)
-        session.state = SessionState.ENDED
+        with self._map_lock.reading():
+            ack = on_session_end(self.map, msg.client_id)
+        session.ended = True
         session.memo = None
-        return EndAckMsg(
-            frame_count=report.frame_count,
-            point_count=report.point_count,
-            elapsed_seconds=report.elapsed_seconds,
-            map_changed=report.map_changed,
-        )
+        return ack
 
     # -- metrics -----------------------------------------------------------
 
@@ -553,7 +516,7 @@ class TcpMapServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
             t.start()
-            self._threads.append(t)
+            self._threads = [t for t in self._threads if t.is_alive()] + [t]
 
     def _serve_conn(self, conn: socket.socket):
         """Answer frames on one connected stream socket until it closes."""
@@ -648,7 +611,6 @@ class ClientConfig:
     client_id: int
     intrinsics: CameraIntrinsics
     mode: str = "mapxx"  # or "vanilla"
-    alpha: float | None = None
     params: ProtocolParams = DEFAULT_PARAMS
 
     def __post_init__(self):
@@ -703,7 +665,6 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
         fov=fov,
         link=link,
         params=params,
-        alpha=cfg.alpha,
         trace=trace,
     )
 

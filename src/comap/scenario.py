@@ -8,7 +8,7 @@ import io
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -262,7 +262,6 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
             client_id=spec.client_id,
             intrinsics=spec.intrinsics,
             mode=mode,
-            alpha=spec.alpha,
             params=cfg.params,
         )
         res = client_pipeline(client_cfg, stream, transport)
@@ -318,33 +317,8 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
 
 def vanilla_twin(cfg: ScenarioConfig) -> ScenarioConfig:
     """The same scenario with every user forced onto the vanilla path."""
-    users = [
-        UserSpec(
-            client_id=u.client_id,
-            intrinsics=u.intrinsics,
-            trajectory=u.trajectory,
-            role=u.role,
-            alpha=u.alpha,
-            mode="vanilla",
-            scene_ops=list(u.scene_ops),
-        )
-        for u in cfg.users
-    ]
-    return ScenarioConfig(
-        seed=cfg.seed,
-        scene_seed=cfg.scene_seed,
-        bounds=cfg.bounds,
-        landmark_count=cfg.landmark_count,
-        clusters=cfg.clusters,
-        users=users,
-        params=cfg.params,
-        mode="vanilla",
-        transport=cfg.transport,
-        bandwidth_cap=cfg.bandwidth_cap,
-        noise_sigma=cfg.noise_sigma,
-        concurrent=cfg.concurrent,
-        auto_align=cfg.auto_align,
-    )
+    users = [replace(u, mode="vanilla", scene_ops=list(u.scene_ops)) for u in cfg.users]
+    return replace(cfg, users=users, mode="vanilla")
 
 
 def freshness_traffic_report(metrics: Metrics, vanilla: Metrics | None = None) -> dict:

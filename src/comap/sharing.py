@@ -283,7 +283,6 @@ class DeviceLoopState:
     fov: float
     link: object
     params: ProtocolParams = DEFAULT_PARAMS
-    alpha: float | None = None
     np_hint: int = 0
     r_match: float = 0.0
     slice_points: np.ndarray | None = None
@@ -293,8 +292,6 @@ class DeviceLoopState:
     update_events: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.alpha is None:
-            self.alpha = self.params.alpha
         if self.np_hint <= 0:
             self.np_hint = self.params.np_default
         if self.r_match <= 0:

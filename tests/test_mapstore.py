@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -47,6 +48,17 @@ class TestInsertFrame:
         assert len(gmap.frames) == 1
         assert len(gmap.points) == 10
         assert audit(gmap) == []
+
+    def test_stored_frames_are_read_only(self, rng):
+        # The frame table, the frame index and GlobalMap.version all assume
+        # that a stored frame never changes.
+        gmap = GlobalMap()
+        frame, pts = frame_with_points(1, Pose(0, 0, 0), range(1, 11), rng.uniform(-5, 5, (10, 3)))
+        fid = insert_frame(gmap, frame, pts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gmap.frames[fid].pose = Pose(500, 0, 0)
+        with pytest.raises(ValueError):
+            gmap.frames[fid].point_ids[0] = 99
 
     def test_shared_point_increments_observation_count(self):
         gmap = GlobalMap()

@@ -158,19 +158,6 @@ class TestAssessOverlap:
         with pytest.raises(ValueError):
             assess_overlap(GlobalMap(), Pose(0, 0, 0), FOV, k=10, seed=1, t_seen=1.5)
 
-    def test_redundancy_filter_hook(self, rng):
-        gmap = GlobalMap(np_max=300)
-        pts, _ = fill_cone_fraction(rng, Pose(0, 0, 0), FOV, 20.0, 0.6, 0.05)
-        insert_point_cloud(gmap, pts, frame_pose=Pose(0, 0, 0), fov=FOV)
-        base = assess_overlap(gmap, Pose(0, 0, 0), FOV, k=200, seed=8)
-        assert base.redundant_count > 0
-        veto_all = assess_overlap(
-            gmap, Pose(0, 0, 0), FOV, k=200, seed=8,
-            redundancy_filter=lambda samples, mask, neighbors: np.zeros_like(mask),
-        )
-        assert veto_all.redundant_count == 0
-        assert veto_all.fresh_count == 200
-
 
 def unit_vectors(rng, n):
     v = rng.normal(size=(n, 3))
@@ -273,25 +260,6 @@ class TestMaskedClassification:
                     if kind != "gated":
                         masked_in[kind, wave] += int(np.sum(covered[idx] & ~redundant[idx]))
         assert all(masked_in.values()), masked_in
-
-    def test_redundancy_filter_receives_gated_positions(self, rng):
-        gmap = GlobalMap(np_max=300)
-        q = Pose(0, 0, 0)
-        pts, _ = fill_cone_fraction(rng, q, FOV, 20.0, 0.6, 0.05)
-        insert_point_cloud(gmap, pts, client_id=2, frame_pose=q, fov=FOV)
-        insert_point_cloud(gmap, pts + 0.1, client_id=1, frame_pose=q, fov=FOV)
-        seen = []
-
-        def keep(samples, mask, neighbor_positions):
-            seen.append(neighbor_positions)
-            return mask
-
-        verdict = assess_overlap(gmap, q, FOV, k=200, seed=8, exclude_client=1,
-                                 redundancy_filter=keep)
-        gated = select_neighbors(gmap, q, FOV, PARAMS.t_d, exclude_client=1)
-        got, want = seen[0], gated.point_positions
-        np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
-        assert verdict.redundant_count > 0
 
 
 class TestClassifySamples:

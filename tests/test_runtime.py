@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from comap import overlap, runtime, scenario, sharing
-from comap.expansion import Keyframe, build_response
+from comap.expansion import Keyframe, RigidTransform, build_response
 from comap.geometry import Pose, cone_from_fov, sample_cone
 from comap.mapstore import GlobalMap
 from comap.params import ProtocolParams
@@ -22,7 +22,6 @@ from comap.runtime import (
     ClientConfig,
     InProcTransport,
     MapServer,
-    SessionState,
     TcpMapServer,
     TcpTransport,
     TokenBucket,
@@ -158,13 +157,16 @@ class TestServerDispatch:
         reply = decode(server.handle_bytes(raw))
         assert isinstance(reply, ErrorMsg)
 
-    def test_session_end_emits_one_report(self):
+    def test_session_end_emits_one_report(self, rng):
         server = fresh_server()
         register(server, 1)
+        register(server, 2)
+        pts = point_records(np.arange(1, 41), rng.uniform(0, 10, (40, 3)))
+        server.handle_bytes(encode(KeyframeUploadMsg(2, 0, Pose(0, 0, 0), 1.38, pts)))
         ack = decode(server.handle_bytes(encode(SessionEndMsg(1))))
-        assert ack.frame_count == 0
-        assert len(server.reports) == 1
-        assert server.sessions[1].state is SessionState.ENDED
+        assert ack == wire.EndAckMsg(1, 40, elapsed_seconds=0.0, map_changed=False)
+        assert server.sessions[1].ended
+        assert not server.sessions[2].ended
 
     def test_latency_percentiles_populated(self):
         server = fresh_server()
@@ -237,6 +239,29 @@ def upload(server, keyframe_id, rng):
     assert isinstance(decode(server.handle_bytes(encode(msg))), UploadAckMsg)
 
 
+class TestAutoAlign:
+    def test_second_client_is_moved_into_the_global_frame(self, rng):
+        server = fresh_server(auto_align=True)
+        register(server, 1)
+        register(server, 2)
+        ids = np.arange(1, 61)
+        glob = rng.uniform(-10, 10, (60, 3))
+        # Client 2 maps in its own frame: a random proper rigid transform of the global one.
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        to_local = RigidTransform(q * np.linalg.det(q), rng.uniform(-5, 5, 3))
+
+        def send(client_id, rows, positions):
+            msg = KeyframeUploadMsg(client_id, 0, Pose(0, 0, 0), 1.38, point_records(ids[rows], positions))
+            assert isinstance(decode(server.handle_bytes(encode(msg))), UploadAckMsg)
+
+        send(1, slice(0, 40), glob[:40])
+        send(2, slice(20, 60), to_local.apply(glob[20:]))  # 20 shared, 20 new
+        assert server.sessions[1].aligned and server.sessions[2].aligned
+        stored = server.map.point_positions[server.map.rows_for_ids(ids[40:])]
+        # Float32 wire rounding is the only error.
+        assert np.linalg.norm(stored - glob[40:], axis=1).max() < 1e-5
+
+
 class TestAssessmentMemo:
     def test_replies_equal_scratch_replies_over_scenarios(self, monkeypatch, engine_calls):
         checked = collections.Counter()
@@ -305,15 +330,6 @@ class TestAssessmentMemo:
         assert server.sessions[2].memo is not None
         server.handle_bytes(encode(SessionEndMsg(2)))
         assert server.sessions[2].memo is None
-
-    def test_optimization_hook_empties_every_memo(self, rng, engine_calls):
-        server = mapped_server(rng, optimization_hook=lambda m: None)
-        req = encode(OverlapQueryMsg(2, 7, 100, MEMO_POSE))
-        server.handle_bytes(req)
-        server.handle_bytes(encode(SessionEndMsg(1)))
-        assert server.sessions[2].memo is None
-        server.handle_bytes(req)
-        assert engine_calls["assess_overlap"] == 2
 
     def test_connections_sharing_a_client_id_get_only_correct_replies(self, rng):
         server = mapped_server(rng)
@@ -521,6 +537,20 @@ class TestTcpTransport:
         t = TcpTransport(("127.0.0.1", 1))  # nothing listens on port 1
         with pytest.raises(TransportError):
             t.request(encode(SessionEndMsg(1)))
+
+    def test_finished_connection_threads_are_dropped(self):
+        front = serve(GlobalMap(np_max=PARAMS.np_max), params=PARAMS)
+        try:
+            for client_id in range(1, 65):
+                t = TcpTransport(front.addr)
+                reply = decode(t.request(encode(SessionRegisterMsg(client_id, SIM_INTR))))
+                assert isinstance(reply, RegisterAckMsg)
+                assert isinstance(decode(t.request(encode(SessionEndMsg(client_id)))), wire.EndAckMsg)
+                t.close()
+            # One connection at a time: at most the last few threads remain.
+            assert len(front._threads) <= 8
+        finally:
+            front.stop()
 
 
 class FlakyTransport:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,17 @@ class TestRunScenarioBasics:
     def test_baseline_dominance(self):
         cfg = two_user_config(length=40.0, landmarks=12000)
         m = run_scenario(cfg)
-        v = run_scenario(vanilla_twin(cfg))
+        twin = vanilla_twin(cfg)
+        v = run_scenario(twin)
+        # The twin is the scenario with only the mode changed, its own and each user's.
+        for f in fields(cfg):
+            if f.name == "bounds":
+                np.testing.assert_array_equal(twin.bounds, cfg.bounds)
+            elif f.name not in ("mode", "users"):
+                assert getattr(twin, f.name) == getattr(cfg, f.name), f.name
+        assert twin.mode == "vanilla"
+        assert all(u.mode == "vanilla" for u in twin.users)
+        assert [replace(t, mode=u.mode) for t, u in zip(twin.users, cfg.users)] == cfg.users
         overhead = sum(
             u.upload_bytes.get("query", 0) + u.upload_bytes.get("shared_map", 0)
             for u in m.users
