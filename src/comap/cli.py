@@ -9,7 +9,7 @@ from pathlib import Path
 
 import yaml
 
-from .mapstore import GlobalMap, load_snapshot, save_snapshot
+from .mapstore import GlobalMap, SnapshotError, load_snapshot, save_snapshot
 from .runtime import (
     ClientConfig,
     MapServer,
@@ -99,7 +99,11 @@ def cmd_simulate(args) -> int:
 def cmd_serve(args) -> int:
     host, port = _parse_addr(args.addr)
     if args.snapshot and Path(args.snapshot).exists():
-        gmap = load_snapshot(args.snapshot)
+        try:
+            gmap = load_snapshot(args.snapshot)
+        except SnapshotError as e:
+            print(f"cannot load snapshot {args.snapshot}: {e}", file=sys.stderr)
+            return 2
         print(f"loaded snapshot: {len(gmap.frames)} frames, {len(gmap.points)} points")
     else:
         gmap = GlobalMap()

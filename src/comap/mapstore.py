@@ -5,13 +5,16 @@ descriptors, observation counts) found through an id-to-row dict. Which
 frames list which points is kept as two flat membership columns, frame row
 and point row, appended in each frame's order on insert: a point's owners
 are the frames whose rows list it, and its observation count is their
-number. Two persistent ``spatial.KdTree`` indices, one over point positions
-and one over frame positions, absorb inserts through a side buffer and
-rebuild once it exceeds 10% of the tree size. Single-center radius queries
-scan the buffer linearly; batch queries (overlap classification, k nearest
-neighbors) search it through a small tree of its own, built on demand and
-kept until the next insert. Nearest-neighbor lists merge the tree's and the
-buffer's by (squared distance, row).
+number. Frames enter through one batch append: ``insert_frame`` passes one
+frame, ``load_snapshot`` every frame of a snapshot at once. Two persistent
+``spatial.KdTree`` indices, one over point positions and one over frame
+positions, absorb each batch through a side buffer and rebuild once it
+exceeds 10% of the tree size, so a load builds each index once.
+Single-center radius queries scan the buffer linearly; batch queries
+(overlap classification, k nearest neighbors) search it through a small
+tree of its own, built on demand and kept until the next insert.
+Nearest-neighbor lists merge the tree's and the buffer's by (squared
+distance, row).
 
 Reads are query-local: shared slices and update checks take the points of
 a cone from a radius query of the point index (``point_rows_within``) and
@@ -25,7 +28,9 @@ only points whose row is set in that mask.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -117,19 +122,24 @@ class NeighborSet:
 
 
 def _reserve(columns: tuple, need: int, floor: int) -> tuple:
-    """The columns, reallocated by capacity doubling to hold ``need`` rows."""
-    cap = len(columns[0])
-    if need <= cap:
+    """The columns, reallocated to twice ``need`` rows when they hold fewer:
+    growth stays amortized, and a bulk load leaves room for the inserts
+    that follow it."""
+    if need <= len(columns[0]):
         return columns
-    cap = max(floor, 2 * cap, need)
+    cap = max(floor, 2 * need)
     return tuple(np.resize(c, (cap,) + c.shape[1:]) for c in columns)
+
+
+# Every index starts from this tree; a KdTree is never modified once built.
+_EMPTY_TREE = KdTree(np.empty((0, 3)))
 
 
 class _IncrementalIndex:
     """KdTree plus side buffer keyed by external integer rows."""
 
     def __init__(self, rebuild_fraction: float = 0.1, min_pending: int = 16):
-        self._tree = KdTree(np.empty((0, 3)))
+        self._tree = _EMPTY_TREE
         self._tree_rows = np.empty(0, dtype=np.int64)
         self._pending_rows = np.empty(0, dtype=np.int64)
         self._pending_pos = np.empty((0, 3), dtype=np.float64)
@@ -333,7 +343,94 @@ class GlobalMap:
 
     # -- mutation ---------------------------------------------------------
 
+    def _append_frames(self, frames: list[MapFrame], positions, descriptors):
+        """Store frames and integrate their points: the map's one construction path.
+
+        ``positions`` and ``descriptors`` align with the frames' ids
+        concatenated in order. The batch is checked whole before anything
+        is stored, so a rejected batch leaves the map unchanged. The result
+        equals appending the frames one at a time: new ids take rows in
+        order of first appearance over the batch, keeping their first
+        position and descriptor, and each point's observation count grows
+        by the number of distinct frames listing it.
+        """
+        fids = [f.frame_id for f in frames]
+        lengths = [f.np_new for f in frames]
+        ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
+        seen = set()
+        for fid, length in zip(fids, lengths):
+            if fid in self.frames:
+                raise DuplicateFrameError(f"frame {fid} already stored")
+            if fid in seen:
+                raise DuplicateFrameError(f"frame {fid} listed twice")
+            seen.add(fid)
+            if length > self.np_max:
+                raise FrameTooLargeError(
+                    f"frame {fid} carries {length} points, capacity {self.np_max}"
+                )
+        n = len(ids)
+        positions = np.asarray(positions, dtype=np.float64)
+        if positions.shape != (n, 3):
+            raise ValueError(f"frames list {n} points, positions have shape {positions.shape}")
+        if not np.isfinite(positions).all():
+            j = int(np.argmin(np.isfinite(positions).all(axis=1)))
+            raise ValueError(f"point {ids[j]} has invalid position {positions[j]}")
+        if descriptors is None:
+            descriptors = np.zeros((n, 32), dtype=np.uint8)
+        descriptors = np.asarray(descriptors, dtype=np.uint8).reshape(n, 32)
+        if not frames:
+            return
+
+        # One stable sort groups each id's memberships in frame order, so a
+        # repeat within one frame sits next to the pair it repeats.
+        frame_of = np.repeat(np.arange(len(frames)), lengths)
+        perm = np.argsort(ids, kind="stable")
+        sorted_ids, sorted_frames = ids[perm], frame_of[perm]
+        head = np.ones(n, dtype=bool)
+        head[1:] = sorted_ids[1:] != sorted_ids[:-1]
+        distinct_pair = head.copy()
+        distinct_pair[1:] |= sorted_frames[1:] != sorted_frames[:-1]
+        group = np.cumsum(head) - 1
+        listings = np.bincount(group[distinct_pair])
+        first = perm[head]
+        # One row lookup per distinct id; in an empty map every id is new.
+        if self._pt_count:
+            uniq_rows = self.rows_for_ids(sorted_ids[head])
+        else:
+            uniq_rows = np.full(len(first), -1, dtype=np.int64)
+        new = np.flatnonzero(uniq_rows < 0)
+        new = new[np.argsort(first[new])]
+        uniq_rows[new] = self._pt_count + np.arange(len(new))
+        rows = np.empty(n, dtype=np.int64)
+        rows[perm] = uniq_rows[group]
+
+        if len(new):
+            src = first[new]
+            self._append_points(ids[src], positions[src], descriptors[src])
+        self._pt_obs[uniq_rows] += listings
+
+        base, k = self._fr_count, len(frames)
+        self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client = _reserve(
+            (self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client), base + k, 16
+        )
+        frame_pos = np.array([f.pose.position for f in frames])
+        self._fr_ids[base : base + k] = fids
+        self._fr_pos[base : base + k] = frame_pos
+        self._fr_axis[base : base + k] = [optical_axis(f.pose) for f in frames]
+        self._fr_fov[base : base + k] = [f.fov for f in frames]
+        self._fr_client[base : base + k] = [f.client_id for f in frames]
+        self._fr_count += k
+        self._fid_to_row.update(zip(fids, range(base, base + k)))
+        self._frame_index.add(np.arange(base, base + k), frame_pos)
+        m = self._mem_count
+        self._mem_fr, self._mem_pt = _reserve((self._mem_fr, self._mem_pt), m + n, 256)
+        self._mem_fr[m : m + n] = base + frame_of
+        self._mem_pt[m : m + n] = rows
+        self._mem_count += n
+        self.frames.update((f.frame_id, f) for f in frames)
+
     def _append_points(self, ids: np.ndarray, positions: np.ndarray, descriptors: np.ndarray):
+        """New rows with observation count 0, indexed in one batch."""
         base, k = self._pt_count, len(ids)
         self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs = _reserve(
             (self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs), base + k, 64
@@ -341,30 +438,10 @@ class GlobalMap:
         self._pt_ids[base : base + k] = ids
         self._pt_pos[base : base + k] = positions
         self._pt_desc[base : base + k] = descriptors
-        self._pt_obs[base : base + k] = 1
+        self._pt_obs[base : base + k] = 0
         self._pt_count += k
         self._id_to_row.update(zip(ids.tolist(), range(base, base + k)))
         self._point_index.add(np.arange(base, base + k), positions)
-
-    def _append_frame(self, frame: MapFrame, point_rows: np.ndarray):
-        row = self._fr_count
-        self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client = _reserve(
-            (self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client), row + 1, 16
-        )
-        self._fr_ids[row] = frame.frame_id
-        self._fr_pos[row] = frame.pose.position
-        self._fr_axis[row] = optical_axis(frame.pose)
-        self._fr_fov[row] = frame.fov
-        self._fr_client[row] = frame.client_id
-        self._fr_count += 1
-        self._fid_to_row[frame.frame_id] = row
-        self._frame_index.add(np.array([row]), frame.pose.position.reshape(1, 3))
-        m, k = self._mem_count, len(point_rows)
-        self._mem_fr, self._mem_pt = _reserve((self._mem_fr, self._mem_pt), m + k, 256)
-        self._mem_fr[m : m + k] = row
-        self._mem_pt[m : m + k] = point_rows
-        self._mem_count += k
-        self.frames[frame.frame_id] = frame
 
 
 def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -> int:
@@ -373,43 +450,13 @@ def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -
     ``positions`` (and ``descriptors``, 32 bytes each, zero when omitted)
     align with ``frame.ids``. An id already stored keeps its position and
     descriptor, and its observation count grows by one. An id repeated
-    within the frame is counted once, with its first position.
+    within the frame is counted once, with its first position. Raises
+    DuplicateFrameError for a stored frame id and ValueError for positions
+    that do not align with the ids or are not finite; the map is then
+    unchanged.
     """
-    fid = frame.frame_id
-    if fid in map.frames:
-        raise DuplicateFrameError(f"frame {fid} already stored")
-    if frame.np_new > map.np_max:
-        raise FrameTooLargeError(
-            f"frame {fid} carries {frame.np_new} points, capacity {map.np_max}"
-        )
-    ids = frame.ids
-    n = len(ids)
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape != (n, 3):
-        raise ValueError(f"frame {fid} lists {n} points, positions have shape {positions.shape}")
-    finite = np.isfinite(positions).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise ValueError(f"point {ids[j]} has invalid position {positions[j]}")
-    if descriptors is None:
-        descriptors = np.zeros((n, 32), dtype=np.uint8)
-    descriptors = np.asarray(descriptors, dtype=np.uint8).reshape(n, 32)
-
-    rows = map.rows_for_ids(ids)
-    known = rows >= 0
-    map._pt_obs[np.unique(rows[known])] += 1
-    new = np.flatnonzero(~known)
-    if len(new):
-        # New ids take rows in order of first appearance.
-        _, first, inverse = np.unique(ids[new], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        rows[new] = map._pt_count + rank[inverse]
-        src = new[first[order]]
-        map._append_points(ids[src], positions[src], descriptors[src])
-    map._append_frame(frame, rows)
-    return fid
+    map._append_frames([frame], positions, descriptors)
+    return frame.frame_id
 
 
 def _gated_frames(
@@ -559,59 +606,97 @@ _SNAPSHOT_POINT = np.dtype(
 )
 
 
+def _record_bytes(counts: np.ndarray) -> np.ndarray:
+    """Mask over the point section: True on record bytes, False on the
+    owner lists (``counts`` frame ids each) that follow them."""
+    runs = np.empty(2 * len(counts), dtype=np.int64)
+    runs[0::2] = _SNAPSHOT_POINT.itemsize
+    runs[1::2] = 8 * counts
+    return np.repeat(np.arange(len(runs)) % 2 == 0, runs)
+
+
+def _write_atomically(path, data):
+    """Write ``data`` to a temporary file beside ``path``, then move it into
+    place: a write that fails part-way leaves an existing file unchanged."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_snapshot(map: GlobalMap, path):
-    """Versioned little-endian binary snapshot (see docs/formats.md)."""
+    """Versioned little-endian binary snapshot (see docs/formats.md), written
+    atomically."""
     order = np.argsort(map.points, kind="stable")
     owner_rows, owner_fids = map.owner_pairs()
-    table = np.empty(len(order), dtype=_SNAPSHOT_POINT)
+    n, size = len(order), _SNAPSHOT_POINT.itemsize
+    counts = np.bincount(owner_rows, minlength=n)[order]
+    table = np.empty(n, dtype=_SNAPSHOT_POINT)
     table["id"] = map.points[order]
     table["position"] = map.point_positions[order]
     table["descriptor"] = map.point_descriptors[order]
     table["observation_count"] = map.point_observation_counts[order]
-    table["owner_count"] = np.bincount(owner_rows, minlength=len(order))[order]
-    records, owners = table.tobytes(), owner_fids.astype("<i8").tobytes()
-    size = _SNAPSHOT_POINT.itemsize
-    parts = [
-        SNAPSHOT_MAGIC,
-        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), len(order)),
-    ]
-    at = 0
-    for i, k in enumerate(table["owner_count"].tolist()):
-        parts += (records[i * size : (i + 1) * size], owners[at : at + 8 * k])
-        at += 8 * k
+    table["owner_count"] = counts
+    frames = []
     for fid in sorted(map.frames):
         f = map.frames[fid]
-        parts.append(struct.pack("<qIId", fid, f.client_id, f.keyframe_id, f.timestamp))
-        parts.append(f.pose.as_array().tobytes())
-        parts.append(struct.pack("<dHH", f.fov, f.feature_slots, f.np_new))
-        parts.append(f.ids.astype("<i8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        frames.append(struct.pack("<qIId", fid, f.client_id, f.keyframe_id, f.timestamp))
+        frames.append(f.pose.as_array().tobytes())
+        frames.append(struct.pack("<dHH", f.fov, f.feature_slots, f.np_new))
+        frames.append(f.ids.astype("<i8").tobytes())
+    frames = b"".join(frames)
+    points_end = 16 + size * n + 8 * len(owner_fids)
+    buf = np.empty(points_end + len(frames), dtype=np.uint8)
+    buf[:4] = np.frombuffer(SNAPSHOT_MAGIC, dtype=np.uint8)
+    buf[4:16] = np.frombuffer(
+        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), n), dtype=np.uint8
+    )
+    # Each point record is followed by its owner list.
+    records = _record_bytes(counts)
+    buf[16:points_end][records] = table.view(np.uint8)
+    buf[16:points_end][~records] = owner_fids.astype("<i8").view(np.uint8)
+    buf[points_end:] = np.frombuffer(frames, dtype=np.uint8)
+    _write_atomically(path, buf)
 
 
 def load_snapshot(path) -> GlobalMap:
-    """Rebuild a map from a snapshot through ``insert_frame``.
+    """Rebuild a map from a snapshot, all frames in one batch.
 
-    Raises SnapshotError when the file is malformed, or when its point
-    table disagrees with its frames: an id no frame lists or missing from
-    the table, or a recorded owner list or observation count other than
-    the frames that list the point.
+    The map equals the one inserting the frames one at a time, in file
+    order, would build. Raises SnapshotError when the file is malformed
+    (see docs/formats.md for the cases), or when its point table disagrees
+    with its frames: an id no frame lists or missing from the table, or a
+    recorded owner list or observation count other than the frames that
+    list the point.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != SNAPSHOT_MAGIC:
         raise SnapshotError(f"bad magic {data[:4]!r}")
+    if len(data) < 16:
+        raise SnapshotError(f"truncated snapshot: need 16 header bytes, have {len(data)}")
     version, np_max, n_frames, n_points = struct.unpack_from("<HHII", data, 4)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
     off = 16
     size = _SNAPSHOT_POINT.itemsize
+    owner_count = struct.Struct("<H").unpack_from
     try:
-        starts = np.empty(n_points, dtype=np.int64)
-        for i in range(n_points):
-            starts[i] = off
-            (k,) = struct.unpack_from("<H", data, off + size - 2)
+        # The only walk over records: each one's offset follows the owner
+        # counts before it.
+        counts = []
+        for _ in range(n_points):
+            (k,) = owner_count(data, off + size - 2)
+            counts.append(k)
             off += size + 8 * k
+        points_end = off
         frames = []
         for _ in range(n_frames):
             fid, client_id, keyframe_id, ts = struct.unpack_from("<qIId", data, off)
@@ -632,48 +717,56 @@ def load_snapshot(path) -> GlobalMap:
     if off > len(data):
         raise SnapshotError(f"truncated snapshot: need {off} bytes, have {len(data)}")
 
-    raw = np.frombuffer(data, dtype=np.uint8)
-    table = raw[starts[:, None] + np.arange(size)].view(_SNAPSHOT_POINT).reshape(-1)
-    counts = table["owner_count"].astype(np.int64)
-    owner_at = np.repeat(starts + size - 8 * (np.cumsum(counts) - counts), counts)
-    owner_at += 8 * np.arange(len(owner_at))
-    owners = raw[owner_at[:, None] + np.arange(8)].view("<i8").reshape(-1)
+    section = np.frombuffer(data, dtype=np.uint8, count=points_end - 16, offset=16)
+    counts = np.array(counts, dtype=np.int64)
+    records = _record_bytes(counts)
+    table = section[records].view(_SNAPSHOT_POINT)
+    owners = section[~records].view("<i8")
 
     ids = table["id"]
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise SnapshotError("point table lists an id twice")
-    m = GlobalMap(np_max=np_max)
-    for f in frames:
-        at = np.searchsorted(sorted_ids, f.ids)
-        listed = at < n_points
-        listed[listed] = sorted_ids[at[listed]] == f.ids[listed]
-        if not listed.all():
-            raise SnapshotError(
-                f"frame {f.frame_id} lists points {f.ids[~listed].tolist()} absent from the table"
-            )
-        src = order[at]
-        insert_frame(m, f, table["position"][src], table["descriptor"][src])
-        m._next_frame_id = max(m._next_frame_id, f.frame_id + 1)
-
-    rows = m.rows_for_ids(ids)
-    if (rows < 0).any():
-        raise SnapshotError(f"point {ids[np.argmin(rows)]} is listed by no frame")
-    obs = m.point_observation_counts[rows]
-    bad = np.flatnonzero(obs != table["observation_count"])
-    if len(bad):
-        i = bad[0]
+    listed_ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
+    at = np.searchsorted(sorted_ids, listed_ids)
+    listed = at < n_points
+    listed[listed] = sorted_ids[at[listed]] == listed_ids[listed]
+    if not listed.all():
+        j = int(np.argmin(listed))
+        f = frames[np.searchsorted(np.cumsum([f.np_new for f in frames]), j, side="right")]
         raise SnapshotError(
-            f"point {ids[i]} records observation count {table['observation_count'][i]}, "
-            f"but {obs[i]} frames list it"
+            f"frame {f.frame_id} lists point {listed_ids[j]}, absent from the table"
         )
+    src = order[at]
+    m = GlobalMap(np_max=np_max)
+    try:
+        m._append_frames(frames, table["position"][src], table["descriptor"][src])
+    except ValueError as e:
+        raise SnapshotError(f"malformed snapshot: {e}") from e
+    if frames:
+        m._next_frame_id = max(m._next_frame_id, max(f.frame_id for f in frames) + 1)
+    if m._pt_count < n_points:
+        unlisted = np.ones(n_points, dtype=bool)
+        unlisted[src] = False
+        raise SnapshotError(f"point {ids[np.argmax(unlisted)]} is listed by no frame")
+
+    # The frames' (point, frame id) pairs in id order, against the recorded ones.
+    derived_rows, derived_fids = m.owner_pairs()
     owned = np.repeat(ids, counts)
     recorded = np.lexsort((owners, owned))
-    derived_rows, derived_fids = m.owner_pairs()
     if not (
         np.array_equal(owned[recorded], m.points[derived_rows])
         and np.array_equal(owners[recorded], derived_fids)
     ):
         raise SnapshotError("recorded owner lists disagree with the frames listing the points")
+    # The owner lists are the frames', so each owner count is the number of
+    # frames listing the point.
+    bad = np.flatnonzero(table["observation_count"] != counts)
+    if len(bad):
+        i = bad[0]
+        raise SnapshotError(
+            f"point {ids[i]} records observation count {table['observation_count'][i]}, "
+            f"but {counts[i]} frames list it"
+        )
     return m

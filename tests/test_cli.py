@@ -110,6 +110,15 @@ class TestUsage:
 
 
 class TestServeAndClient:
+    def test_malformed_snapshot_exits_2_and_keeps_the_file(self, tmp_path, capsys):
+        snapshot = tmp_path / "map.mpps"
+        snapshot.write_bytes(b"MPPS" + bytes(40))
+        rc = main(["serve", "127.0.0.1:0", "--snapshot", str(snapshot), "--max-sessions", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot load snapshot {snapshot}")
+        assert snapshot.read_bytes() == b"MPPS" + bytes(40)
+
     def test_loopback_session_reproduces_inproc_decisions(self, tmp_path, capsys):
         traj = tmp_path / "client.yaml"
         traj.write_text(CLIENT_YAML)

@@ -1,11 +1,15 @@
 import dataclasses
+import errno
 import hashlib
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from comap import mapstore, scenario
 from comap.expansion import RigidTransform, integrate_upload
 from comap.geometry import Pose
 from comap.mapstore import (
@@ -18,6 +22,7 @@ from comap.mapstore import (
     audit,
     insert_frame,
     load_snapshot,
+    neighbor_point_rows,
     save_snapshot,
     select_neighbors,
     state_digest,
@@ -25,7 +30,13 @@ from comap.mapstore import (
 from comap.sim import generate_scene, observe
 from comap.spatial import KdTree
 
-from conftest import SIM_INTR, insert_point_cloud
+from conftest import (
+    SIM_INTR,
+    insert_point_cloud,
+    planted_change_config,
+    randomized_overlap_config,
+    two_user_config,
+)
 
 
 def frame_with_points(fid, pose, ids, positions, np_max=300, client=1, fov=1.4):
@@ -424,3 +435,238 @@ class TestSnapshot:
         bad.write_bytes(data[:-8] + struct.pack("<q", listed_id))
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
+
+    def test_frame_listed_twice_is_snapshot_error(self, tmp_path, rng):
+        # The last frame (5) lists 20 ids; give it frame 4's id.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * 20 - 12 - 48 - 24
+        assert struct.unpack_from("<q", data, at) == (5,)
+        struct.pack_into("<q", data, at, 4)
+        bad = tmp_path / "twice.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_nonfinite_position_is_snapshot_error(self, tmp_path, rng):
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 16 + 8, math.inf)  # first record's x
+        bad = tmp_path / "inf.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_short_header_is_snapshot_error(self, tmp_path):
+        bad = tmp_path / "short.mpps"
+        bad.write_bytes(b"MPPS\x01\x00")
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        before = path.read_bytes()
+
+        class HalfWritten:
+            """A file that takes half of what is written, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_open = open
+        monkeypatch.setattr(
+            mapstore, "open", lambda *a, **kw: HalfWritten(real_open(*a, **kw)), raising=False
+        )
+        other = GlobalMap(np_max=64)
+        insert_point_cloud(other, rng.uniform(-20, 20, (200, 3)), frames_of=64)
+        with pytest.raises(OSError):
+            save_snapshot(other, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["map.mpps"]
+
+
+def replay_load_snapshot(path) -> GlobalMap:
+    """The frame-by-frame loader, kept as the oracle: parse a valid
+    snapshot record by record and insert its frames one at a time."""
+    data = Path(path).read_bytes()
+    _, np_max, n_frames, n_points = struct.unpack_from("<HHII", data, 4)
+    off, stored = 16, {}
+    for _ in range(n_points):
+        pid, x, y, z = struct.unpack_from("<q3d", data, off)
+        desc = np.frombuffer(data, np.uint8, 32, off + 32)
+        (owners,) = struct.unpack_from("<H", data, off + 68)
+        stored[pid] = ((x, y, z), desc)
+        off += 70 + 8 * owners
+    gmap = GlobalMap(np_max=np_max)
+    for _ in range(n_frames):
+        fid, client, kf, ts = struct.unpack_from("<qIId", data, off)
+        pose = Pose.from_array(struct.unpack_from("<6d", data, off + 24))
+        fov, slots, n = struct.unpack_from("<dHH", data, off + 72)
+        ids = np.frombuffer(data, "<i8", n, off + 84)
+        off += 84 + 8 * n
+        frame = MapFrame.create(fid, client, kf, pose, fov, ids, np_max, ts, slots)
+        positions = np.array([stored[i][0] for i in ids.tolist()]).reshape(-1, 3)
+        descriptors = np.array([stored[i][1] for i in ids.tolist()]).reshape(-1, 32)
+        insert_frame(gmap, frame, positions, descriptors)
+        gmap._next_frame_id = max(gmap._next_frame_id, fid + 1)
+    return gmap
+
+
+def assert_same_map(a: GlobalMap, b: GlobalMap):
+    """Every column, membership, id dict and frame of two maps are equal."""
+    assert a.np_max == b.np_max and a._next_frame_id == b._next_frame_id
+    for name in ("points", "point_positions", "point_descriptors", "point_observation_counts"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for x, y in zip(a.memberships(), b.memberships()):
+        np.testing.assert_array_equal(x, y)
+    assert a._id_to_row == b._id_to_row and a._fid_to_row == b._fid_to_row
+    assert a._fr_count == b._fr_count
+    for name in ("_fr_ids", "_fr_pos", "_fr_axis", "_fr_fov", "_fr_client"):
+        np.testing.assert_array_equal(
+            getattr(a, name)[: a._fr_count], getattr(b, name)[: b._fr_count]
+        )
+    assert list(a.frames) == list(b.frames)
+    for fa, fb in zip(a.frames.values(), b.frames.values()):
+        for field in dataclasses.fields(MapFrame):
+            va, vb = getattr(fa, field.name), getattr(fb, field.name)
+            if isinstance(va, np.ndarray):
+                np.testing.assert_array_equal(va, vb)
+            else:
+                assert va == vb
+    assert audit(a) == [] and audit(b) == []
+
+
+def assert_same_answers(a: GlobalMap, b: GlobalMap, rng, n=40):
+    """The point-index and neighbor queries answer alike at random centers."""
+    positions = a.point_positions
+    if len(positions):
+        lo, hi = positions.min(axis=0) - 5, positions.max(axis=0) + 5
+    else:
+        lo, hi = np.full(3, -5.0), np.full(3, 5.0)
+    centers = np.vstack([rng.uniform(lo, hi, (n, 3)), positions[:: max(1, len(positions) // 10)]])
+    for r in (0.5, 3.0, 12.0):
+        for c in centers[:15]:
+            np.testing.assert_array_equal(a.point_rows_within(c, r), b.point_rows_within(c, r))
+        rows = rng.choice(len(positions) + 1, len(positions) // 3, replace=False)
+        rows = rows[rows < len(positions)]
+        np.testing.assert_array_equal(
+            a.any_point_within(centers, r, rows), b.any_point_within(centers, r, rows)
+        )
+    for k in (1, 5, 40):
+        np.testing.assert_array_equal(
+            a.nearest_point_rows(centers, k), b.nearest_point_rows(centers, k)
+        )
+    for c in centers[:20]:
+        q = Pose(*c, yaw=rng.uniform(-3, 3), pitch=rng.uniform(-0.5, 0.5))
+        for exclude in (None, 1):
+            np.testing.assert_array_equal(
+                neighbor_point_rows(a, q, 1.4, 40.0, exclude),
+                neighbor_point_rows(b, q, 1.4, 40.0, exclude),
+            )
+
+
+@pytest.fixture()
+def scenario_maps(monkeypatch):
+    """Run a scenario and return the map its server built."""
+
+    def run(cfg):
+        made = []
+
+        def capture(*args, **kwargs):
+            made.append(GlobalMap(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(scenario, "GlobalMap", capture)
+        scenario.run_scenario(cfg)
+        return made[-1]
+
+    return run
+
+
+class TestBulkLoad:
+    """A loaded map equals the frame-by-frame replay of the same snapshot."""
+
+    def check(self, gmap, tmp_path, rng):
+        path = tmp_path / "map.mpps"
+        save_snapshot(gmap, path)
+        bulk, replay = load_snapshot(path), replay_load_snapshot(path)
+        assert_same_map(bulk, replay)
+        assert_same_answers(bulk, replay, rng)
+        # Both keep growing alike through insert_frame.
+        cloud = np.vstack([bulk.point_positions[:50], rng.uniform(-30, 30, (700, 3))])
+        known = np.concatenate([bulk.points[: bulk.np_max - 1], [10**9 + 800]])
+        known_pos = rng.uniform(-1, 1, (len(known), 3))
+        for gm in (bulk, replay):
+            insert_point_cloud(gm, cloud, start_id=10**9, frames_of=gm.np_max)
+            fid = gm.allocate_frame_id()
+            frame = MapFrame.create(fid, 9, 0, Pose(1, 2, 1.5), 1.4, known, gm.np_max)
+            insert_frame(gm, frame, known_pos)
+        assert_same_map(bulk, replay)
+        assert_same_answers(bulk, replay, rng)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            planted_change_config,
+            lambda: randomized_overlap_config(2),
+            lambda: two_user_config(length=30.0, landmarks=6000),
+        ],
+        ids=["planted-change", "randomized-overlap", "two-user"],
+    )
+    def test_scenario_maps(self, tmp_path, scenario_maps, build):
+        gmap = scenario_maps(build())
+        assert (gmap.point_observation_counts > 1).any()
+        self.check(gmap, tmp_path, np.random.default_rng(7))
+
+    def test_repeated_ids_and_empty_frames(self, tmp_path, rng):
+        gmap = GlobalMap(np_max=16)
+        specs = [(4, [5, 6, 5, 5]), (2, []), (9, [6, 7, 8, 7]), (3, [8, 5]), (6, [])]
+        for fid, ids in specs:
+            pos = rng.uniform(-3, 3, (len(ids), 3))
+            frame, pos = frame_with_points(fid, Pose(fid, 0, 1), ids, pos, np_max=16)
+            insert_frame(gmap, frame, pos)
+        self.check(gmap, tmp_path, rng)
+        # Frames load in file order (by frame id); new ids take rows in order
+        # of first appearance over them.
+        loaded = load_snapshot(tmp_path / "map.mpps")
+        assert list(loaded.frames) == [2, 3, 4, 6, 9]
+        np.testing.assert_array_equal(loaded.points, [8, 5, 6, 7])
+        np.testing.assert_array_equal(loaded.point_observation_counts, [2, 2, 2, 1])
+
+    def test_no_frames(self, tmp_path, rng):
+        self.check(GlobalMap(np_max=300), tmp_path, rng)
+        loaded = load_snapshot(tmp_path / "map.mpps")
+        assert (len(loaded.frames), len(loaded.points), loaded._next_frame_id) == (0, 0, 1)
+
+    def test_one_tree_build_per_index(self, tmp_path, monkeypatch, scenario_maps):
+        path = tmp_path / "map.mpps"
+        save_snapshot(scenario_maps(planted_change_config()), path)
+        builds = []
+
+        class CountingKdTree(KdTree):
+            def __init__(self, points):
+                builds.append(len(points))
+                super().__init__(points)
+
+        monkeypatch.setattr(mapstore, "KdTree", CountingKdTree)
+        replay_load_snapshot(path)
+        assert len(builds) > 2  # the spy sees the replay's rebuilds
+        builds.clear()
+        gmap = load_snapshot(path)
+        assert len(builds) <= 2
+        assert sorted(builds) == [len(gmap.frames), len(gmap.points)]
