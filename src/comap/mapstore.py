@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .geometry import Pose, optical_axis
 from .spatial import KdTree
 
 SNAPSHOT_MAGIC = b"MPPS"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # Modeled per-slot sizes for the constant full-capacity frame footprint.
 FEATURE_SLOT_BYTES = 40
@@ -71,8 +72,6 @@ class MapFrame:
     fov: float
     point_ids: np.ndarray  # int64, length np_max, padded with -1
     np_new: int
-    timestamp: float = 0.0
-    feature_slots: int = 1000
 
     @property
     def ids(self) -> np.ndarray:
@@ -88,8 +87,6 @@ class MapFrame:
         fov: float,
         point_ids,
         np_max: int,
-        timestamp: float = 0.0,
-        feature_slots: int = 1000,
     ) -> "MapFrame":
         ids = np.asarray(point_ids, dtype=np.int64)
         if len(ids) > np_max:
@@ -107,8 +104,6 @@ class MapFrame:
             fov=fov,
             point_ids=padded,
             np_new=len(ids),
-            timestamp=timestamp,
-            feature_slots=feature_slots,
         )
 
 
@@ -358,16 +353,19 @@ class GlobalMap:
         lengths = [f.np_new for f in frames]
         ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
         seen = set()
-        for fid, length in zip(fids, lengths):
+        for f in frames:
+            fid = f.frame_id
             if fid in self.frames:
                 raise DuplicateFrameError(f"frame {fid} already stored")
             if fid in seen:
                 raise DuplicateFrameError(f"frame {fid} listed twice")
             seen.add(fid)
-            if length > self.np_max:
+            if f.np_new > self.np_max:
                 raise FrameTooLargeError(
-                    f"frame {fid} carries {length} points, capacity {self.np_max}"
+                    f"frame {fid} carries {f.np_new} points, capacity {self.np_max}"
                 )
+            if not 0.0 < f.fov < math.pi:
+                raise ValueError(f"frame {fid} has fov {f.fov!r}, outside (0, pi)")
         n = len(ids)
         positions = np.asarray(positions, dtype=np.float64)
         if positions.shape != (n, 3):
@@ -452,8 +450,8 @@ def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -
     descriptor, and its observation count grows by one. An id repeated
     within the frame is counted once, with its first position. Raises
     DuplicateFrameError for a stored frame id and ValueError for positions
-    that do not align with the ids or are not finite; the map is then
-    unchanged.
+    that do not align with the ids or are not finite, or for a fov outside
+    (0, pi); the map is then unchanged.
     """
     map._append_frames([frame], positions, descriptors)
     return frame.frame_id
@@ -594,25 +592,11 @@ def state_digest(map: GlobalMap) -> str:
 
 # -- snapshot persistence ------------------------------------------------
 
-# A snapshot point record up to its owner list (docs/formats.md).
+# A snapshot point record and frame header (docs/formats.md).
 _SNAPSHOT_POINT = np.dtype(
-    [
-        ("id", "<i8"),
-        ("position", "<f8", (3,)),
-        ("descriptor", "u1", (32,)),
-        ("observation_count", "<u4"),
-        ("owner_count", "<u2"),
-    ]
+    [("id", "<i8"), ("position", "<f8", (3,)), ("descriptor", "u1", (32,))]
 )
-
-
-def _record_bytes(counts: np.ndarray) -> np.ndarray:
-    """Mask over the point section: True on record bytes, False on the
-    owner lists (``counts`` frame ids each) that follow them."""
-    runs = np.empty(2 * len(counts), dtype=np.int64)
-    runs[0::2] = _SNAPSHOT_POINT.itemsize
-    runs[1::2] = 8 * counts
-    return np.repeat(np.arange(len(runs)) % 2 == 0, runs)
+_SNAPSHOT_FRAME = struct.Struct("<qII6ddH")
 
 
 def _write_atomically(path, data):
@@ -635,46 +619,33 @@ def save_snapshot(map: GlobalMap, path):
     """Versioned little-endian binary snapshot (see docs/formats.md), written
     atomically."""
     order = np.argsort(map.points, kind="stable")
-    owner_rows, owner_fids = map.owner_pairs()
-    n, size = len(order), _SNAPSHOT_POINT.itemsize
-    counts = np.bincount(owner_rows, minlength=n)[order]
-    table = np.empty(n, dtype=_SNAPSHOT_POINT)
+    table = np.empty(len(order), dtype=_SNAPSHOT_POINT)
     table["id"] = map.points[order]
     table["position"] = map.point_positions[order]
     table["descriptor"] = map.point_descriptors[order]
-    table["observation_count"] = map.point_observation_counts[order]
-    table["owner_count"] = counts
-    frames = []
+    parts = [
+        SNAPSHOT_MAGIC,
+        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), len(order)),
+        table.tobytes(),
+    ]
     for fid in sorted(map.frames):
         f = map.frames[fid]
-        frames.append(struct.pack("<qIId", fid, f.client_id, f.keyframe_id, f.timestamp))
-        frames.append(f.pose.as_array().tobytes())
-        frames.append(struct.pack("<dHH", f.fov, f.feature_slots, f.np_new))
-        frames.append(f.ids.astype("<i8").tobytes())
-    frames = b"".join(frames)
-    points_end = 16 + size * n + 8 * len(owner_fids)
-    buf = np.empty(points_end + len(frames), dtype=np.uint8)
-    buf[:4] = np.frombuffer(SNAPSHOT_MAGIC, dtype=np.uint8)
-    buf[4:16] = np.frombuffer(
-        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), n), dtype=np.uint8
-    )
-    # Each point record is followed by its owner list.
-    records = _record_bytes(counts)
-    buf[16:points_end][records] = table.view(np.uint8)
-    buf[16:points_end][~records] = owner_fids.astype("<i8").view(np.uint8)
-    buf[points_end:] = np.frombuffer(frames, dtype=np.uint8)
-    _write_atomically(path, buf)
+        pose = f.pose.as_array()
+        parts.append(
+            _SNAPSHOT_FRAME.pack(fid, f.client_id, f.keyframe_id, *pose, f.fov, f.np_new)
+        )
+        parts.append(f.ids.astype("<i8").tobytes())
+    _write_atomically(path, b"".join(parts))
 
 
 def load_snapshot(path) -> GlobalMap:
     """Rebuild a map from a snapshot, all frames in one batch.
 
     The map equals the one inserting the frames one at a time, in file
-    order, would build. Raises SnapshotError when the file is malformed
-    (see docs/formats.md for the cases), or when its point table disagrees
-    with its frames: an id no frame lists or missing from the table, or a
-    recorded owner list or observation count other than the frames that
-    list the point.
+    order, would build; observation counts and owners follow from the
+    frames. Raises SnapshotError when the file is malformed (see
+    docs/formats.md for the cases), or when its point table disagrees with
+    its frames: an id no frame lists or missing from the table.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -685,43 +656,22 @@ def load_snapshot(path) -> GlobalMap:
     version, np_max, n_frames, n_points = struct.unpack_from("<HHII", data, 4)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    off = 16
-    size = _SNAPSHOT_POINT.itemsize
-    owner_count = struct.Struct("<H").unpack_from
-    try:
-        # The only walk over records: each one's offset follows the owner
-        # counts before it.
-        counts = []
-        for _ in range(n_points):
-            (k,) = owner_count(data, off + size - 2)
-            counts.append(k)
-            off += size + 8 * k
-        points_end = off
-        frames = []
-        for _ in range(n_frames):
-            fid, client_id, keyframe_id, ts = struct.unpack_from("<qIId", data, off)
-            off += 24
-            pose = Pose.from_array(np.frombuffer(data, dtype="<f8", count=6, offset=off))
-            off += 48
-            fov, slots, np_new = struct.unpack_from("<dHH", data, off)
-            off += 12
-            ids = np.frombuffer(data, dtype="<i8", count=np_new, offset=off)
-            off += 8 * np_new
-            frames.append(
-                MapFrame.create(
-                    fid, client_id, keyframe_id, pose, fov, ids, np_max, ts, slots
-                )
-            )
-    except (struct.error, ValueError) as e:
-        raise SnapshotError(f"malformed snapshot at offset {off}: {e}") from e
+    off = 16 + _SNAPSHOT_POINT.itemsize * n_points
     if off > len(data):
         raise SnapshotError(f"truncated snapshot: need {off} bytes, have {len(data)}")
-
-    section = np.frombuffer(data, dtype=np.uint8, count=points_end - 16, offset=16)
-    counts = np.array(counts, dtype=np.int64)
-    records = _record_bytes(counts)
-    table = section[records].view(_SNAPSHOT_POINT)
-    owners = section[~records].view("<i8")
+    table = np.frombuffer(data, dtype=_SNAPSHOT_POINT, count=n_points, offset=16)
+    try:
+        frames = []
+        for _ in range(n_frames):
+            fid, client, keyframe, *pose, fov, np_new = _SNAPSHOT_FRAME.unpack_from(data, off)
+            off += _SNAPSHOT_FRAME.size
+            ids = np.frombuffer(data, dtype="<i8", count=np_new, offset=off)
+            off += 8 * np_new
+            frames.append(MapFrame.create(fid, client, keyframe, Pose(*pose), fov, ids, np_max))
+    except (struct.error, ValueError) as e:
+        raise SnapshotError(f"malformed snapshot at offset {off}: {e}") from e
+    if off != len(data):
+        raise SnapshotError(f"{len(data) - off} trailing bytes after the last frame")
 
     ids = table["id"]
     order = np.argsort(ids, kind="stable")
@@ -750,23 +700,4 @@ def load_snapshot(path) -> GlobalMap:
         unlisted = np.ones(n_points, dtype=bool)
         unlisted[src] = False
         raise SnapshotError(f"point {ids[np.argmax(unlisted)]} is listed by no frame")
-
-    # The frames' (point, frame id) pairs in id order, against the recorded ones.
-    derived_rows, derived_fids = m.owner_pairs()
-    owned = np.repeat(ids, counts)
-    recorded = np.lexsort((owners, owned))
-    if not (
-        np.array_equal(owned[recorded], m.points[derived_rows])
-        and np.array_equal(owners[recorded], derived_fids)
-    ):
-        raise SnapshotError("recorded owner lists disagree with the frames listing the points")
-    # The owner lists are the frames', so each owner count is the number of
-    # frames listing the point.
-    bad = np.flatnonzero(table["observation_count"] != counts)
-    if len(bad):
-        i = bad[0]
-        raise SnapshotError(
-            f"point {ids[i]} records observation count {table['observation_count'][i]}, "
-            f"but {counts[i]} frames list it"
-        )
     return m

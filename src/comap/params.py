@@ -24,7 +24,6 @@ class ProtocolParams:
     t_seen: float = 0.9
     np_default: int = 300
     np_max: int = 300
-    n_feature_slots: int = 1000
     alpha: float = 1.3
     f: int = 2
     match_threshold: int = 75

@@ -303,10 +303,13 @@ def _pack_keyframe_payload(m: KeyframeUploadMsg) -> bytes:
 
 
 def _unpack_keyframe_payload(data: bytes) -> KeyframeUploadMsg:
-    """One keyframe-upload payload; its point count must account for every byte."""
+    """One keyframe-upload payload; its point count must account for every
+    byte, and its fov must lie in (0, pi)."""
     client_id, keyframe_id = struct.unpack_from("<II", data, 0)
     pose, off = _unpack_pose(data, 8)
     fov, n = struct.unpack_from("<dI", data, off)
+    if not 0.0 < fov < math.pi:
+        raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", off)
     points = _decode_points(data, off + 12, n)
     return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, points)
 

@@ -1,4 +1,5 @@
 import json
+import struct
 import threading
 import time
 
@@ -118,6 +119,23 @@ class TestServeAndClient:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"cannot load snapshot {snapshot}")
         assert snapshot.read_bytes() == b"MPPS" + bytes(40)
+
+    def test_v1_snapshot_exits_2_and_keeps_the_file(self, tmp_path, capsys):
+        # A version-1 map of one frame listing one point: the point record
+        # carries its observation count, owner count and owner frame ids.
+        v1 = (
+            b"MPPS" + struct.pack("<HHII", 1, 300, 1, 1)
+            + struct.pack("<q3d32sIHq", 7, 1.0, 2.0, 3.0, bytes(32), 1, 1, 1)
+            + struct.pack("<qIId6ddHH", 1, 1, 0, 0.0, *[0.0] * 6, 1.2, 1000, 1)
+            + struct.pack("<q", 7)
+        )
+        snapshot = tmp_path / "map.mpps"
+        snapshot.write_bytes(v1)
+        rc = main(["serve", "127.0.0.1:0", "--snapshot", str(snapshot), "--max-sessions", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"cannot load snapshot {snapshot}: unsupported snapshot version 1"]
+        assert snapshot.read_bytes() == v1
 
     def test_loopback_session_reproduces_inproc_decisions(self, tmp_path, capsys):
         traj = tmp_path / "client.yaml"

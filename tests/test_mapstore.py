@@ -39,6 +39,10 @@ from conftest import (
 )
 
 
+# Bytes of a snapshot frame record before its point ids (docs/formats.md).
+FRAME_HEAD = 74
+
+
 def frame_with_points(fid, pose, ids, positions, np_max=300, client=1, fov=1.4):
     frame = MapFrame.create(fid, client, fid, pose, fov, ids, np_max)
     return frame, np.asarray(positions, dtype=np.float64).reshape(-1, 3)
@@ -104,6 +108,19 @@ class TestInsertFrame:
         f, p = frame_with_points(1, Pose(0, 0, 0), [1], [[np.nan, 0, 0]])
         with pytest.raises(ValueError):
             insert_frame(gmap, f, p)
+
+    @pytest.mark.parametrize("fov", [0.0, -1.4, math.pi, 4.0, math.nan, math.inf])
+    def test_fov_outside_open_range_rejected(self, rng, fov):
+        gmap = GlobalMap()
+        f1, p1 = frame_with_points(1, Pose(0, 0, 0), [1, 2], rng.uniform(-5, 5, (2, 3)))
+        insert_frame(gmap, f1, p1)
+        digest = state_digest(gmap)
+        f2, p2 = frame_with_points(2, Pose(1, 0, 0), [2, 3], rng.uniform(-5, 5, (2, 3)), fov=fov)
+        with pytest.raises(ValueError, match="fov"):
+            insert_frame(gmap, f2, p2)
+        assert state_digest(gmap) == digest
+        assert (gmap.version, len(gmap.points)) == (1, 2)
+        assert audit(gmap) == []
 
     def test_union_count_matches_hash_set_oracle(self, rng):
         gmap = GlobalMap()
@@ -345,7 +362,8 @@ class TestSnapshot:
         )
 
     def test_bytes_and_digest_pinned(self, tmp_path):
-        # Values computed by the per-point map store this one replaced.
+        # The digest was computed by the per-point map store this one
+        # replaced; the bytes are those of snapshot version 2.
         scene = generate_scene(11, np.array([[-10.0, -15.0, -8.0], [50.0, 15.0, 12.0]]), 1500)
         gmap = GlobalMap(np_max=120)
         shift = RigidTransform(np.eye(3), np.array([0.25, -0.5, 0.125]))
@@ -359,32 +377,16 @@ class TestSnapshot:
         path = tmp_path / "map.mpps"
         save_snapshot(gmap, path)
         raw = path.read_bytes()
-        assert (len(gmap.frames), len(gmap.points), len(raw)) == (20, 437, 70686)
+        # 16 header bytes, 64 per point, 74 per frame and 8 per listed id.
+        assert (len(gmap.frames), len(gmap.points), len(raw)) == (20, 437, 48664)
         assert hashlib.sha256(raw).hexdigest() == (
-            "afb6cd1ee3ddd8944710b2ea4f2232361d361c097a001cd55a6d01833acea4e2"
+            "519dd52ab14490718968d01e0dd6600a4b773ea5d3c980a95f7fb7ef9e802124"
         )
         assert state_digest(gmap) == "96a5fd8b738bf3147a299cae04c4173128f54f5f"
         loaded = load_snapshot(path)
         assert state_digest(loaded) == state_digest(gmap)
         save_snapshot(loaded, tmp_path / "again.mpps")
         assert (tmp_path / "again.mpps").read_bytes() == raw
-
-    @pytest.mark.parametrize("field", ["observation_count", "owner"])
-    def test_recorded_ownership_must_match_frames(self, tmp_path, rng, field):
-        # The first record is point 10, listed by frame 1 only: observation
-        # count 1 at offset 16 + 64, one owner (frame 1) at 16 + 70.
-        path = tmp_path / "map.mpps"
-        save_snapshot(self.build_map(rng), path)
-        data = bytearray(path.read_bytes())
-        assert struct.unpack_from("<q56xIHq", data, 16) == (10, 1, 1, 1)
-        if field == "observation_count":
-            struct.pack_into("<I", data, 16 + 64, 2)
-        else:
-            struct.pack_into("<q", data, 16 + 70, 2)
-        bad = tmp_path / "owners.mpps"
-        bad.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError):
-            load_snapshot(bad)
 
     def test_magic_and_version_checked(self, tmp_path, rng):
         path = tmp_path / "map.mpps"
@@ -397,10 +399,11 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
         raw[0] = ord(b"M")
-        raw[4] = 77  # version
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError):
-            load_snapshot(bad)
+        for version in (77, 1):  # version 1 stored ownership beside the points
+            struct.pack_into("<H", raw, 4, version)
+            bad.write_bytes(bytes(raw))
+            with pytest.raises(SnapshotError, match="version"):
+                load_snapshot(bad)
 
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "map.mpps"
@@ -411,15 +414,23 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
 
-    def test_owner_list_past_end_of_file_detected(self, tmp_path):
-        # No frames follow a point record whose three owners are cut off.
+    def test_point_table_past_end_of_file_detected(self, tmp_path):
+        # The header announces three point records; the file holds one.
         raw = (
-            b"MPPS" + struct.pack("<HHII", 1, 300, 0, 1) + struct.pack("<q3d", 1, 0, 0, 0)
-            + bytes(32) + struct.pack("<IHq", 3, 3, 1)
+            b"MPPS" + struct.pack("<HHII", 2, 300, 0, 3) + struct.pack("<q3d", 1, 0, 0, 0)
+            + bytes(32)
         )
-        bad = tmp_path / "owners.mpps"
+        bad = tmp_path / "points.mpps"
         bad.write_bytes(raw)
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="truncated"):
+            load_snapshot(bad)
+
+    def test_trailing_bytes_are_snapshot_error(self, tmp_path, rng):
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        bad = tmp_path / "trailing.mpps"
+        bad.write_bytes(path.read_bytes() + bytes(1))
+        with pytest.raises(SnapshotError, match="trailing"):
             load_snapshot(bad)
 
     @pytest.mark.parametrize("listed_id", [999_999, 10])
@@ -441,7 +452,7 @@ class TestSnapshot:
         path = tmp_path / "map.mpps"
         save_snapshot(self.build_map(rng), path)
         data = bytearray(path.read_bytes())
-        at = len(data) - 8 * 20 - 12 - 48 - 24
+        at = len(data) - 8 * 20 - FRAME_HEAD
         assert struct.unpack_from("<q", data, at) == (5,)
         struct.pack_into("<q", data, at, 4)
         bad = tmp_path / "twice.mpps"
@@ -457,6 +468,54 @@ class TestSnapshot:
         bad = tmp_path / "inf.mpps"
         bad.write_bytes(bytes(data))
         with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_nonfinite_pose_is_snapshot_error(self, tmp_path, rng):
+        # The first frame follows the 60 point records of frames 1-5.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        at = 16 + 64 * 60
+        assert struct.unpack_from("<q", data, at) == (1,)
+        struct.pack_into("<d", data, at + 16, math.nan)  # its pose's x
+        bad = tmp_path / "pose.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    @pytest.mark.parametrize("fov", [0.0, math.pi, math.nan])
+    def test_fov_outside_open_range_is_snapshot_error(self, tmp_path, rng, fov):
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * 20 - FRAME_HEAD  # the last frame
+        struct.pack_into("<d", data, at + 64, fov)
+        bad = tmp_path / "fov.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="fov"):
+            load_snapshot(bad)
+
+    def test_frame_over_capacity_is_snapshot_error(self, tmp_path, rng):
+        # Every frame lists 20 ids; the header's np_max now allows 19.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, 6, 19)
+        bad = tmp_path / "capacity.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_table_id_listed_twice_is_snapshot_error(self, tmp_path, rng):
+        # The first two records are points 10 and 11; make both 10.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<q", data, 16 + 64) == (11,)
+        struct.pack_into("<q", data, 16 + 64, 10)
+        bad = tmp_path / "twice.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="twice"):
             load_snapshot(bad)
 
     def test_short_header_is_snapshot_error(self, tmp_path):
@@ -509,17 +568,16 @@ def replay_load_snapshot(path) -> GlobalMap:
     for _ in range(n_points):
         pid, x, y, z = struct.unpack_from("<q3d", data, off)
         desc = np.frombuffer(data, np.uint8, 32, off + 32)
-        (owners,) = struct.unpack_from("<H", data, off + 68)
         stored[pid] = ((x, y, z), desc)
-        off += 70 + 8 * owners
+        off += 64
     gmap = GlobalMap(np_max=np_max)
     for _ in range(n_frames):
-        fid, client, kf, ts = struct.unpack_from("<qIId", data, off)
-        pose = Pose.from_array(struct.unpack_from("<6d", data, off + 24))
-        fov, slots, n = struct.unpack_from("<dHH", data, off + 72)
-        ids = np.frombuffer(data, "<i8", n, off + 84)
-        off += 84 + 8 * n
-        frame = MapFrame.create(fid, client, kf, pose, fov, ids, np_max, ts, slots)
+        fid, client, kf = struct.unpack_from("<qII", data, off)
+        pose = Pose.from_array(struct.unpack_from("<6d", data, off + 16))
+        fov, n = struct.unpack_from("<dH", data, off + 64)
+        ids = np.frombuffer(data, "<i8", n, off + FRAME_HEAD)
+        off += FRAME_HEAD + 8 * n
+        frame = MapFrame.create(fid, client, kf, pose, fov, ids, np_max)
         positions = np.array([stored[i][0] for i in ids.tolist()]).reshape(-1, 3)
         descriptors = np.array([stored[i][1] for i in ids.tolist()]).reshape(-1, 32)
         insert_frame(gmap, frame, positions, descriptors)

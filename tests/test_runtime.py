@@ -45,6 +45,7 @@ from comap.wire import (
     SessionRegisterMsg,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
+    UpdateCheckMsg,
     UploadAckMsg,
     decode,
     encode,
@@ -150,6 +151,18 @@ class TestServerDispatch:
         # Session still usable afterwards.
         ok = decode(server.handle_bytes(encode(OverlapQueryMsg(1, 0, 10, Pose(0, 0, 0)))))
         assert isinstance(ok, OverlapResponseMsg)
+
+    @pytest.mark.parametrize("fov", [0.0, math.nan])
+    def test_bad_fov_is_malformed_and_stores_nothing(self, rng, fov):
+        server = fresh_server()
+        register(server, 1)
+        pts = point_records(np.arange(1, 41), rng.uniform(0, 10, (40, 3)))
+        upload = KeyframeUploadMsg(1, 0, Pose(0, 0, 1.5, 0, math.pi / 2, 0), fov, pts)
+        for msg in (upload, UpdateCheckMsg(1, [upload])):
+            reply = decode(server.handle_bytes(encode(msg)))
+            assert isinstance(reply, ErrorMsg)
+            assert reply.code == wire.E_MALFORMED
+        assert (len(server.map.frames), len(server.map.points)) == (0, 0)
 
     def test_unknown_type_byte_never_crashes(self):
         server = fresh_server()

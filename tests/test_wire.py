@@ -333,6 +333,18 @@ class TestDecodeErrors:
             decode(bytes(raw))
         assert err.value.code == E_MALFORMED
 
+    @pytest.mark.parametrize("fov", [0.0, -1.4, math.pi, 4.0, math.nan, math.inf, -math.inf])
+    def test_keyframe_fov_outside_open_range_rejected(self, fov):
+        # The fov follows the keyframe's pose, at payload offset 56, in an
+        # upload and in each keyframe of an update check alike.
+        payload = bytearray(encode(keyframe_upload(2))[8:])
+        struct.pack_into("<d", payload, 56, fov)
+        check = struct.pack("<IHI", 1, 1, len(payload)) + payload
+        for raw in (reframed(bytes(payload), T_KEYFRAME_UPLOAD), reframed(check, T_UPDATE_CHECK)):
+            with pytest.raises(DecodeError, match="fov") as err:
+                decode(raw)
+            assert err.value.code == E_MALFORMED
+
     @given(mutated_frames())
     @settings(max_examples=400, deadline=None)
     def test_mutated_frames_decode_exactly_or_raise(self, raw):
