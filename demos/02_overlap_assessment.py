@@ -33,7 +33,7 @@ counters = np.zeros(len(scene), dtype=np.int64)
 for i, x in enumerate(np.arange(0.0, 30.0, 2.0)):
     pose = Pose(x, 0, 1.5, 0.0, np.pi / 2, 0.0)
     kf = observe(scene, pose, intr, 300, 0.05, rng, counters, keyframe_id=i)
-    frame = MapFrame.create(gmap.allocate_frame_id(), 1, i, pose, fov, kf.landmark_ids, 300)
+    frame = MapFrame(gmap.allocate_frame_id(), 1, i, pose, fov, kf.landmark_ids)
     insert_frame(gmap, frame, kf.positions, kf.descriptors)
 
 print(f"map: {len(gmap.frames)} frames, {len(gmap.points)} points")

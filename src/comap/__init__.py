@@ -27,8 +27,6 @@ from .geometry import (
     cone_from_fov,
     make_view_cone,
     optical_axis,
-    pose_angle,
-    pose_distance,
     sample_cone,
 )
 from .mapstore import (

@@ -114,8 +114,7 @@ def cmd_serve(args) -> int:
         while True:
             time.sleep(0.1)
             if args.max_sessions:
-                ended = sum(1 for s in server.sessions.values() if s.ended)
-                if ended >= args.max_sessions:
+                if server.ended_sessions >= args.max_sessions:
                     break
     except KeyboardInterrupt:
         pass

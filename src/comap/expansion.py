@@ -161,14 +161,13 @@ def integrate_upload(
     pose = transform.apply_pose(msg.pose) if not transform.is_identity else msg.pose
     positions = msg.points["position"].astype(np.float64)
     positions = transform.apply(positions) if not transform.is_identity else positions
-    frame = MapFrame.create(
+    frame = MapFrame(
         frame_id=map.allocate_frame_id(),
         client_id=msg.client_id,
         keyframe_id=msg.keyframe_id,
         pose=pose,
         fov=msg.fov,
-        point_ids=msg.points["id"],
-        np_max=map.np_max,
+        ids=msg.points["id"],
     )
     return insert_frame(map, frame, positions, msg.points["descriptor"])
 

@@ -248,13 +248,3 @@ def sample_cone(cone: ViewCone, k: int, seed: int) -> tuple[np.ndarray, float]:
     local = np.column_stack((radial * np.cos(theta), radial * np.sin(theta), axial))
     return apex + local @ R.T, r
 
-
-def pose_distance(a: Pose, b: Pose) -> float:
-    """Euclidean distance between the camera positions."""
-    return float(np.linalg.norm(a.position - b.position))
-
-
-def pose_angle(a: Pose, b: Pose) -> float:
-    """Angle between the two optical axes, in [0, pi]."""
-    d = float(optical_axis(a) @ optical_axis(b))
-    return math.acos(max(-1.0, min(1.0, d)))

@@ -1,12 +1,16 @@
 """Server-side global map: frames, points, and incremental spatial indices.
 
 Points live only in row-indexed columns (ids, float64 positions, 32-byte
-descriptors, observation counts) found through an id-to-row dict. Which
-frames list which points is kept as two flat membership columns, frame row
-and point row, appended in each frame's order on insert: a point's owners
-are the frames whose rows list it, and its observation count is their
-number. Frames enter through one batch append: ``insert_frame`` passes one
-frame, ``load_snapshot`` every frame of a snapshot at once. Two persistent
+descriptors, observation counts) found through an id-to-row dict. Frames
+live only in a frame table (id, client, keyframe id, six pose floats, fov,
+and the optical axis derived from the pose) whose rows hold strictly
+ascending frame ids, so a frame is refused unless its id is above the last
+stored one. Which frames list which points is kept as two flat membership
+columns, frame row and point row, appended in each frame's order on
+insert: a frame's point ids are read from them, a point's owners are the
+frames whose rows list it, and its observation count is their number.
+Frames enter through one batch append: ``insert_frame`` passes one frame,
+``load_snapshot`` every frame of a snapshot at once. Two persistent
 ``spatial.KdTree`` indices, one over point positions and one over frame
 positions, absorb each batch through a side buffer and rebuild once it
 exceeds 10% of the tree size, so a load builds each index once.
@@ -50,7 +54,8 @@ FRAME_HEADER_BYTES = 96
 
 
 class DuplicateFrameError(ValueError):
-    """Raised when a frame_id is inserted twice; the map is left unchanged."""
+    """Raised when a frame id is not above the last stored or batched one, a
+    repeat included; the map is left unchanged."""
 
 
 class FrameTooLargeError(ValueError):
@@ -63,48 +68,22 @@ class SnapshotError(ValueError):
 
 @dataclass(frozen=True)
 class MapFrame:
-    """A stored map frame; point storage is reserved at full capacity."""
+    """A frame to store, as ``insert_frame`` takes it: ``ids`` are its point
+    ids in the frame's order, repeats included."""
 
     frame_id: int
     client_id: int
     keyframe_id: int
     pose: Pose
     fov: float
-    point_ids: np.ndarray  # int64, length np_max, padded with -1
-    np_new: int
+    ids: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64).reshape(-1))
 
     @property
-    def ids(self) -> np.ndarray:
-        return self.point_ids[: self.np_new]
-
-    @classmethod
-    def create(
-        cls,
-        frame_id: int,
-        client_id: int,
-        keyframe_id: int,
-        pose: Pose,
-        fov: float,
-        point_ids,
-        np_max: int,
-    ) -> "MapFrame":
-        ids = np.asarray(point_ids, dtype=np.int64)
-        if len(ids) > np_max:
-            raise FrameTooLargeError(
-                f"frame {frame_id} carries {len(ids)} points, capacity {np_max}"
-            )
-        padded = np.full(np_max, -1, dtype=np.int64)
-        padded[: len(ids)] = ids
-        padded.flags.writeable = False
-        return cls(
-            frame_id=frame_id,
-            client_id=client_id,
-            keyframe_id=keyframe_id,
-            pose=pose,
-            fov=fov,
-            point_ids=padded,
-            np_new=len(ids),
-        )
+    def np_new(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -212,8 +191,6 @@ class GlobalMap:
 
     def __init__(self, np_max: int = 300):
         self.np_max = np_max
-        self.frames: dict[int, MapFrame] = {}
-        self._next_frame_id = 1
         # Point table (row-indexed): the one store of map points.
         self._pt_ids = np.empty(0, dtype=np.int64)
         self._pt_pos = np.empty((0, 3), dtype=np.float64)
@@ -222,14 +199,16 @@ class GlobalMap:
         self._pt_count = 0
         self._id_to_row: dict[int, int] = {}
         self._point_index = _IncrementalIndex()
-        # Frame pose table (row-indexed) and its index.
+        # Frame table (row-indexed, frame ids strictly ascending): the one
+        # store of frames. Pose columns are x, y, z, roll, pitch, yaw;
+        # _fr_axis is the optical axis derived from them, for the gate.
         self._fr_ids = np.empty(0, dtype=np.int64)
-        self._fr_pos = np.empty((0, 3), dtype=np.float64)
-        self._fr_axis = np.empty((0, 3), dtype=np.float64)
-        self._fr_fov = np.empty(0, dtype=np.float64)
         self._fr_client = np.empty(0, dtype=np.int64)
+        self._fr_keyframe = np.empty(0, dtype=np.int64)
+        self._fr_pose = np.empty((0, 6), dtype=np.float64)
+        self._fr_fov = np.empty(0, dtype=np.float64)
+        self._fr_axis = np.empty((0, 3), dtype=np.float64)
         self._fr_count = 0
-        self._fid_to_row: dict[int, int] = {}
         self._frame_index = _IncrementalIndex()
         # Memberships: frame row and point row per listed id, appended in
         # frame order, so the frame rows are ascending.
@@ -253,6 +232,13 @@ class GlobalMap:
     def points(self) -> np.ndarray:
         """Read-only ids of the stored points, in row order."""
         ids = self._pt_ids[: self._pt_count]
+        ids.flags.writeable = False
+        return ids
+
+    @property
+    def frames(self) -> np.ndarray:
+        """Read-only ids of the stored frames, ascending, in row order."""
+        ids = self._fr_ids[: self._fr_count]
         ids.flags.writeable = False
         return ids
 
@@ -318,9 +304,9 @@ class GlobalMap:
         return np.fromiter((get(i, -1) for i in ids.tolist()), np.int64, len(ids))
 
     def allocate_frame_id(self) -> int:
-        fid = self._next_frame_id
-        self._next_frame_id += 1
-        return fid
+        """The id after the last stored frame's (1 in an empty map); the
+        caller inserts it before allocating again."""
+        return int(self.frames[-1]) + 1 if self._fr_count else 1
 
     def frame_footprint_bytes(self) -> int:
         """Modeled memory of one stored frame; constant by full-capacity reservation."""
@@ -332,7 +318,7 @@ class GlobalMap:
 
     def memory_estimate_bytes(self) -> int:
         return (
-            len(self.frames) * self.frame_footprint_bytes()
+            self._fr_count * self.frame_footprint_bytes()
             + self._pt_count * POINT_SLOT_BYTES
         )
 
@@ -349,17 +335,14 @@ class GlobalMap:
         position and descriptor, and each point's observation count grows
         by the number of distinct frames listing it.
         """
-        fids = [f.frame_id for f in frames]
         lengths = [f.np_new for f in frames]
         ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
-        seen = set()
+        last = int(self.frames[-1]) if self._fr_count else None
         for f in frames:
             fid = f.frame_id
-            if fid in self.frames:
-                raise DuplicateFrameError(f"frame {fid} already stored")
-            if fid in seen:
-                raise DuplicateFrameError(f"frame {fid} listed twice")
-            seen.add(fid)
+            if last is not None and fid <= last:
+                raise DuplicateFrameError(f"frame {fid} is not above frame {last}")
+            last = fid
             if f.np_new > self.np_max:
                 raise FrameTooLargeError(
                     f"frame {fid} carries {f.np_new} points, capacity {self.np_max}"
@@ -408,24 +391,28 @@ class GlobalMap:
         self._pt_obs[uniq_rows] += listings
 
         base, k = self._fr_count, len(frames)
-        self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client = _reserve(
-            (self._fr_ids, self._fr_pos, self._fr_axis, self._fr_fov, self._fr_client), base + k, 16
+        (
+            self._fr_ids, self._fr_client, self._fr_keyframe, self._fr_pose, self._fr_fov,
+            self._fr_axis,
+        ) = _reserve(
+            (self._fr_ids, self._fr_client, self._fr_keyframe, self._fr_pose, self._fr_fov,
+             self._fr_axis),
+            base + k, 16,
         )
-        frame_pos = np.array([f.pose.position for f in frames])
-        self._fr_ids[base : base + k] = fids
-        self._fr_pos[base : base + k] = frame_pos
-        self._fr_axis[base : base + k] = [optical_axis(f.pose) for f in frames]
-        self._fr_fov[base : base + k] = [f.fov for f in frames]
-        self._fr_client[base : base + k] = [f.client_id for f in frames]
+        added = slice(base, base + k)
+        self._fr_ids[added] = [f.frame_id for f in frames]
+        self._fr_client[added] = [f.client_id for f in frames]
+        self._fr_keyframe[added] = [f.keyframe_id for f in frames]
+        self._fr_pose[added] = [f.pose.as_array() for f in frames]
+        self._fr_fov[added] = [f.fov for f in frames]
+        self._fr_axis[added] = [optical_axis(f.pose) for f in frames]
         self._fr_count += k
-        self._fid_to_row.update(zip(fids, range(base, base + k)))
-        self._frame_index.add(np.arange(base, base + k), frame_pos)
+        self._frame_index.add(np.arange(base, base + k), self._fr_pose[added, :3])
         m = self._mem_count
         self._mem_fr, self._mem_pt = _reserve((self._mem_fr, self._mem_pt), m + n, 256)
         self._mem_fr[m : m + n] = base + frame_of
         self._mem_pt[m : m + n] = rows
         self._mem_count += n
-        self.frames.update((f.frame_id, f) for f in frames)
 
     def _append_points(self, ids: np.ndarray, positions: np.ndarray, descriptors: np.ndarray):
         """New rows with observation count 0, indexed in one batch."""
@@ -449,9 +436,10 @@ def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -
     align with ``frame.ids``. An id already stored keeps its position and
     descriptor, and its observation count grows by one. An id repeated
     within the frame is counted once, with its first position. Raises
-    DuplicateFrameError for a stored frame id and ValueError for positions
-    that do not align with the ids or are not finite, or for a fov outside
-    (0, pi); the map is then unchanged.
+    DuplicateFrameError for a frame id not above the last stored one,
+    FrameTooLargeError for more than ``np_max`` ids, and ValueError for
+    positions that do not align with the ids or are not finite, or for a
+    fov outside (0, pi); the map is then unchanged.
     """
     map._append_frames([frame], positions, descriptors)
     return frame.frame_id
@@ -461,7 +449,7 @@ def _gated_frames(
     map: GlobalMap, q: Pose, q_fov: float, t_d: float, exclude_client: int | None
 ) -> np.ndarray:
     """Frame-table rows passing the distance and axis-angle gates."""
-    if not map.frames:
+    if not map._fr_count:
         return np.empty(0, dtype=np.int64)
     qpos = q.position
     cand = map._frame_index.radius_rows(qpos, t_d)
@@ -469,7 +457,7 @@ def _gated_frames(
         cand = cand[map._fr_client[cand] != exclude_client]
     if not len(cand):
         return cand
-    dist = np.linalg.norm(map._fr_pos[cand] - qpos, axis=1)
+    dist = np.linalg.norm(map._fr_pose[cand, :3] - qpos, axis=1)
     cand = cand[dist < t_d]
     if len(cand):
         qaxis = optical_axis(q)
@@ -535,10 +523,6 @@ def audit(map: GlobalMap) -> list[str]:
     violations = []
     ids = map.points
     n = len(ids)
-    for fid, frame in map.frames.items():
-        row = map._fid_to_row.get(fid)
-        if row is None or not np.array_equal(map._pt_ids[map.frame_point_rows(row)], frame.ids):
-            violations.append(f"frame {fid} row cache out of sync")
     if len(map._id_to_row) != n or any(
         not 0 <= row < n or ids[row] != pid for pid, row in map._id_to_row.items()
     ):
@@ -562,10 +546,6 @@ def audit(map: GlobalMap) -> list[str]:
         violations.append(
             f"frame index holds {len(fr_rows)} rows, table holds {map._fr_count}"
         )
-    if map._fr_count != len(map.frames):
-        violations.append(
-            f"frame table holds {map._fr_count} rows, dict holds {len(map.frames)}"
-        )
     return violations
 
 
@@ -573,14 +553,19 @@ def audit(map: GlobalMap) -> list[str]:
 _DIGEST_POINT = np.dtype([("id", "<i8"), ("obs", "<i4"), ("position", "<f8", (3,))])
 
 
+def _frame_point_ids(map: GlobalMap) -> list[np.ndarray]:
+    """Each frame's point ids, in the frame's order, by frame row."""
+    fr, pt = map.memberships()
+    return np.split(map._pt_ids[pt], np.searchsorted(fr, np.arange(1, map._fr_count)))
+
+
 def state_digest(map: GlobalMap) -> str:
     """Order-independent digest of poses, points, and counts."""
     h = hashlib.sha1()
-    for fid in sorted(map.frames):
-        f = map.frames[fid]
+    for fid, pose, ids in zip(map.frames.tolist(), map._fr_pose, _frame_point_ids(map)):
         h.update(struct.pack("<q", fid))
-        h.update(f.pose.as_array().tobytes())
-        h.update(np.sort(f.ids).tobytes())
+        h.update(pose.tobytes())
+        h.update(np.sort(ids).tobytes())
     order = np.argsort(map.points, kind="stable")
     table = np.empty(len(order), dtype=_DIGEST_POINT)
     table["id"] = map.points[order]
@@ -628,13 +613,13 @@ def save_snapshot(map: GlobalMap, path):
         struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), len(order)),
         table.tobytes(),
     ]
-    for fid in sorted(map.frames):
-        f = map.frames[fid]
-        pose = f.pose.as_array()
-        parts.append(
-            _SNAPSHOT_FRAME.pack(fid, f.client_id, f.keyframe_id, *pose, f.fov, f.np_new)
-        )
-        parts.append(f.ids.astype("<i8").tobytes())
+    n = map._fr_count
+    for fid, client, keyframe, pose, fov, ids in zip(
+        map.frames.tolist(), map._fr_client[:n].tolist(), map._fr_keyframe[:n].tolist(),
+        map._fr_pose[:n].tolist(), map._fr_fov[:n].tolist(), _frame_point_ids(map),
+    ):
+        parts.append(_SNAPSHOT_FRAME.pack(fid, client, keyframe, *pose, fov, len(ids)))
+        parts.append(ids.astype("<i8").tobytes())
     _write_atomically(path, b"".join(parts))
 
 
@@ -644,8 +629,9 @@ def load_snapshot(path) -> GlobalMap:
     The map equals the one inserting the frames one at a time, in file
     order, would build; observation counts and owners follow from the
     frames. Raises SnapshotError when the file is malformed (see
-    docs/formats.md for the cases), or when its point table disagrees with
-    its frames: an id no frame lists or missing from the table.
+    docs/formats.md for the cases), among them frame ids that do not
+    strictly increase, or when its point table disagrees with its frames:
+    an id no frame lists or missing from the table.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -667,7 +653,7 @@ def load_snapshot(path) -> GlobalMap:
             off += _SNAPSHOT_FRAME.size
             ids = np.frombuffer(data, dtype="<i8", count=np_new, offset=off)
             off += 8 * np_new
-            frames.append(MapFrame.create(fid, client, keyframe, Pose(*pose), fov, ids, np_max))
+            frames.append(MapFrame(fid, client, keyframe, Pose(*pose), fov, ids))
     except (struct.error, ValueError) as e:
         raise SnapshotError(f"malformed snapshot at offset {off}: {e}") from e
     if off != len(data):
@@ -694,8 +680,6 @@ def load_snapshot(path) -> GlobalMap:
         m._append_frames(frames, table["position"][src], table["descriptor"][src])
     except ValueError as e:
         raise SnapshotError(f"malformed snapshot: {e}") from e
-    if frames:
-        m._next_frame_id = max(m._next_frame_id, max(f.frame_id for f in frames) + 1)
     if m._pt_count < n_points:
         unlisted = np.ones(n_points, dtype=bool)
         unlisted[src] = False

@@ -123,13 +123,11 @@ class Session:
     reply depends on (client id, fov, alpha), so the key determines the
     value. The tuple is replaced whole, never edited: two connections
     racing on one client id can lose a hit but never serve a wrong reply.
-    Once ``ended`` is set at SessionEnd, every further message is refused.
     """
 
     client_id: int
     fov: float
     alpha: float
-    ended: bool = False
     transform: RigidTransform = field(default_factory=RigidTransform.identity)
     aligned: bool = False
     memo: tuple | None = None
@@ -153,8 +151,10 @@ class MapServer:
     one assessment and one slice. The result is kept in ``Session.memo``
     under the map's ``version``, read and written under the map read lock.
     This relies on the map being append-only, with ``insert_frame`` (under
-    the write lock) its only mutator. SessionEnd clears the ending
-    session's memo.
+    the write lock) its only mutator.
+
+    SessionEnd evicts the session, memo included, so the server holds only
+    live sessions; ``ended_sessions`` counts the ends.
     """
 
     def __init__(
@@ -169,6 +169,7 @@ class MapServer:
         self.seed = seed
         self.auto_align = auto_align
         self.sessions: dict[int, Session] = {}
+        self.ended_sessions = 0
         self.alpha_overrides: dict[int, float] = {}
         self.ingress_bytes = 0
         self.egress_bytes = 0
@@ -221,8 +222,6 @@ class MapServer:
         session = self.sessions.get(client_id)
         if session is None:
             raise ProtocolError(f"client {client_id} is not registered")
-        if session.ended:
-            raise ProtocolError(f"client {client_id} session already ended")
         return session
 
     def handle(self, msg):
@@ -242,8 +241,7 @@ class MapServer:
 
     def _on_register(self, msg: SessionRegisterMsg) -> RegisterAckMsg:
         with self._session_lock:
-            existing = self.sessions.get(msg.client_id)
-            if existing is not None and not existing.ended:
+            if msg.client_id in self.sessions:
                 raise ProtocolError(f"client {msg.client_id} already registered")
             self.sessions[msg.client_id] = Session(
                 client_id=msg.client_id,
@@ -330,12 +328,12 @@ class MapServer:
         return status.to_msg()
 
     def _on_end(self, msg: SessionEndMsg) -> EndAckMsg:
-        session = self._session(msg.client_id)
+        with self._session_lock:
+            self._session(msg.client_id)
+            del self.sessions[msg.client_id]
+            self.ended_sessions += 1
         with self._map_lock.reading():
-            ack = on_session_end(self.map, msg.client_id)
-        session.ended = True
-        session.memo = None
-        return ack
+            return on_session_end(self.map, msg.client_id)
 
     # -- metrics -----------------------------------------------------------
 

@@ -114,21 +114,19 @@ def build_shared_map(
     # neighbor frames are kept only when their position lies in it.
     frame_rows = set(mem_fr[owner].tolist())
     gated = _gated_frames(map, q, q_fov, params.t_d, exclude_client)
-    frame_rows.update(gated[contains_many(cone, map._fr_pos[gated])].tolist())
+    frame_rows.update(gated[contains_many(cone, map._fr_pose[gated, :3])].tolist())
 
+    # Frame rows ascend with frame ids.
+    frame_rows = np.array(sorted(frame_rows), dtype=np.int64)
     records = []
-    for row in sorted(frame_rows, key=lambda r: map._fr_ids[r]):
-        f = map.frames[int(map._fr_ids[row])]
+    for row, fid, client, keyframe, pose, fov in zip(
+        frame_rows.tolist(), map._fr_ids[frame_rows].tolist(),
+        map._fr_client[frame_rows].tolist(), map._fr_keyframe[frame_rows].tolist(),
+        map._fr_pose[frame_rows].tolist(), map._fr_fov[frame_rows].tolist(),
+    ):
         rows = map.frame_point_rows(row)
         records.append(
-            FrameRecord(
-                frame_id=f.frame_id,
-                client_id=f.client_id,
-                keyframe_id=f.keyframe_id,
-                pose=f.pose,
-                fov=f.fov,
-                point_ids=map.points[rows[in_cone[rows]]],
-            )
+            FrameRecord(fid, client, keyframe, Pose(*pose), fov, map.points[rows[in_cone[rows]]])
         )
 
     rows = np.flatnonzero(in_cone)

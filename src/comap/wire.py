@@ -281,16 +281,20 @@ def _canonical_pose(vals, off: int) -> Pose:
     return Pose(*vals)
 
 
-def _unpack_pose(data: bytes, off: int) -> tuple[Pose, int]:
-    return _canonical_pose(struct.unpack_from("<6d", data, off), off), off + 48
+# Each reader below takes ``base``, the frame offset of ``data``'s first
+# byte, so that every DecodeError it raises reports a frame offset.
 
 
-def _decode_points(data: bytes, off: int, n: int) -> np.ndarray:
-    """The ``n``-row point table at ``off``, which must end the payload."""
+def _unpack_pose(data: bytes, off: int, base: int) -> tuple[Pose, int]:
+    return _canonical_pose(struct.unpack_from("<6d", data, off), base + off), off + 48
+
+
+def _decode_points(data: bytes, off: int, n: int, base: int) -> np.ndarray:
+    """The ``n``-row point table at ``off``, which must end ``data``."""
     if len(data) - off != n * POINT_DTYPE.itemsize:
         raise DecodeError(
             f"{n} point records need {n * POINT_DTYPE.itemsize} bytes, "
-            f"{len(data) - off} remain", off
+            f"{len(data) - off} remain", base + off
         )
     return np.frombuffer(data, dtype=POINT_DTYPE, count=n, offset=off).copy()
 
@@ -302,15 +306,15 @@ def _pack_keyframe_payload(m: KeyframeUploadMsg) -> bytes:
     return out + m.points.tobytes()
 
 
-def _unpack_keyframe_payload(data: bytes) -> KeyframeUploadMsg:
+def _unpack_keyframe_payload(data: bytes, base: int) -> KeyframeUploadMsg:
     """One keyframe-upload payload; its point count must account for every
     byte, and its fov must lie in (0, pi)."""
     client_id, keyframe_id = struct.unpack_from("<II", data, 0)
-    pose, off = _unpack_pose(data, 8)
+    pose, off = _unpack_pose(data, 8, base)
     fov, n = struct.unpack_from("<dI", data, off)
     if not 0.0 < fov < math.pi:
-        raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", off)
-    points = _decode_points(data, off + 12, n)
+        raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", base + off)
+    points = _decode_points(data, off + 12, n, base)
     return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, points)
 
 
@@ -461,20 +465,20 @@ def decode(data: bytes):
             pts = np.frombuffer(payload, dtype="<f4", count=3 * n, offset=9)
             return OverlapResponseMsg(status, r, pts.reshape(n, 3).copy())
         if mtype == T_KEYFRAME_UPLOAD:
-            return _unpack_keyframe_payload(payload)
+            return _unpack_keyframe_payload(payload, 8)
         if mtype == T_SHARED_MAP_RESPONSE:
             n_frames, n_points = struct.unpack_from("<II", payload, 0)
             off = 8
             frames = []
             for _ in range(n_frames):
                 fid, client_id, keyframe_id = struct.unpack_from("<qII", payload, off)
-                pose, off2 = _unpack_pose(payload, off + 16)
+                pose, off2 = _unpack_pose(payload, off + 16, 8)
                 fov, n_ids = struct.unpack_from("<dI", payload, off2)
                 off2 += 12
                 ids = np.frombuffer(payload, dtype="<i8", count=n_ids, offset=off2).copy()
                 off = off2 + 8 * n_ids
                 frames.append(FrameRecord(fid, client_id, keyframe_id, pose, fov, ids))
-            return SharedMapResponseMsg(frames, _decode_points(payload, off, n_points))
+            return SharedMapResponseMsg(frames, _decode_points(payload, off, n_points, 8))
         if mtype == T_SESSION_REGISTER:
             client_id, fx, fy, cx, cy = struct.unpack_from("<I4d", payload, 0)
             return SessionRegisterMsg(client_id, CameraIntrinsics(fx, fy, cx, cy))
@@ -489,7 +493,9 @@ def decode(data: bytes):
                 (length,) = struct.unpack_from("<I", payload, off)
                 if off + 4 + length > len(payload):
                     raise DecodeError(f"keyframe of {length} bytes overruns the payload", 8 + off)
-                kfs.append(_unpack_keyframe_payload(payload[off + 4 : off + 4 + length]))
+                kfs.append(
+                    _unpack_keyframe_payload(payload[off + 4 : off + 4 + length], 8 + off + 4)
+                )
                 off += 4 + length
             if off != len(payload):
                 raise DecodeError("trailing bytes after the last keyframe", 8 + off)

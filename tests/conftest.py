@@ -31,11 +31,25 @@ def insert_point_cloud(gmap: GlobalMap, positions, client_id=1, frame_pose=None,
         chunk_ids = ids[off : off + frames_of]
         chunk_pos = positions[off : off + frames_of]
         fid = gmap.allocate_frame_id()
-        frame = MapFrame.create(
-            fid, client_id, keyframe_id + off // frames_of, pose, fov, chunk_ids, gmap.np_max
-        )
+        frame = MapFrame(fid, client_id, keyframe_id + off // frames_of, pose, fov, chunk_ids)
         insert_frame(gmap, frame, chunk_pos)
     return ids
+
+
+def stored_frames(gmap: GlobalMap) -> dict[int, MapFrame]:
+    """Every stored frame by id, in row order, each rebuilt from its
+    frame-table row and its memberships."""
+    return {
+        int(gmap._fr_ids[row]): MapFrame(
+            int(gmap._fr_ids[row]),
+            int(gmap._fr_client[row]),
+            int(gmap._fr_keyframe[row]),
+            Pose.from_array(gmap._fr_pose[row]),
+            float(gmap._fr_fov[row]),
+            gmap.points[gmap.frame_point_rows(row)],
+        )
+        for row in range(len(gmap.frames))
+    }
 
 
 def point_records(ids, positions, descriptors=None, observation_counts=1):

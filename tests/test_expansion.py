@@ -21,7 +21,7 @@ from comap.overlap import OverlapVerdict
 from comap.sim import landmark_descriptor
 from comap.wire import KeyframeUploadMsg, OverlapResponseMsg
 
-from conftest import insert_point_cloud, point_records
+from conftest import insert_point_cloud, point_records, stored_frames
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -248,7 +248,7 @@ class TestIntegrateUpload:
         gmap = GlobalMap()
         msg = self.upload_msg(rng)
         fid = integrate_upload(gmap, msg, RigidTransform.identity())
-        frame = gmap.frames[fid]
+        frame = stored_frames(gmap)[fid]
         assert frame.client_id == 4 and frame.keyframe_id == 7
         rows = gmap.rows_for_ids(msg.points["id"])
         np.testing.assert_allclose(
@@ -265,7 +265,7 @@ class TestIntegrateUpload:
             gmap.point_positions[rows], msg.points["position"].astype(np.float64) + t
         )
         np.testing.assert_allclose(
-            gmap.frames[fid].pose.position, msg.pose.position + t
+            stored_frames(gmap)[fid].pose.position, msg.pose.position + t
         )
 
     def test_pipeline_matches_hash_set_oracle(self, rng):
@@ -290,7 +290,7 @@ class TestIntegrateUpload:
         from comap.geometry import optical_axis
 
         np.testing.assert_allclose(
-            optical_axis(gmap.frames[fid].pose),
+            optical_axis(stored_frames(gmap)[fid].pose),
             T.rotation @ optical_axis(msg.pose),
             atol=1e-9,
         )
@@ -308,7 +308,7 @@ class TestIntegrateUpload:
             fid = integrate_upload(
                 gmap, pruned.to_upload_msg(1), RigidTransform.identity()
             )
-            stored = gmap.point_positions[gmap.rows_for_ids(gmap.frames[fid].ids)]
+            stored = gmap.point_positions[gmap.rows_for_ids(stored_frames(gmap)[fid].ids)]
             if len(stored):
                 d2 = np.sum(
                     (stored[:, None, :] - resp.samples.astype(np.float64)[None, :, :]) ** 2,

@@ -17,8 +17,6 @@ from comap.geometry import (
     euler_from_matrix,
     make_view_cone,
     optical_axis,
-    pose_angle,
-    pose_distance,
     sample_cone,
     sample_spacing,
 )
@@ -290,33 +288,3 @@ class TestSampleConeMatchesLoop:
             for seed in range(5):
                 self.assert_same(cone, k, seed)
 
-
-class TestPoseMetrics:
-    def test_identical_poses(self):
-        p = Pose(1, 2, 3, 0.1, 0.2, 0.3)
-        assert pose_distance(p, p) == 0.0
-        assert pose_angle(p, p) == pytest.approx(0.0, abs=1e-7)
-
-    def test_345_triangle(self):
-        assert pose_distance(Pose(0, 0, 0), Pose(3, 4, 0)) == pytest.approx(5.0)
-
-    def test_quarter_yaw_between_horizontal_axes(self):
-        # Pitch the axes into the horizontal plane, then yaw them apart.
-        a = Pose(0, 0, 0, pitch=math.pi / 2)
-        b = Pose(0, 0, 0, pitch=math.pi / 2, yaw=math.pi / 2)
-        assert pose_angle(a, b) == pytest.approx(math.pi / 2)
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_symmetry_and_triangle_inequality(self, data):
-        def rand_pose():
-            coords = [
-                data.draw(st.floats(-50, 50, allow_nan=False)) for _ in range(3)
-            ]
-            angles = [data.draw(st.floats(-3.0, 3.0)) for _ in range(3)]
-            return Pose(*coords, *angles)
-
-        a, b, c = rand_pose(), rand_pose(), rand_pose()
-        assert pose_angle(a, b) == pytest.approx(pose_angle(b, a), abs=1e-12)
-        assert 0 <= pose_angle(a, b) <= math.pi
-        assert pose_distance(a, c) <= pose_distance(a, b) + pose_distance(b, c) + 1e-9

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import math
@@ -43,8 +42,8 @@ from conftest import (
 FRAME_HEAD = 74
 
 
-def frame_with_points(fid, pose, ids, positions, np_max=300, client=1, fov=1.4):
-    frame = MapFrame.create(fid, client, fid, pose, fov, ids, np_max)
+def frame_with_points(fid, pose, ids, positions, client=1, fov=1.4):
+    frame = MapFrame(fid, client, fid, pose, fov, ids)
     return frame, np.asarray(positions, dtype=np.float64).reshape(-1, 3)
 
 
@@ -69,11 +68,12 @@ class TestInsertFrame:
         # that a stored frame never changes.
         gmap = GlobalMap()
         frame, pts = frame_with_points(1, Pose(0, 0, 0), range(1, 11), rng.uniform(-5, 5, (10, 3)))
-        fid = insert_frame(gmap, frame, pts)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            gmap.frames[fid].pose = Pose(500, 0, 0)
+        insert_frame(gmap, frame, pts)
         with pytest.raises(ValueError):
-            gmap.frames[fid].point_ids[0] = 99
+            gmap.frames[0] = 99
+        with pytest.raises(AttributeError):
+            gmap.frames = np.array([99])
+        np.testing.assert_array_equal(gmap.frames, [1])
 
     def test_shared_point_increments_observation_count(self):
         gmap = GlobalMap()
@@ -98,10 +98,17 @@ class TestInsertFrame:
         assert state_digest(gmap) == digest
         assert audit(gmap) == []
 
-    def test_capacity_violation(self):
+    def test_capacity_violation(self, rng):
         gmap = GlobalMap(np_max=4)
+        f1, p1 = frame_with_points(1, Pose(0, 0, 0), range(4), rng.uniform(-5, 5, (4, 3)))
+        insert_frame(gmap, f1, p1)
+        digest = state_digest(gmap)
+        f2, p2 = frame_with_points(2, Pose(1, 0, 0), range(2, 7), rng.uniform(-5, 5, (5, 3)))
         with pytest.raises(FrameTooLargeError):
-            MapFrame.create(1, 1, 1, Pose(0, 0, 0), 1.4, range(5), np_max=4)
+            insert_frame(gmap, f2, p2)
+        assert state_digest(gmap) == digest
+        assert (gmap.version, len(gmap.points), gmap.allocate_frame_id()) == (1, 4, 2)
+        assert audit(gmap) == []
 
     def test_nonfinite_position_rejected(self):
         gmap = GlobalMap()
@@ -140,22 +147,13 @@ class TestInsertFrame:
             assert gmap.point_observation_counts[row] == len(owners_of(gmap, pid))
         assert audit(gmap) == []
 
-    def test_point_ids_padded_to_capacity(self):
-        gmap = GlobalMap(np_max=8)
-        f, p = frame_with_points(1, Pose(0, 0, 0), [1, 2], [[0, 0, 0], [1, 1, 1]], np_max=8)
-        insert_frame(gmap, f, p)
-        stored = gmap.frames[1]
-        assert len(stored.point_ids) == 8
-        assert stored.np_new == 2
-        assert (stored.point_ids[2:] == -1).all()
-
     def test_footprint_constant_regardless_of_np_new(self, rng):
         gmap = GlobalMap(np_max=50)
         base = gmap.frame_footprint_bytes()
         for fid, n in enumerate([1, 10, 50], start=1):
             f, p = frame_with_points(
                 fid, Pose(0, 0, 0), range(fid * 100, fid * 100 + n),
-                rng.uniform(-5, 5, (n, 3)), np_max=50,
+                rng.uniform(-5, 5, (n, 3)),
             )
             insert_frame(gmap, f, p)
             assert gmap.frame_footprint_bytes() == base
@@ -175,7 +173,7 @@ class TestInsertFrame:
         np.testing.assert_array_equal(gmap.point_observation_counts, [1, 2, 1, 1])
         np.testing.assert_array_equal(gmap.point_positions[1:3], [[1, 1, 1], [9, 9, 9]])
         assert owners_of(gmap, 9) == {2} and owners_of(gmap, 6) == {1, 2}
-        np.testing.assert_array_equal(gmap.frames[2].ids, [9, 6, 9, 6, 4])
+        np.testing.assert_array_equal(gmap.points[gmap.frame_point_rows(1)], [9, 6, 9, 6, 4])
         assert audit(gmap) == []
 
     def test_positions_must_align_with_ids(self):
@@ -183,7 +181,7 @@ class TestInsertFrame:
         f, p = frame_with_points(1, Pose(0, 0, 0), [1, 2], [[0, 0, 0], [1, 1, 1]])
         with pytest.raises(ValueError):
             insert_frame(gmap, f, p[:1])
-        assert len(gmap.points) == 0 and not gmap.frames
+        assert len(gmap.points) == 0 and len(gmap.frames) == 0
 
     def test_points_column_is_read_only(self):
         gmap = GlobalMap()
@@ -233,26 +231,35 @@ class TestSelectNeighbors:
         assert ns.point_positions.shape == (3, 3)
 
     def test_invariant_under_insertion_order(self, rng):
+        # Frames are stored in strictly ascending id order: a frame whose id
+        # is at or below the last stored one, a repeat included, is refused,
+        # and the map stays as it was.
         specs = []
         for fid in range(1, 30):
             pose = Pose(*rng.uniform(-30, 30, 2), 0, yaw=rng.uniform(-3, 3))
             ids = rng.choice(np.arange(1, 500), size=20, replace=False)
             specs.append((fid, pose, ids))
         positions = {i: rng.uniform(-30, 30, 3) for i in range(1, 500)}
-
-        def build(order):
-            gmap = GlobalMap()
-            for fid, pose, ids in order:
-                f, p = frame_with_points(fid, pose, ids, [positions[int(i)] for i in ids])
-                insert_frame(gmap, f, p)
-            return gmap
-
+        gmap = GlobalMap()
+        for fid, pose, ids in specs:
+            f, p = frame_with_points(fid, pose, ids, [positions[int(i)] for i in ids])
+            insert_frame(gmap, f, p)
+        digest = state_digest(gmap)
         q = Pose(0, 0, 0, yaw=0.3)
-        a = select_neighbors(build(specs), q, 1.381, 40.0)
-        b = select_neighbors(build(list(reversed(specs))), q, 1.381, 40.0)
-        assert a.frame_ids == b.frame_ids
-        np.testing.assert_array_equal(a.point_ids, b.point_ids)
-        np.testing.assert_array_equal(a.point_positions, b.point_positions)
+        before = select_neighbors(gmap, q, 1.381, 40.0)
+        for fid, pose, ids in reversed(specs):
+            f, p = frame_with_points(fid, pose, ids[:5], [positions[int(i)] for i in ids[:5]])
+            with pytest.raises(DuplicateFrameError):
+                insert_frame(gmap, f, p)
+        f, p = frame_with_points(-3, Pose(0, 0, 0), [1], [positions[1]])
+        with pytest.raises(DuplicateFrameError):
+            insert_frame(gmap, f, p)
+        assert state_digest(gmap) == digest
+        assert (gmap.frames.tolist(), gmap.allocate_frame_id()) == (list(range(1, 30)), 30)
+        after = select_neighbors(gmap, q, 1.381, 40.0)
+        assert after.frame_ids == before.frame_ids
+        np.testing.assert_array_equal(after.point_ids, before.point_ids)
+        assert audit(gmap) == []
 
     def test_exclude_client(self):
         gmap = GlobalMap()
@@ -342,7 +349,7 @@ class TestSnapshot:
             ids = np.arange(fid * 10, fid * 10 + 20)
             f, p = frame_with_points(
                 fid, Pose(*rng.uniform(-5, 5, 3), yaw=0.1 * fid), ids,
-                rng.uniform(-20, 20, (20, 3)), np_max=64, client=fid % 2,
+                rng.uniform(-20, 20, (20, 3)), client=fid % 2,
             )
             insert_frame(gmap, f, p)
         return gmap
@@ -458,6 +465,19 @@ class TestSnapshot:
         bad = tmp_path / "twice.mpps"
         bad.write_bytes(bytes(data))
         with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    def test_frames_out_of_id_order_is_snapshot_error(self, tmp_path, rng):
+        # The last frame (5) gets id 0, below every frame stored before it.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * 20 - FRAME_HEAD
+        assert struct.unpack_from("<q", data, at) == (5,)
+        struct.pack_into("<q", data, at, 0)
+        bad = tmp_path / "order.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="frame 0 is not above frame 4"):
             load_snapshot(bad)
 
     def test_nonfinite_position_is_snapshot_error(self, tmp_path, rng):
@@ -577,35 +597,26 @@ def replay_load_snapshot(path) -> GlobalMap:
         fov, n = struct.unpack_from("<dH", data, off + 64)
         ids = np.frombuffer(data, "<i8", n, off + FRAME_HEAD)
         off += FRAME_HEAD + 8 * n
-        frame = MapFrame.create(fid, client, kf, pose, fov, ids, np_max)
+        frame = MapFrame(fid, client, kf, pose, fov, ids)
         positions = np.array([stored[i][0] for i in ids.tolist()]).reshape(-1, 3)
         descriptors = np.array([stored[i][1] for i in ids.tolist()]).reshape(-1, 32)
         insert_frame(gmap, frame, positions, descriptors)
-        gmap._next_frame_id = max(gmap._next_frame_id, fid + 1)
     return gmap
 
 
 def assert_same_map(a: GlobalMap, b: GlobalMap):
     """Every column, membership, id dict and frame of two maps are equal."""
-    assert a.np_max == b.np_max and a._next_frame_id == b._next_frame_id
+    assert a.np_max == b.np_max and a.allocate_frame_id() == b.allocate_frame_id()
     for name in ("points", "point_positions", "point_descriptors", "point_observation_counts"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for x, y in zip(a.memberships(), b.memberships()):
         np.testing.assert_array_equal(x, y)
-    assert a._id_to_row == b._id_to_row and a._fid_to_row == b._fid_to_row
+    assert a._id_to_row == b._id_to_row
     assert a._fr_count == b._fr_count
-    for name in ("_fr_ids", "_fr_pos", "_fr_axis", "_fr_fov", "_fr_client"):
+    for name in ("_fr_ids", "_fr_client", "_fr_keyframe", "_fr_pose", "_fr_fov", "_fr_axis"):
         np.testing.assert_array_equal(
             getattr(a, name)[: a._fr_count], getattr(b, name)[: b._fr_count]
         )
-    assert list(a.frames) == list(b.frames)
-    for fa, fb in zip(a.frames.values(), b.frames.values()):
-        for field in dataclasses.fields(MapFrame):
-            va, vb = getattr(fa, field.name), getattr(fb, field.name)
-            if isinstance(va, np.ndarray):
-                np.testing.assert_array_equal(va, vb)
-            else:
-                assert va == vb
     assert audit(a) == [] and audit(b) == []
 
 
@@ -672,7 +683,7 @@ class TestBulkLoad:
         for gm in (bulk, replay):
             insert_point_cloud(gm, cloud, start_id=10**9, frames_of=gm.np_max)
             fid = gm.allocate_frame_id()
-            frame = MapFrame.create(fid, 9, 0, Pose(1, 2, 1.5), 1.4, known, gm.np_max)
+            frame = MapFrame(fid, 9, 0, Pose(1, 2, 1.5), 1.4, known)
             insert_frame(gm, frame, known_pos)
         assert_same_map(bulk, replay)
         assert_same_answers(bulk, replay, rng)
@@ -693,23 +704,23 @@ class TestBulkLoad:
 
     def test_repeated_ids_and_empty_frames(self, tmp_path, rng):
         gmap = GlobalMap(np_max=16)
-        specs = [(4, [5, 6, 5, 5]), (2, []), (9, [6, 7, 8, 7]), (3, [8, 5]), (6, [])]
+        specs = [(2, []), (3, [8, 5]), (4, [5, 6, 5, 5]), (6, []), (9, [6, 7, 8, 7])]
         for fid, ids in specs:
             pos = rng.uniform(-3, 3, (len(ids), 3))
-            frame, pos = frame_with_points(fid, Pose(fid, 0, 1), ids, pos, np_max=16)
+            frame, pos = frame_with_points(fid, Pose(fid, 0, 1), ids, pos)
             insert_frame(gmap, frame, pos)
         self.check(gmap, tmp_path, rng)
         # Frames load in file order (by frame id); new ids take rows in order
         # of first appearance over them.
         loaded = load_snapshot(tmp_path / "map.mpps")
-        assert list(loaded.frames) == [2, 3, 4, 6, 9]
+        assert loaded.frames.tolist() == [2, 3, 4, 6, 9]
         np.testing.assert_array_equal(loaded.points, [8, 5, 6, 7])
         np.testing.assert_array_equal(loaded.point_observation_counts, [2, 2, 2, 1])
 
     def test_no_frames(self, tmp_path, rng):
         self.check(GlobalMap(np_max=300), tmp_path, rng)
         loaded = load_snapshot(tmp_path / "map.mpps")
-        assert (len(loaded.frames), len(loaded.points), loaded._next_frame_id) == (0, 0, 1)
+        assert (len(loaded.frames), len(loaded.points), loaded.allocate_frame_id()) == (0, 0, 1)
 
     def test_one_tree_build_per_index(self, tmp_path, monkeypatch, scenario_maps):
         path = tmp_path / "map.mpps"

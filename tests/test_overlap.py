@@ -13,7 +13,7 @@ from comap.overlap import (
 )
 from comap.params import ProtocolParams
 
-from conftest import insert_point_cloud
+from conftest import insert_point_cloud, stored_frames
 
 FOV = 1.3812336489575836
 PARAMS = ProtocolParams()
@@ -242,7 +242,7 @@ class TestMaskedClassification:
                                      exclude_client=1)
             neighbors = select_neighbors(gmap, q, FOV, PARAMS.t_d, exclude_client=1)
             assert set(neighbors.frame_ids) == {
-                fid for fid, f in gmap.frames.items() if f.client_id == 2 and f.pose == q
+                fid for fid, f in stored_frames(gmap).items() if f.client_id == 2 and f.pose == q
             }
             d2 = np.sum((samples[:, None] - neighbors.point_positions[None]) ** 2, axis=2)
             redundant = np.any(d2 <= r * r, axis=1)

@@ -178,8 +178,9 @@ class TestServerDispatch:
         server.handle_bytes(encode(KeyframeUploadMsg(2, 0, Pose(0, 0, 0), 1.38, pts)))
         ack = decode(server.handle_bytes(encode(SessionEndMsg(1))))
         assert ack == wire.EndAckMsg(1, 40, elapsed_seconds=0.0, map_changed=False)
-        assert server.sessions[1].ended
-        assert not server.sessions[2].ended
+        assert list(server.sessions) == [2] and server.ended_sessions == 1
+        late = decode(server.handle_bytes(encode(OverlapQueryMsg(1, 0, 10, Pose(0, 0, 0)))))
+        assert late.code == wire.E_PROTOCOL and "not registered" in late.message
 
     def test_latency_percentiles_populated(self):
         server = fresh_server()
@@ -342,7 +343,7 @@ class TestAssessmentMemo:
         server.handle_bytes(encode(SharedMapRequestMsg(2, 7, 100, MEMO_POSE)))
         assert server.sessions[2].memo is not None
         server.handle_bytes(encode(SessionEndMsg(2)))
-        assert server.sessions[2].memo is None
+        assert 2 not in server.sessions
 
     def test_connections_sharing_a_client_id_get_only_correct_replies(self, rng):
         server = mapped_server(rng)
@@ -562,6 +563,7 @@ class TestTcpTransport:
                 t.close()
             # One connection at a time: at most the last few threads remain.
             assert len(front._threads) <= 8
+            assert front.server.sessions == {} and front.server.ended_sessions == 64
         finally:
             front.stop()
 

@@ -39,6 +39,7 @@ from conftest import (
     canonical_curve_config,
     insert_point_cloud,
     point_records,
+    stored_frames,
     two_user_config,
 )
 
@@ -65,7 +66,7 @@ def map_from_passes(scene, poses, passes=2, np_max=400, noise=0.05, seed=5):
         for pose in poses:
             kf = observe(scene, pose, SIM_INTR, np_max, noise, rng, counters)
             fid = gmap.allocate_frame_id()
-            frame = MapFrame.create(fid, p + 1, fid, pose, kf.fov, kf.landmark_ids, np_max)
+            frame = MapFrame(fid, p + 1, fid, pose, kf.fov, kf.landmark_ids)
             insert_frame(gmap, frame, kf.positions)
     return gmap
 
@@ -399,12 +400,13 @@ def full_scan_build_shared_map(gmap, q, q_fov, alpha, params=PARAMS, exclude_cli
         in_cone[mem_pt[owner]] = True
     frame_rows = set(mem_fr[owner].tolist())
     neighbors = select_neighbors(gmap, q, q_fov, params.t_d, exclude_client=exclude_client)
+    frames = stored_frames(gmap)
     for fid in neighbors.frame_ids:
-        if contains(cone, gmap.frames[fid].pose.position):
-            frame_rows.add(gmap._fid_to_row[fid])
+        if contains(cone, frames[fid].pose.position):
+            frame_rows.add(list(frames).index(fid))
     records = []
     for row in sorted(frame_rows, key=lambda r: gmap._fr_ids[r]):
-        f = gmap.frames[int(gmap._fr_ids[row])]
+        f = frames[int(gmap._fr_ids[row])]
         rows = gmap.frame_point_rows(row)
         records.append(
             FrameRecord(f.frame_id, f.client_id, f.keyframe_id, f.pose, f.fov,

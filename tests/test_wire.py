@@ -306,6 +306,7 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError) as err:
             decode(reframed(bytes(payload), T_KEYFRAME_UPLOAD))
         assert err.value.code == E_MALFORMED
+        assert err.value.offset == 76  # the first point record
 
     def test_shared_map_response_trailing_point_rejected(self):
         msg = SharedMapResponseMsg([], keyframe_upload(2).points)
@@ -327,23 +328,38 @@ class TestDecodeErrors:
             decode(reframed(head + struct.pack("<I", len(inner) + 1) + inner, T_UPDATE_CHECK))
 
     def test_non_canonical_pose_angle_rejected(self):
-        raw = bytearray(encode(keyframe_upload(2)))
-        struct.pack_into("<d", raw, 16 + 24, 4.0)  # roll of the upload's pose
-        with pytest.raises(DecodeError) as err:
-            decode(bytes(raw))
-        assert err.value.code == E_MALFORMED
+        # A roll of 4.0 is refused at its frame offset: in an upload, in a
+        # shared-map response's frame record and in an update check's keyframe.
+        upload = keyframe_upload(2)
+        record = FrameRecord(3, 1, 1, Pose(1, 2, 3), 1.4, [1, 2])
+        for msg, roll_at in (
+            (upload, 16 + 24),
+            (SharedMapResponseMsg([record], upload.points), 32 + 24),
+            (UpdateCheckMsg(1, [upload]), 26 + 24),
+        ):
+            raw = bytearray(encode(msg))
+            struct.pack_into("<d", raw, roll_at, 4.0)
+            with pytest.raises(DecodeError, match="angle") as err:
+                decode(bytes(raw))
+            assert err.value.code == E_MALFORMED
+            assert err.value.offset == roll_at
 
     @pytest.mark.parametrize("fov", [0.0, -1.4, math.pi, 4.0, math.nan, math.inf, -math.inf])
     def test_keyframe_fov_outside_open_range_rejected(self, fov):
         # The fov follows the keyframe's pose, at payload offset 56, in an
-        # upload and in each keyframe of an update check alike.
+        # upload and in each keyframe of an update check alike; it is
+        # refused at its frame offset.
         payload = bytearray(encode(keyframe_upload(2))[8:])
         struct.pack_into("<d", payload, 56, fov)
         check = struct.pack("<IHI", 1, 1, len(payload)) + payload
-        for raw in (reframed(bytes(payload), T_KEYFRAME_UPLOAD), reframed(check, T_UPDATE_CHECK)):
+        for raw, fov_at in (
+            (reframed(bytes(payload), T_KEYFRAME_UPLOAD), 64),
+            (reframed(check, T_UPDATE_CHECK), 74),
+        ):
             with pytest.raises(DecodeError, match="fov") as err:
                 decode(raw)
             assert err.value.code == E_MALFORMED
+            assert err.value.offset == fov_at
 
     @given(mutated_frames())
     @settings(max_examples=400, deadline=None)
