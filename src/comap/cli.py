@@ -10,18 +10,12 @@ from pathlib import Path
 import yaml
 
 from .mapstore import GlobalMap, SnapshotError, load_snapshot, save_snapshot
-from .runtime import (
-    ClientConfig,
-    MapServer,
-    TcpMapServer,
-    TcpTransport,
-    client_pipeline,
-    throttle,
-)
+from .runtime import MapServer, TcpMapServer, TcpTransport, throttle
 from .scenario import (
     Metrics,
     UserMetrics,
     config_from_dict,
+    drive_user,
     freshness_traffic_report,
     load_config,
     load_metrics_json,
@@ -33,7 +27,7 @@ from .scenario import (
     write_telemetry_json,
     write_trace_jsonl,
 )
-from .sim import generate_keyframes
+from .sim import generate_scene
 
 
 def _parse_addr(addr: str) -> tuple[str, int]:
@@ -136,31 +130,11 @@ def cmd_client(args) -> int:
     spec = cfg.users[0]
     if args.mode:
         spec.mode = args.mode
-    from .sim import generate_scene
-
     scene = generate_scene(cfg.scene_seed, cfg.bounds, cfg.landmark_count, cfg.clusters)
     transport = TcpTransport(_parse_addr(args.addr))
     if cfg.bandwidth_cap:
         throttle(transport, cfg.bandwidth_cap)
-    stream = generate_keyframes(
-        spec.trajectory,
-        scene,
-        spec.intrinsics,
-        np_max=cfg.params.np_max,
-        noise_sigma=cfg.noise_sigma,
-        seed=cfg.seed * 7919 + spec.client_id,
-        params=cfg.params,
-    )
-    result = client_pipeline(
-        ClientConfig(
-            client_id=spec.client_id,
-            intrinsics=spec.intrinsics,
-            mode=spec.mode or cfg.mode,
-            params=cfg.params,
-        ),
-        stream,
-        transport,
-    )
+    result = drive_user(cfg, spec, scene, transport)
     transport.close()
     if args.trace:
         write_trace_jsonl(result.trace, args.trace)

@@ -5,27 +5,27 @@ descriptors, observation counts) found through an id-to-row dict. Frames
 live only in a frame table (id, client, keyframe id, six pose floats, fov,
 and the optical axis derived from the pose) whose rows hold strictly
 ascending frame ids, so a frame is refused unless its id is above the last
-stored one. Which frames list which points is kept as two flat membership
-columns, frame row and point row, appended in each frame's order on
-insert: a frame's point ids are read from them, a point's owners are the
-frames whose rows list it, and its observation count is their number.
-Frames enter through one batch append: ``insert_frame`` passes one frame,
-``load_snapshot`` every frame of a snapshot at once. Two persistent
-``spatial.KdTree`` indices, one over point positions and one over frame
-positions, absorb each batch through a side buffer and rebuild once it
-exceeds 10% of the tree size, so a load builds each index once.
-Single-center radius queries scan the buffer linearly; batch queries
-(overlap classification, k nearest neighbors) search it through a small
-tree of its own, built on demand and kept until the next insert.
-Nearest-neighbor lists merge the tree's and the buffer's by (squared
-distance, row).
+stored one. Which frames list which points is one append-only column of
+point rows, one per listed id in frame order: each frame's listings are a
+contiguous run of it, delimited by a per-frame offset column, so a frame's
+point ids are a slice, a point's owners are the frames whose runs list it,
+and its observation count is their number. Frames enter through one batch
+append: ``insert_frame`` passes one frame, ``load_snapshot`` every frame of
+a snapshot at once. Two persistent ``spatial.KdTree`` indices, one over
+point positions and one over frame positions, are positional: a row is the
+position's place in its table. Each absorbs a batch through a side buffer
+of the rows after its tree's and rebuilds once the buffer exceeds 10% of
+the tree size, so a load builds each index once. Single-center radius
+queries scan the buffer linearly; batch queries (overlap classification, k
+nearest neighbors) search it through a small tree of its own, built on
+demand and kept until the next insert. Nearest-neighbor lists merge the
+tree's and the buffer's by (squared distance, row).
 
 Reads are query-local: shared slices and update checks take the points of
 a cone from a radius query of the point index (``point_rows_within``) and
 their neighbors from ``nearest_point_rows``, not from a scan of every
-point. Neighbor gathering never sorts: the gated frames' memberships are
-slices of the ascending frame-row column, gathered with one batched
-``searchsorted`` and deduplicated in a boolean mask over the point table,
+point. Neighbor gathering never sorts: the gated frames' runs are gathered
+by their offsets and deduplicated in a boolean mask over the point table,
 and overlap assessment queries the persistent point index once, counting
 only points whose row is set in that mask.
 """
@@ -107,67 +107,68 @@ def _reserve(columns: tuple, need: int, floor: int) -> tuple:
 
 # Every index starts from this tree; a KdTree is never modified once built.
 _EMPTY_TREE = KdTree(np.empty((0, 3)))
+# The side buffer is folded into a rebuilt tree once it holds more than this
+# share of the tree's points, and more than _MIN_PENDING points.
+_REBUILD_FRACTION = 0.1
+_MIN_PENDING = 16
 
 
 class _IncrementalIndex:
-    """KdTree plus side buffer keyed by external integer rows."""
+    """KdTree plus side buffer over positions added in order: row i is the
+    i-th position added, and rows below ``len(self._tree)`` are in the tree."""
 
-    def __init__(self, rebuild_fraction: float = 0.1, min_pending: int = 16):
+    def __init__(self):
         self._tree = _EMPTY_TREE
-        self._tree_rows = np.empty(0, dtype=np.int64)
-        self._pending_rows = np.empty(0, dtype=np.int64)
         self._pending_pos = np.empty((0, 3), dtype=np.float64)
         self._pending_tree = None  # over _pending_pos; dropped on every add
-        self._rebuild_fraction = rebuild_fraction
-        self._min_pending = min_pending
 
     def __len__(self) -> int:
-        return len(self._tree_rows) + len(self._pending_rows)
+        return len(self._tree) + len(self._pending_pos)
 
-    def add(self, rows: np.ndarray, positions: np.ndarray):
-        """Index a batch of rows; rebuild once the side buffer outgrows its share."""
-        self._pending_rows = np.concatenate([self._pending_rows, rows])
+    def add(self, positions: np.ndarray):
+        """Index a batch of positions as the next rows; rebuild once the side
+        buffer outgrows its share."""
         self._pending_pos = np.concatenate([self._pending_pos, positions])
         self._pending_tree = None
-        threshold = max(self._min_pending, self._rebuild_fraction * len(self._tree_rows))
-        if len(self._pending_rows) > threshold:
+        if len(self._pending_pos) > max(_MIN_PENDING, _REBUILD_FRACTION * len(self._tree)):
             self.rebuild()
 
     def rebuild(self):
-        self._tree = KdTree(np.concatenate([self._tree.points, self._pending_pos]))
-        self._tree_rows = self.rows()
-        self._pending_rows = np.empty(0, dtype=np.int64)
+        self._tree = KdTree(self.positions())
         self._pending_pos = np.empty((0, 3), dtype=np.float64)
         self._pending_tree = None
 
-    def rows(self) -> np.ndarray:
-        return np.concatenate([self._tree_rows, self._pending_rows])
+    def positions(self) -> np.ndarray:
+        """Every indexed position, by row."""
+        return np.concatenate([self._tree.points, self._pending_pos])
 
     def radius_rows(self, center, r: float) -> np.ndarray:
         """Ascending rows with distance <= r; identical arithmetic to the linear oracle."""
         center = np.asarray(center, dtype=np.float64)
         d2 = np.sum((self._pending_pos - center) ** 2, axis=1)
-        hits = [self._tree_rows[self._tree.radius_search(center, r)], self._pending_rows[d2 <= r * r]]
-        return np.sort(np.concatenate(hits))
+        # Tree rows precede buffer rows, and each part's hits ascend.
+        return np.concatenate(
+            [self._tree.radius_search(center, r), len(self._tree) + np.flatnonzero(d2 <= r * r)]
+        )
 
     def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
         """Rows of each center's k nearest points, closest first, ties by row.
 
         The tree's and the buffer's k nearest are merged by (squared
-        distance, row). Rows enter the tree in ascending order, so the
-        tree's own ties by position are ties by row, and the result equals
-        ``KdTree.query_nearest`` over all indexed points in row order.
+        distance, row). The tree's ties by position are ties by row, so the
+        result equals ``KdTree.query_nearest`` over all indexed points in
+        row order.
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        parts = [(self._tree, self._tree_rows)]
-        if len(self._pending_rows):
+        parts = [(self._tree, 0)]
+        if len(self._pending_pos):
             if self._pending_tree is None:
                 self._pending_tree = KdTree(self._pending_pos)
-            parts.append((self._pending_tree, self._pending_rows))
+            parts.append((self._pending_tree, len(self._tree)))
         rows, d2 = [], []
-        for tree, tree_rows in parts:
+        for tree, first_row in parts:
             nn = tree.query_nearest(centers, k)
-            rows.append(tree_rows[nn])
+            rows.append(first_row + nn)
             d2.append(np.sum((tree.points[nn] - centers[:, None, :]) ** 2, axis=-1))
         rows, d2 = np.concatenate(rows, axis=1), np.concatenate(d2, axis=1)
         order = np.lexsort((rows, d2))
@@ -175,14 +176,13 @@ class _IncrementalIndex:
 
     def any_within(self, centers: np.ndarray, r: float, allowed: np.ndarray) -> np.ndarray:
         """Per center: does a point whose row is set in ``allowed`` lie within r?"""
-        found = self._tree.any_within(centers, r, allowed[self._tree_rows])
+        n = len(self._tree)
+        found = self._tree.any_within(centers, r, allowed[:n])
         todo = np.flatnonzero(~found)
-        if len(todo) and allowed[self._pending_rows].any():
+        if len(todo) and allowed[n:].any():
             if self._pending_tree is None:
                 self._pending_tree = KdTree(self._pending_pos)
-            found[todo] = self._pending_tree.any_within(
-                centers[todo], r, allowed[self._pending_rows]
-            )
+            found[todo] = self._pending_tree.any_within(centers[todo], r, allowed[n:])
         return found
 
 
@@ -210,11 +210,10 @@ class GlobalMap:
         self._fr_axis = np.empty((0, 3), dtype=np.float64)
         self._fr_count = 0
         self._frame_index = _IncrementalIndex()
-        # Memberships: frame row and point row per listed id, appended in
-        # frame order, so the frame rows are ascending.
-        self._mem_fr = np.empty(0, dtype=np.int64)
+        # Memberships: the point row of each listed id, appended in frame
+        # order. Frame row r lists _mem_pt[_fr_off[r] : _fr_off[r + 1]].
+        self._fr_off = np.zeros(1, dtype=np.int64)
         self._mem_pt = np.empty(0, dtype=np.int64)
-        self._mem_count = 0
 
     # -- views ----------------------------------------------------------
 
@@ -255,14 +254,22 @@ class GlobalMap:
         return self._pt_obs[: self._pt_count]
 
     def memberships(self) -> tuple[np.ndarray, np.ndarray]:
-        """(frame row, point row) per listed id, in insertion order."""
-        return self._mem_fr[: self._mem_count], self._mem_pt[: self._mem_count]
+        """(frame row, point row) per listed id, in insertion order, derived
+        from the frame extents."""
+        off = self._fr_off[: self._fr_count + 1]
+        return np.repeat(np.arange(self._fr_count), np.diff(off)), self._mem_pt[: off[-1]]
 
     def frame_point_rows(self, frame_row: int) -> np.ndarray:
         """Point rows of one frame's ids, in the frame's order."""
-        fr, pt = self.memberships()
-        start, end = np.searchsorted(fr, [frame_row, frame_row + 1])
-        return pt[start:end]
+        return self._mem_pt[self._fr_off[frame_row] : self._fr_off[frame_row + 1]]
+
+    def listings(self, point_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(frame row, point row) of each listed id whose point row is set in
+        ``point_mask``, in insertion order, so the frame rows ascend."""
+        off = self._fr_off[: self._fr_count + 1]
+        pt = self._mem_pt[: off[-1]]
+        at = np.flatnonzero(point_mask[pt])
+        return np.searchsorted(off, at, side="right") - 1, pt[at]
 
     def owner_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(point row, frame id), once per frame listing the point, ordered
@@ -393,11 +400,11 @@ class GlobalMap:
         base, k = self._fr_count, len(frames)
         (
             self._fr_ids, self._fr_client, self._fr_keyframe, self._fr_pose, self._fr_fov,
-            self._fr_axis,
+            self._fr_axis, self._fr_off,
         ) = _reserve(
             (self._fr_ids, self._fr_client, self._fr_keyframe, self._fr_pose, self._fr_fov,
-             self._fr_axis),
-            base + k, 16,
+             self._fr_axis, self._fr_off),
+            base + k + 1, 16,
         )
         added = slice(base, base + k)
         self._fr_ids[added] = [f.frame_id for f in frames]
@@ -406,13 +413,12 @@ class GlobalMap:
         self._fr_pose[added] = [f.pose.as_array() for f in frames]
         self._fr_fov[added] = [f.fov for f in frames]
         self._fr_axis[added] = [optical_axis(f.pose) for f in frames]
+        m = self._fr_off[base]
+        self._fr_off[base + 1 : base + k + 1] = m + np.cumsum(lengths)
         self._fr_count += k
-        self._frame_index.add(np.arange(base, base + k), self._fr_pose[added, :3])
-        m = self._mem_count
-        self._mem_fr, self._mem_pt = _reserve((self._mem_fr, self._mem_pt), m + n, 256)
-        self._mem_fr[m : m + n] = base + frame_of
+        self._frame_index.add(self._fr_pose[added, :3])
+        (self._mem_pt,) = _reserve((self._mem_pt,), m + n, 256)
         self._mem_pt[m : m + n] = rows
-        self._mem_count += n
 
     def _append_points(self, ids: np.ndarray, positions: np.ndarray, descriptors: np.ndarray):
         """New rows with observation count 0, indexed in one batch."""
@@ -426,7 +432,7 @@ class GlobalMap:
         self._pt_obs[base : base + k] = 0
         self._pt_count += k
         self._id_to_row.update(zip(ids.tolist(), range(base, base + k)))
-        self._point_index.add(np.arange(base, base + k), positions)
+        self._point_index.add(positions)
 
 
 def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -> int:
@@ -483,13 +489,12 @@ def _union_rows(map: GlobalMap, frame_rows) -> np.ndarray:
     frame_rows = np.asarray(frame_rows, dtype=np.int64)
     if not len(frame_rows):
         return np.empty(0, dtype=np.int64)
-    # Each frame's memberships are one slice of the ascending frame-row column.
-    fr, pt = map.memberships()
-    starts = np.searchsorted(fr, frame_rows)
-    lengths = np.searchsorted(fr, frame_rows + 1) - starts
+    # Each frame's memberships are one run of the point-row column.
+    starts = map._fr_off[frame_rows]
+    lengths = map._fr_off[frame_rows + 1] - starts
     at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
     mask = np.zeros(map._pt_count, dtype=bool)
-    mask[pt[at]] = True
+    mask[map._mem_pt[at]] = True
     return np.flatnonzero(mask)
 
 
@@ -534,18 +539,15 @@ def audit(map: GlobalMap) -> list[str]:
             f"{owners[row]} owners"
         )
 
-    idx_rows = np.sort(map._point_index.rows())
-    want = np.arange(map._pt_count, dtype=np.int64)
-    if len(idx_rows) != map._pt_count or not np.array_equal(idx_rows, want):
-        violations.append(
-            f"point index holds {len(idx_rows)} rows, table holds {map._pt_count}"
-        )
-    fr_rows = np.sort(map._frame_index.rows())
-    want = np.arange(map._fr_count, dtype=np.int64)
-    if len(fr_rows) != map._fr_count or not np.array_equal(fr_rows, want):
-        violations.append(
-            f"frame index holds {len(fr_rows)} rows, table holds {map._fr_count}"
-        )
+    for name, index, table in (
+        ("point", map._point_index, map.point_positions),
+        ("frame", map._frame_index, map._fr_pose[: map._fr_count, :3]),
+    ):
+        if not np.array_equal(index.positions(), table):
+            violations.append(
+                f"{name} index holds {len(index)} positions that differ from the "
+                f"{len(table)}-row {name} table"
+            )
     return violations
 
 
@@ -555,8 +557,8 @@ _DIGEST_POINT = np.dtype([("id", "<i8"), ("obs", "<i4"), ("position", "<f8", (3,
 
 def _frame_point_ids(map: GlobalMap) -> list[np.ndarray]:
     """Each frame's point ids, in the frame's order, by frame row."""
-    fr, pt = map.memberships()
-    return np.split(map._pt_ids[pt], np.searchsorted(fr, np.arange(1, map._fr_count)))
+    off = map._fr_off[: map._fr_count + 1]
+    return np.split(map._pt_ids[map._mem_pt[: off[-1]]], off[1:-1])
 
 
 def state_digest(map: GlobalMap) -> str:

@@ -51,7 +51,6 @@ def assess_overlap(
     q_fov: float,
     k: int,
     seed: int,
-    t_seen: float | None = None,
     params: ProtocolParams = DEFAULT_PARAMS,
     exclude_client: int | None = None,
 ) -> OverlapVerdict:
@@ -67,9 +66,6 @@ def assess_overlap(
     """
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
-    t_seen = params.t_seen if t_seen is None else t_seen
-    if not (0.0 < t_seen < 1.0):
-        raise ValueError(f"t_seen must be in (0, 1), got {t_seen}")
 
     cone = cone_from_fov(q, q_fov, params.h)
     rows = neighbor_point_rows(map, q, q_fov, params.t_d, exclude_client=exclude_client)
@@ -82,7 +78,7 @@ def assess_overlap(
     degree = n_red / k
     return OverlapVerdict(
         overlap_degree=degree,
-        seen=degree > t_seen,
+        seen=degree > params.t_seen,
         redundant_samples=samples[redundant],
         fresh_samples=samples[~redundant],
         r=r,

@@ -286,8 +286,6 @@ class MapServer:
                         msg.pose,
                         session.fov,
                         session.alpha,
-                        client_id=msg.client_id,
-                        keyframe_id=msg.keyframe_id,
                         params=self.params,
                         exclude_client=msg.client_id,
                     ).to_response()

@@ -213,6 +213,28 @@ class Metrics:
         return out
 
 
+def drive_user(cfg: ScenarioConfig, spec: UserSpec, scene: Scene, transport) -> ClientResult:
+    """Run one user's keyframe stream over ``transport`` through a client
+    pipeline; the stream's noise seed derives from the scenario seed and the
+    client id."""
+    stream = generate_keyframes(
+        spec.trajectory,
+        scene,
+        spec.intrinsics,
+        np_max=cfg.params.np_max,
+        noise_sigma=cfg.noise_sigma,
+        seed=cfg.seed * 7919 + spec.client_id,
+        params=cfg.params,
+    )
+    client_cfg = ClientConfig(
+        client_id=spec.client_id,
+        intrinsics=spec.intrinsics,
+        mode=spec.mode or cfg.mode,
+        params=cfg.params,
+    )
+    return client_pipeline(client_cfg, stream, transport)
+
+
 def run_scenario(cfg: ScenarioConfig) -> Metrics:
     """Execute a scenario: one server, one client pipeline per user.
 
@@ -247,24 +269,8 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
     results: dict[int, tuple[UserSpec, ClientResult, object]] = {}
 
     def run_user(spec: UserSpec, user_scene: Scene):
-        mode = spec.mode or cfg.mode
         transport = make_transport()
-        stream = generate_keyframes(
-            spec.trajectory,
-            user_scene,
-            spec.intrinsics,
-            np_max=cfg.params.np_max,
-            noise_sigma=cfg.noise_sigma,
-            seed=cfg.seed * 7919 + spec.client_id,
-            params=cfg.params,
-        )
-        client_cfg = ClientConfig(
-            client_id=spec.client_id,
-            intrinsics=spec.intrinsics,
-            mode=mode,
-            params=cfg.params,
-        )
-        res = client_pipeline(client_cfg, stream, transport)
+        res = drive_user(cfg, spec, user_scene, transport)
         transport.close()
         results[spec.client_id] = (spec, res, transport)
 

@@ -46,10 +46,6 @@ from .wire import (
 class SharedMapSlice:
     """A proactive slice of the global map around a query pose."""
 
-    origin_client: int
-    origin_keyframe: int
-    origin_pose: Pose
-    cone: ViewCone
     frames: list[FrameRecord]
     point_ids: np.ndarray
     point_positions: np.ndarray
@@ -84,8 +80,6 @@ def build_shared_map(
     q: Pose,
     q_fov: float,
     alpha: float,
-    client_id: int = 0,
-    keyframe_id: int = 0,
     params: ProtocolParams = DEFAULT_PARAMS,
     exclude_client: int | None = None,
 ) -> SharedMapSlice:
@@ -98,49 +92,39 @@ def build_shared_map(
     gated neighbor frames positioned inside the cone.
     """
     cone = cone_from_fov(q, q_fov, params.h, alpha)
-    positions = map.point_positions
-    in_cone = np.zeros(len(positions), dtype=bool)
+    in_cone = np.zeros(len(map.points), dtype=bool)
     in_cone[_cone_rows(map, cone)] = True
-    mem_fr, mem_pt = map.memberships()
-    owner = in_cone[mem_pt]
+    owner_rows, listed_rows = map.listings(in_cone)
     if exclude_client is not None:
         # A point is shared only when another client's frame lists it, and
         # only other clients' frames are shared.
-        owner &= map._fr_client[mem_fr] != exclude_client
-        in_cone = np.zeros_like(in_cone)
-        in_cone[mem_pt[owner]] = True
+        other = map._fr_client[owner_rows] != exclude_client
+        owner_rows, listed_rows = owner_rows[other], listed_rows[other]
 
     # Frames listing a shared point always intersect the cone; gated
     # neighbor frames are kept only when their position lies in it.
-    frame_rows = set(mem_fr[owner].tolist())
     gated = _gated_frames(map, q, q_fov, params.t_d, exclude_client)
-    frame_rows.update(gated[contains_many(cone, map._fr_pose[gated, :3])].tolist())
-
-    # Frame rows ascend with frame ids.
-    frame_rows = np.array(sorted(frame_rows), dtype=np.int64)
-    records = []
-    for row, fid, client, keyframe, pose, fov in zip(
-        frame_rows.tolist(), map._fr_ids[frame_rows].tolist(),
-        map._fr_client[frame_rows].tolist(), map._fr_keyframe[frame_rows].tolist(),
-        map._fr_pose[frame_rows].tolist(), map._fr_fov[frame_rows].tolist(),
-    ):
-        rows = map.frame_point_rows(row)
-        records.append(
-            FrameRecord(fid, client, keyframe, Pose(*pose), fov, map.points[rows[in_cone[rows]]])
+    frame_rows = np.union1d(owner_rows, gated[contains_many(cone, map._fr_pose[gated, :3])])
+    # A shared frame's in-cone ids are its run of the listings, which
+    # ascend by frame row; a gated frame listing none has an empty run.
+    frame_ids = np.split(map.points[listed_rows], np.searchsorted(owner_rows, frame_rows[1:]))
+    records = [
+        FrameRecord(fid, client, keyframe, Pose(*pose), fov, ids)
+        for fid, client, keyframe, pose, fov, ids in zip(
+            map._fr_ids[frame_rows].tolist(), map._fr_client[frame_rows].tolist(),
+            map._fr_keyframe[frame_rows].tolist(), map._fr_pose[frame_rows].tolist(),
+            map._fr_fov[frame_rows].tolist(), frame_ids,
         )
+    ]
 
-    rows = np.flatnonzero(in_cone)
+    rows = np.unique(listed_rows)
     ids = map.points[rows]
     order = np.argsort(ids, kind="stable")
     rows, ids = rows[order], ids[order]
     return SharedMapSlice(
-        origin_client=client_id,
-        origin_keyframe=keyframe_id,
-        origin_pose=q,
-        cone=cone,
         frames=records,
         point_ids=ids,
-        point_positions=positions[rows],
+        point_positions=map.point_positions[rows],
         point_observations=map.point_observation_counts[rows],
     )
 
@@ -190,7 +174,6 @@ def _cluster_sizes(positions: np.ndarray, radius: float) -> list[int]:
 def get_update_status(
     map: GlobalMap,
     kfs: list[KeyframeUploadMsg],
-    k_nn: int | None = None,
     r_match: float | None = None,
     params: ProtocolParams = DEFAULT_PARAMS,
 ) -> UpdateStatus:
@@ -199,13 +182,13 @@ def get_update_status(
     High-confidence map points (observation count at or above the in-cone
     median) that no submitted keyframe re-observed within ``r_match`` are
     stale candidates; a candidate is confirmed when at least half of its
-    ``k_nn`` nearest map points are also unobserved. The verdict is
+    ``params.k_nn`` nearest map points are also unobserved. The verdict is
     UPDATING only when enough confirmed points form a spatial cluster,
     otherwise the device is simply off the map (EXPANSION).
     """
     if not kfs:
         raise ValueError("update check needs at least one keyframe")
-    k_nn = params.k_nn if k_nn is None else k_nn
+    k_nn = params.k_nn
     if r_match is None:
         r_match = default_r_match(kfs[0].fov, params)
 

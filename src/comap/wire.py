@@ -394,9 +394,6 @@ _TYPE_OF = {
 
 
 def message_type(msg) -> int:
-    # Subclass check must run before the base OverlapQueryMsg lookup.
-    if isinstance(msg, SharedMapRequestMsg):
-        return T_SHARED_MAP_REQUEST
     return _TYPE_OF[type(msg)]
 
 

@@ -52,6 +52,11 @@ def stored_frames(gmap: GlobalMap) -> dict[int, MapFrame]:
     }
 
 
+def buffered_rows(index) -> np.ndarray:
+    """Rows a map index holds in its side buffer: those after its tree's."""
+    return np.arange(len(index._tree), len(index))
+
+
 def point_records(ids, positions, descriptors=None, observation_counts=1):
     """A wire point table; omitted fields take the documented defaults
     (zero descriptor, observation count 1)."""

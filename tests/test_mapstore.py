@@ -31,6 +31,7 @@ from comap.spatial import KdTree
 
 from conftest import (
     SIM_INTR,
+    buffered_rows,
     insert_point_cloud,
     planted_change_config,
     randomized_overlap_config,
@@ -281,7 +282,7 @@ class TestPointIndexQueries:
         insert_point_cloud(gmap, np.vstack([base, base[:40]]))
         gmap._point_index.rebuild()
         insert_point_cloud(gmap, np.vstack([base[:30], np.round(rng.uniform(-4, 4, (20, 3)))]))
-        assert len(gmap._point_index._pending_rows) == 50
+        assert len(buffered_rows(gmap._point_index)) == 50
         positions = gmap.point_positions
         centers = np.vstack([positions[::7], np.round(rng.uniform(-5, 5, (40, 3)) * 2) / 2])
         full = KdTree(positions)
@@ -338,8 +339,18 @@ class TestAudit:
     def test_detects_index_divergence(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        gmap._point_index.add(np.array([9999]), np.zeros((1, 3)))
+        gmap._point_index.add(np.zeros((1, 3)))
         assert any("point index" in v for v in audit(gmap))
+
+    def test_detects_a_moved_indexed_position(self, rng):
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
+        assert audit(gmap) == []
+        gmap._pt_pos[0] += 1.0
+        assert any("point index" in v for v in audit(gmap))
+        gmap._pt_pos[0] -= 1.0
+        gmap._fr_pose[0, 0] += 1.0
+        assert any("frame index" in v for v in audit(gmap))
 
 
 class TestSnapshot:

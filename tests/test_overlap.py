@@ -13,7 +13,7 @@ from comap.overlap import (
 )
 from comap.params import ProtocolParams
 
-from conftest import insert_point_cloud, stored_frames
+from conftest import buffered_rows, insert_point_cloud, stored_frames
 
 FOV = 1.3812336489575836
 PARAMS = ProtocolParams()
@@ -147,7 +147,7 @@ class TestAssessOverlap:
         gmap = GlobalMap(np_max=300)
         pts, _ = fill_cone_fraction(rng, Pose(0, 0, 0), FOV, 20.0, 0.4, 0.03)
         insert_point_cloud(gmap, pts, frame_pose=Pose(0, 0, 0), fov=FOV)
-        v = assess_overlap(gmap, Pose(0, 0, 0), FOV, k=321, seed=5, t_seen=0.9)
+        v = assess_overlap(gmap, Pose(0, 0, 0), FOV, k=321, seed=5)
         assert v.redundant_count + v.fresh_count == v.sample_count == 321
         assert v.overlap_degree == v.redundant_count / 321
         assert v.seen == (v.overlap_degree > 0.9)
@@ -156,7 +156,7 @@ class TestAssessOverlap:
         with pytest.raises(ValueError):
             assess_overlap(GlobalMap(), Pose(0, 0, 0), FOV, k=0, seed=1)
         with pytest.raises(ValueError):
-            assess_overlap(GlobalMap(), Pose(0, 0, 0), FOV, k=10, seed=1, t_seen=1.5)
+            ProtocolParams(t_seen=1.5)
 
 
 def unit_vectors(rng, n):
@@ -236,7 +236,7 @@ class TestMaskedClassification:
             assert np.sum((samples[b_out] - outside) ** 2) > r * r
             pending.append(place("gated", np.stack([boundary, outside])))
             pending = np.concatenate(pending)
-            assert set(pending.tolist()) <= set(gmap._point_index._pending_rows)
+            assert set(pending.tolist()) <= set(buffered_rows(gmap._point_index).tolist())
 
             verdict = assess_overlap(gmap, q, FOV, k=k, seed=seed, params=PARAMS,
                                      exclude_client=1)

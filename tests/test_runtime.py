@@ -208,8 +208,8 @@ def scratch_reply(server, msg) -> bytes:
         return encode(SharedMapResponseMsg())
     return encode(
         sharing.build_shared_map(
-            server.map, msg.pose, session.fov, session.alpha, client_id=msg.client_id,
-            keyframe_id=msg.keyframe_id, params=server.params, exclude_client=msg.client_id,
+            server.map, msg.pose, session.fov, session.alpha, params=server.params,
+            exclude_client=msg.client_id,
         ).to_response()
     )
 

@@ -36,6 +36,7 @@ from comap.wire import (
 
 from conftest import (
     SIM_INTR,
+    buffered_rows,
     canonical_curve_config,
     insert_point_cloud,
     point_records,
@@ -414,7 +415,7 @@ def full_scan_build_shared_map(gmap, q, q_fov, alpha, params=PARAMS, exclude_cli
         )
     rows = np.flatnonzero(in_cone)
     rows = rows[np.argsort(gmap.points[rows], kind="stable")]
-    return SharedMapSlice(0, 0, q, cone, records, gmap.points[rows], positions[rows],
+    return SharedMapSlice(records, gmap.points[rows], positions[rows],
                           gmap.point_observation_counts[rows])
 
 
@@ -482,7 +483,7 @@ def map_with_buffered_duplicates(rng, scene, poses):
     rows = rng.choice(len(gmap.points), 60, replace=False)
     insert_point_cloud(gmap, gmap.point_positions[rows], client_id=3,
                        frame_pose=poses[len(poses) // 2], fov=FOV, frames_of=20)
-    assert len(gmap._point_index._pending_rows) == 60
+    assert len(buffered_rows(gmap._point_index)) == 60
     return gmap
 
 
@@ -503,7 +504,7 @@ class TestQueryLocalReads:
                 insert_point_cloud(gmap, cone_boundary_points(rng, cone, 20), fov=FOV)
                 for cone in cones
             ]
-            in_buffer = set(gmap._point_index._pending_rows.tolist())
+            in_buffer = set(buffered_rows(gmap._point_index).tolist())
             assert set(gmap.rows_for_ids(np.concatenate(buffered)).tolist()) <= in_buffer
             for cone in cones:
                 want = np.flatnonzero(contains_many(cone, gmap.point_positions))
