@@ -46,6 +46,14 @@ class Pose:
         object.__setattr__(self, "pitch", _wrap_angle(self.pitch))
         object.__setattr__(self, "yaw", _wrap_angle(self.yaw))
 
+    @classmethod
+    def stored(cls, x: float, y: float, z: float, roll: float, pitch: float, yaw: float) -> "Pose":
+        """A pose from fields that a Pose already checked and wrapped (a
+        stored frame's row, say), built without checking them again."""
+        pose = object.__new__(cls)
+        pose.__dict__.update(x=x, y=y, z=z, roll=roll, pitch=pitch, yaw=yaw)
+        return pose
+
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)

@@ -22,9 +22,10 @@ demand and kept until the next insert. Nearest-neighbor lists merge the
 tree's and the buffer's by (squared distance, row).
 
 Reads are query-local: shared slices and update checks take the points of
-a cone from a radius query of the point index (``point_rows_within``) and
-their neighbors from ``nearest_point_rows``, not from a scan of every
-point. Neighbor gathering never sorts: the gated frames' runs are gathered
+a cone from the candidates of a radius query of the point index
+(``point_candidate_rows``, one query for every cone of a window) and their
+neighbors from ``nearest_point_rows``, not from a scan of every point.
+Neighbor gathering never sorts: the gated frames' runs are gathered
 by their offsets and deduplicated in a boolean mask over the point table,
 and overlap assessment queries the persistent point index once, counting
 only points whose row is set in that mask.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, optical_axis
-from .spatial import KdTree
+from .spatial import KdTree, _search_radius
 
 SNAPSHOT_MAGIC = b"MPPS"
 SNAPSHOT_VERSION = 2
@@ -151,6 +152,25 @@ class _IncrementalIndex:
             [self._tree.radius_search(center, r), len(self._tree) + np.flatnonzero(d2 <= r * r)]
         )
 
+    def candidate_rows(self, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
+        """Per center, the rows of every point within its radius and possibly
+        of some a little beyond it, in no particular order; the caller
+        decides on them.
+
+        The tree answers every center in one ball query and the buffer in
+        one distance pass, both at the padded radii.
+        """
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        radii = np.asarray(radii, dtype=np.float64)
+        idx, counts = self._tree.candidates_within(centers, radii)
+        rows = np.split(idx, np.cumsum(counts)[:-1])[: len(counts)]
+        if not len(self._pending_pos):
+            return rows
+        d2 = np.sum((self._pending_pos - centers[:, None, :]) ** 2, axis=-1)
+        near = d2 <= _search_radius(radii)[:, None] ** 2
+        n = len(self._tree)
+        return [np.concatenate([r, n + np.flatnonzero(b)]) for r, b in zip(rows, near)]
+
     def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
         """Rows of each center's k nearest points, closest first, ties by row.
 
@@ -160,13 +180,12 @@ class _IncrementalIndex:
         row order.
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        parts = [(self._tree, 0)]
-        if len(self._pending_pos):
-            if self._pending_tree is None:
-                self._pending_tree = KdTree(self._pending_pos)
-            parts.append((self._pending_tree, len(self._tree)))
+        if not len(self._pending_pos):
+            return self._tree.query_nearest(centers, k)
+        if self._pending_tree is None:
+            self._pending_tree = KdTree(self._pending_pos)
         rows, d2 = [], []
-        for tree, first_row in parts:
+        for tree, first_row in ((self._tree, 0), (self._pending_tree, len(self._tree))):
             nn = tree.query_nearest(centers, k)
             rows.append(first_row + nn)
             d2.append(np.sum((tree.points[nn] - centers[:, None, :]) ** 2, axis=-1))
@@ -298,6 +317,12 @@ class GlobalMap:
         """Ascending rows of the points within r of ``center`` (inclusive),
         from the persistent point index."""
         return self._point_index.radius_rows(center, r)
+
+    def point_candidate_rows(self, centers, radii) -> list[np.ndarray]:
+        """Per center, the rows of the points within its radius, plus perhaps
+        a few just beyond it, in no particular order, from one query of the
+        point index; the caller decides on the rows."""
+        return self._point_index.candidate_rows(centers, radii)
 
     def nearest_point_rows(self, centers, k: int) -> np.ndarray:
         """Per center, the rows of its k nearest points, closest first,

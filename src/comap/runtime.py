@@ -4,6 +4,7 @@ pipeline that drives the device protocol over a keyframe stream."""
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 import time
@@ -112,6 +113,26 @@ class RWLock:
 
 _ALIGN_MIN_PAIRS = 10
 
+# Server latencies are counted per message type in fixed log-scale buckets,
+# each 2% wide: bucket i holds [LOW * GROWTH**i, LOW * GROWTH**(i + 1)), from
+# 1 us to about 640 s; shorter and longer samples land in the end buckets.
+_LATENCY_LOW = 1e-6
+_LATENCY_GROWTH = 1.02
+_LATENCY_BUCKETS = 1024
+
+
+def _latency_bucket(seconds: float) -> int:
+    i = int(math.log(max(seconds, _LATENCY_LOW) / _LATENCY_LOW) / math.log(_LATENCY_GROWTH))
+    return min(i, _LATENCY_BUCKETS - 1)
+
+
+def _latency_quantile(counts: np.ndarray, q: float) -> float:
+    """Seconds at quantile ``q`` by nearest rank: the geometric middle of the
+    bucket holding that rank, within 1% of every sample in the bucket."""
+    rank = max(1, math.ceil(q * int(counts.sum())))
+    i = int(np.searchsorted(np.cumsum(counts), rank))
+    return _LATENCY_LOW * _LATENCY_GROWTH ** (i + 0.5)
+
 
 @dataclass
 class Session:
@@ -173,7 +194,8 @@ class MapServer:
         self.alpha_overrides: dict[int, float] = {}
         self.ingress_bytes = 0
         self.egress_bytes = 0
-        self.latencies: dict[str, list[float]] = {}
+        # Per message type: counts in _LATENCY_BUCKETS log-scale buckets.
+        self.latencies: dict[str, np.ndarray] = {}
         self._map_lock = RWLock()
         self._session_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -215,8 +237,12 @@ class MapServer:
         return out
 
     def _note_latency(self, op: str, seconds: float):
+        bucket = _latency_bucket(seconds)
         with self._stats_lock:
-            self.latencies.setdefault(op, []).append(seconds)
+            counts = self.latencies.get(op)
+            if counts is None:
+                counts = self.latencies[op] = np.zeros(_LATENCY_BUCKETS, dtype=np.int64)
+            counts[bucket] += 1
 
     def _session(self, client_id: int) -> Session:
         session = self.sessions.get(client_id)
@@ -339,15 +365,18 @@ class MapServer:
         return audit(self.map)
 
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for op, vals in self.latencies.items():
-            arr = np.asarray(vals)
-            out[op] = {
-                "p50_ms": float(np.percentile(arr, 50) * 1e3),
-                "p95_ms": float(np.percentile(arr, 95) * 1e3),
-                "count": int(len(arr)),
+        """Per message type: median and 95th-percentile latency, each within
+        1% of a handled message's, and the message count."""
+        with self._stats_lock:
+            latencies = {op: counts.copy() for op, counts in self.latencies.items()}
+        return {
+            op: {
+                "p50_ms": _latency_quantile(counts, 0.50) * 1e3,
+                "p95_ms": _latency_quantile(counts, 0.95) * 1e3,
+                "count": int(counts.sum()),
             }
-        return out
+            for op, counts in latencies.items()
+        }
 
 
 # -- transports --------------------------------------------------------------

@@ -7,8 +7,10 @@ from the map's persistent point index: every row within a padded ball about
 the apex that bounds the cone is a candidate, and ``contains_many`` decides
 on the candidates alone. Shared frames are the in-cone points' owners plus
 the gated neighbor frames whose positions one ``contains_many`` call puts in
-the cone. The update check tests re-observation only for its high-confidence
-rows and their neighbors, and takes the neighbors from the point index.
+the cone. The update check asks the index once for the candidates of every
+cone in its window, tests re-observation only for its high-confidence rows
+and their neighbors, takes the neighbors from the index's exact k nearest,
+and clusters the confirmed rows with a union-find.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .expansion import Keyframe
 from .geometry import Pose, ViewCone, cone_from_fov, cone_reach, contains_many
@@ -63,16 +63,28 @@ class SharedMapSlice:
         return SharedMapResponseMsg(frames=list(self.frames), points=points)
 
 
-def _cone_rows(map: GlobalMap, cone: ViewCone) -> np.ndarray:
-    """Ascending point-table rows of the map points inside the cone.
+def _window_rows(map: GlobalMap, cones: list[ViewCone]) -> list[np.ndarray]:
+    """Per cone, the point-table rows of the map points inside it, in no
+    particular order.
 
-    An in-cone point lies within h / cos(fov/2) of the apex; the index is
-    asked for the rows within that reach, padded like every index query,
-    and ``contains_many`` decides on those rows alone.
+    An in-cone point lies within h / cos(fov/2) of the apex. The point
+    index is asked once for every cone's candidates within that reach,
+    padded like every index query (and padded again by the index), and
+    ``contains_many`` decides on each cone's candidates alone, so no
+    exact-distance filter is needed.
     """
-    reach = _search_radius(cone_reach(cone))
-    rows = map.point_rows_within(cone.apex_pose.position, reach)
-    return rows[contains_many(cone, map.point_positions[rows])]
+    apexes = [cone.apex_pose.position for cone in cones]
+    reach = [_search_radius(cone_reach(cone)) for cone in cones]
+    positions = map.point_positions
+    return [
+        rows[contains_many(cone, positions[rows])]
+        for cone, rows in zip(cones, map.point_candidate_rows(apexes, reach))
+    ]
+
+
+def _cone_rows(map: GlobalMap, cone: ViewCone) -> np.ndarray:
+    """Ascending point-table rows of the map points inside the cone."""
+    return np.sort(_window_rows(map, [cone])[0])
 
 
 def build_shared_map(
@@ -109,7 +121,7 @@ def build_shared_map(
     # ascend by frame row; a gated frame listing none has an empty run.
     frame_ids = np.split(map.points[listed_rows], np.searchsorted(owner_rows, frame_rows[1:]))
     records = [
-        FrameRecord(fid, client, keyframe, Pose(*pose), fov, ids)
+        FrameRecord(fid, client, keyframe, Pose.stored(*pose), fov, ids)
         for fid, client, keyframe, pose, fov, ids in zip(
             map._fr_ids[frame_rows].tolist(), map._fr_client[frame_rows].tolist(),
             map._fr_keyframe[frame_rows].tolist(), map._fr_pose[frame_rows].tolist(),
@@ -161,14 +173,31 @@ class UpdateStatus:
 
 
 def _cluster_sizes(positions: np.ndarray, radius: float) -> list[int]:
-    """Single-linkage component sizes with the given linking radius."""
-    n = len(positions)
-    if n == 0:
-        return []
-    pairs = KdTree(positions).pairs_within(radius)
-    links = coo_matrix((np.ones(len(pairs), dtype=bool), pairs.T), shape=(n, n))
-    _, labels = connected_components(links, directed=False)
-    return np.bincount(labels).tolist()
+    """Single-linkage component sizes with the given linking radius, ordered
+    by each component's lowest member.
+
+    A union-find with path halving (Tarjan, JACM 22(2), 1975) over the
+    linked pairs. A union hangs the higher root under the lower one, so
+    every parent is at or below its child and each root is its
+    component's lowest member.
+    """
+    parent = list(range(len(positions)))
+    for i, j in KdTree(positions).pairs_within(radius).tolist():
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    # Ascending, each parent is already a root when its child is reached.
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    sizes = np.bincount(np.array(parent, dtype=np.int64))
+    return sizes[sizes > 0].tolist()
 
 
 def get_update_status(
@@ -185,6 +214,12 @@ def get_update_status(
     ``params.k_nn`` nearest map points are also unobserved. The verdict is
     UPDATING only when enough confirmed points form a spatial cluster,
     otherwise the device is simply off the map (EXPANSION).
+
+    The cost follows the window, not the map: one query of the point index
+    gives every cone's candidate rows, which ``contains_many`` decides on;
+    the k nearest neighbours come from the index's k + 1 nearest, with a
+    ball query only where the k-th and (k+1)-th are within rounding of a
+    tie; and a union-find over the linked pairs sizes the clusters.
     """
     if not kfs:
         raise ValueError("update check needs at least one keyframe")
@@ -195,11 +230,13 @@ def get_update_status(
     positions = map.point_positions
     counts = map.point_observation_counts
     high = [np.empty(0, dtype=np.int64)]
-    for kf in kfs:
-        rows = _cone_rows(map, cone_from_fov(kf.pose, kf.fov, params.h))
+    for rows in _window_rows(map, [cone_from_fov(kf.pose, kf.fov, params.h) for kf in kfs]):
         if len(rows):
+            # At or above the median: twice the count reaches the sum of
+            # the middle two (the middle one twice for an odd count).
             c = counts[rows]
-            high.append(rows[c >= float(np.median(c))])
+            s = np.sort(c)
+            high.append(rows[2 * c >= s[(len(s) - 1) // 2] + s[len(s) // 2]])
     high_rows = np.unique(np.concatenate(high))
 
     examined = len(high_rows)

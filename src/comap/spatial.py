@@ -5,7 +5,9 @@ Every query keeps the linear oracle's arithmetic. The tree only proposes
 candidates at a slightly padded radius; the verdict is
 ``sum((p - c)**2) <= r*r``, so a point at exactly ``r`` counts the same as in
 ``linear_radius_search``. Nearest-neighbour lists order by that squared
-distance and then by index, exactly as a stable argsort does.
+distance and then by index, exactly as a stable argsort does. Only
+``candidates_within`` returns the padded candidates unfiltered, for callers
+that decide on them with a test of their own.
 """
 
 from __future__ import annotations
@@ -102,20 +104,46 @@ class KdTree:
             raise ValueError(f"k must be >= 1, got {k}")
         centers = np.asarray(centers, dtype=np.float64)
         batch = centers.reshape(-1, 3)
-        k = min(k, self._tree.n)
+        n = self._tree.n
+        k = min(k, n)
         if not k or not len(batch):
             out = np.empty((len(batch), k), dtype=np.int64)
             return out if centers.ndim > 1 else out.reshape(-1)
-        # The tree's k nearest fix each center's k-th distance; a ball query
-        # at that distance then also finds every point tied with it.
-        _, knn = self._tree.query(batch, k=k)
-        kth = np.sqrt(self._d2(knn.reshape(len(batch), k), batch[:, None, :]).max(axis=1))
-        idx, counts = _flatten(self._tree.query_ball_point(batch, _search_radius(kth)))
-        owner = np.repeat(np.arange(len(batch)), counts)
-        order = np.lexsort((idx, self._d2(idx, batch[owner]), owner))
-        rank = np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-        out = idx[order][rank < k].reshape(len(batch), k)
+        # The tree's k + 1 nearest, ordered by exact squared distance and
+        # then index. A center is settled when its (k+1)-th lies beyond the
+        # padded ball about its k-th distance: every point the tree did not
+        # return is at least that far, so none ties with or beats the k-th.
+        m = min(k + 1, n)
+        nn = self._tree.query(batch, k=m)[1].reshape(len(batch), m)
+        d2 = self._d2(nn, batch[:, None, :])
+        order = np.lexsort((nn, d2))
+        nn, d2 = np.take_along_axis(nn, order, axis=1), np.take_along_axis(d2, order, axis=1)
+        out = nn[:, :k]
+        kth = np.sqrt(d2[:, k - 1])
+        tied = np.flatnonzero(d2[:, k] <= _search_radius(kth) ** 2) if m > k else []
+        if len(tied):
+            # A ball query at the k-th distance finds every point tied with it.
+            balls = self._tree.query_ball_point(batch[tied], _search_radius(kth[tied]))
+            idx, counts = _flatten(balls)
+            owner = np.repeat(tied, counts)
+            order = np.lexsort((idx, self._d2(idx, batch[owner]), owner))
+            rank = np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+            out[tied] = idx[order][rank < k].reshape(len(tied), k)
         return out if centers.ndim > 1 else out[0]
+
+    def candidates_within(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Unfiltered radius-query candidates of each center, from one ball
+        query: (indices, counts), where the i-th run of ``counts[i]``
+        indices, in no particular order, holds every point within
+        ``radii[i]`` of center i and possibly points a little beyond it.
+        The caller decides on them.
+        """
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        if not self._tree.n or not len(centers):
+            return np.empty(0, dtype=np.int64), np.zeros(len(centers), dtype=np.int64)
+        return _flatten(
+            self._tree.query_ball_point(centers, _search_radius(radii), return_sorted=False)
+        )
 
     def pairs_within(self, r: float) -> np.ndarray:
         """Lexicographically sorted (P, 2) index pairs i < j within r."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestPoseInvariants:
         assert -math.pi < p.roll <= math.pi
         assert -math.pi < p.pitch <= math.pi
         assert p.yaw == pytest.approx(0.0)
+
+    def test_stored_fields_rebuild_an_equal_pose(self, rng):
+        # Angles around the wrap points, where re-wrapping would show.
+        edges = [math.pi, -math.pi + 1e-15, np.nextafter(math.pi, 0.0), 0.0]
+        for _ in range(50):
+            angles = rng.choice(edges + rng.uniform(-7, 7, 3).tolist(), 3)
+            pose = Pose(*rng.uniform(-1e4, 1e4, 3), *angles)
+            stored = Pose.stored(*pose.as_array().tolist())
+            assert stored == pose and hash(stored) == hash(pose)
+        with pytest.raises(FrozenInstanceError):
+            stored.x = 0.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

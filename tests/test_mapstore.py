@@ -296,6 +296,35 @@ class TestPointIndexQueries:
         )
         assert GlobalMap().nearest_point_rows(np.zeros((2, 3)), 3).shape == (2, 0)
 
+    def test_nearest_rows_at_a_kth_tie_or_one_ulp_apart(self, rng):
+        # Around each center: three points at 0.5, a shell of six exactly at
+        # 1, one more one ulp beyond 1 (and one alone at 3, one ulp short of
+        # another), so as k grows the k-th and (k+1)-th neighbours are
+        # exactly tied or one ulp apart. Rows are shuffled, and half of
+        # them wait in the side buffer of a tree that far points fill.
+        ulp_past = np.nextafter(1.0, 2.0)
+        offsets = np.array(
+            [[0.5, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]
+            + [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+            + [[0, 0, -ulp_past], [3, 0, 0], [0, 0, np.nextafter(3.0, 4.0)]]
+        )
+        centers = np.array([[0.0, 20.0 * j, 0.0] for j in range(8)])
+        positions = (centers[:, None, :] + offsets).reshape(-1, 3)
+        positions = positions[rng.permutation(len(positions))]
+        half = len(positions) // 2
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, np.vstack([rng.uniform(500, 600, (600, 3)), positions[:half]]))
+        gmap._point_index.rebuild()
+        insert_point_cloud(gmap, positions[half:])
+        assert len(buffered_rows(gmap._point_index)) == len(positions) - half
+        positions = gmap.point_positions
+        full = KdTree(positions)
+        d2 = np.sum((positions - centers[:, None, :]) ** 2, axis=-1)
+        for k in range(1, len(offsets) + 2):
+            want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(full.query_nearest(centers, k), want)
+            np.testing.assert_array_equal(gmap.nearest_point_rows(centers, k), want)
+
     def test_neighbor_rows_gather_each_frames_memberships(self, rng):
         gmap = GlobalMap()
         ids = np.arange(1, 501)

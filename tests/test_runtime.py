@@ -191,6 +191,21 @@ class TestServerDispatch:
         assert stats["OverlapQueryMsg"]["count"] == 5
         assert stats["OverlapQueryMsg"]["p50_ms"] >= 0.0
 
+    def test_latency_percentiles_within_one_percent(self, rng):
+        server = fresh_server()
+        samples = np.exp(rng.uniform(math.log(2e-5), math.log(2.0), 501))
+        for seconds in samples:
+            server._note_latency("OverlapQueryMsg", float(seconds))
+        stats = server.latency_percentiles()["OverlapQueryMsg"]
+        assert stats["count"] == 501
+        for key, q in (("p50_ms", 50), ("p95_ms", 95)):
+            nearest_rank = np.percentile(samples, q, method="inverted_cdf") * 1e3
+            assert stats[key] == pytest.approx(nearest_rank, rel=0.0101)
+        # Samples outside the bucket range are counted in the end buckets.
+        server._note_latency("SessionEndMsg", 0.0)
+        server._note_latency("SessionEndMsg", 1e6)
+        assert server.latencies["SessionEndMsg"][[0, -1]].tolist() == [1, 1]
+
 
 def scratch_reply(server, msg) -> bytes:
     """The encoded reply to an overlap query or shared-map request, computed
@@ -554,6 +569,10 @@ class TestTcpTransport:
 
     def test_finished_connection_threads_are_dropped(self):
         front = serve(GlobalMap(np_max=PARAMS.np_max), params=PARAMS)
+
+        def stored_latency_values():
+            return sum(np.asarray(v).size for v in front.server.latencies.values())
+
         try:
             for client_id in range(1, 65):
                 t = TcpTransport(front.addr)
@@ -561,9 +580,15 @@ class TestTcpTransport:
                 assert isinstance(reply, RegisterAckMsg)
                 assert isinstance(decode(t.request(encode(SessionEndMsg(client_id)))), wire.EndAckMsg)
                 t.close()
+                if client_id == 8:
+                    early = stored_latency_values()
             # One connection at a time: at most the last few threads remain.
             assert len(front._threads) <= 8
             assert front.server.sessions == {} and front.server.ended_sessions == 64
+            # Latencies are kept per message type, not per message.
+            assert stored_latency_values() == early
+            stats = front.server.latency_percentiles()
+            assert stats["SessionRegisterMsg"]["count"] == stats["SessionEndMsg"]["count"] == 64
         finally:
             front.stop()
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from comap.sharing import (
     UpdateVerdict,
     _cluster_sizes,
     _cone_rows,
+    _window_rows,
     build_shared_map,
     default_r_match,
     get_update_status,
@@ -358,6 +360,21 @@ class TestUpdateCheckOracle:
         # A link at exactly the radius joins.
         assert _cluster_sizes(np.array([[0.0, 0, 0], [3, 4, 0], [9, 0, 0]]), 5.0) == [2, 1]
 
+    def test_cluster_sizes_on_long_chains_match_bfs(self, rng):
+        # Chains of steps (3, 4, 0), exactly the radius 5, broken now and then
+        # by a step (3, 4, 1) just over it, each chain on its own level;
+        # the points are shuffled so unions meet in any order.
+        for _ in range(8):
+            chains = []
+            for level in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(1, 400))
+                steps = np.where(rng.uniform(size=(n, 1)) < 0.02, [3, 4, 1], [3, 4, 0])
+                chains.append(np.cumsum(steps, axis=0) + [0, 0, 100 * level])
+            pts = np.vstack(chains).astype(np.float64)
+            pts = pts[rng.permutation(len(pts))]
+            assert _cluster_sizes(pts, 5.0) == bfs_cluster_sizes(pts, 5.0)
+        assert _cluster_sizes(np.empty((0, 3)), 5.0) == []
+
     def test_confirmation_matches_per_row_loop_with_duplicates(self, rng):
         # Snapped points, a dozen of them stored ten times over: the later
         # copies of a point do not find themselves among their k_nn + 1
@@ -510,6 +527,33 @@ class TestQueryLocalReads:
                 want = np.flatnonzero(contains_many(cone, gmap.point_positions))
                 np.testing.assert_array_equal(_cone_rows(gmap, cone), want)
 
+    def test_window_rows_match_one_cone_at_a_time(self, rng):
+        # Five cones of different widths around nearby poses, with rim,
+        # apex and bounding-ball points of each in the tree and in the side
+        # buffer: the one batched query must give each cone what a query
+        # of its own gives, which is what a full scan gives.
+        for _ in range(6):
+            origin = rng.uniform(-20, 20, 3)
+            cones = [
+                cone_from_fov(
+                    Pose(*(origin + rng.uniform(-4, 4, 3)), *rng.uniform(-math.pi, math.pi, 3)),
+                    FOV, PARAMS.h, alpha,
+                )
+                for alpha in rng.uniform(1.0, 2.5, 5)
+            ]
+            gmap = GlobalMap(np_max=400)
+            insert_point_cloud(gmap, origin + rng.uniform(-30, 30, (3000, 3)), fov=FOV)
+            for cone in cones:
+                insert_point_cloud(gmap, cone_boundary_points(rng, cone, 20), fov=FOV)
+            gmap._point_index.rebuild()
+            for cone in cones:
+                insert_point_cloud(gmap, cone_boundary_points(rng, cone, 6), fov=FOV)
+            assert len(buffered_rows(gmap._point_index)) == 5 * (6 + 1 + 3 * 6)
+            for cone, rows in zip(cones, _window_rows(gmap, cones)):
+                want = np.flatnonzero(contains_many(cone, gmap.point_positions))
+                np.testing.assert_array_equal(np.sort(rows), _cone_rows(gmap, cone))
+                np.testing.assert_array_equal(np.sort(rows), want)
+
     def test_build_shared_map_matches_full_scan(self, rng):
         scene = corridor_scene()
         poses = path_poses()
@@ -542,6 +586,54 @@ class TestQueryLocalReads:
                     assert got == want
                     verdicts.add(got.verdict)
         assert verdicts == {UpdateVerdict.EXPANSION, UpdateVerdict.UPDATING}
+
+
+def corridor_map(positions):
+    """A map of uniform corridor points, x-sorted into frames of 300 that
+    each also list 100 of the previous frame's points (observed twice)."""
+    rng = np.random.default_rng(8)
+    chunks = np.array_split(np.arange(len(positions)), len(positions) // 300)
+    frames, rows = [], []
+    for j, chunk in enumerate(chunks):
+        again = rng.choice(chunks[j - 1], 100, replace=False) if j else chunk[:0]
+        listed = np.concatenate([chunk, again])
+        pose = Pose(float(positions[chunk, 0].min()), 0.0, 1.5, 0.0, math.pi / 2, 0.0)
+        frames.append(MapFrame(j + 1, 1, j, pose, FOV, listed + 1))
+        rows.append(listed)
+    gmap = GlobalMap(np_max=500)
+    gmap._append_frames(frames, positions[np.concatenate(rows)], None)
+    return gmap
+
+
+class TestUpdateCheckScaling:
+    def test_update_check_time_does_not_follow_map_size(self, rng):
+        """One update check on a 200k-point corridor takes at most twice as
+        long as the same check on its first 20k points (a scan of every
+        point would take about ten times as long)."""
+        extent = np.array([[0.0, -15.0, -5.0], [200.0, 15.0, 10.0]])
+        near = rng.uniform(*extent, (20_000, 3))
+        far = rng.uniform(*(extent + [[200.0, 0, 0], [1800.0, 0, 0]]), (180_000, 3))
+        near, far = near[np.argsort(near[:, 0])], far[np.argsort(far[:, 0])]
+        maps = [corridor_map(near), corridor_map(np.vstack([near, far]))]
+        # A window of five keyframes that re-observe every point in view
+        # but those of a removed ball.
+        kfs = []
+        for i, x in enumerate(range(60, 70, 2)):
+            pose = Pose(float(x), 0.0, 1.5, 0.0, math.pi / 2, 0.0)
+            seen = near[contains_many(cone_from_fov(pose, FOV, PARAMS.h), near)]
+            seen = seen[np.linalg.norm(seen - [75.0, 0.0, 1.5], axis=1) > 5.0]
+            points = point_records(np.arange(len(seen)), seen)
+            kfs.append(KeyframeUploadMsg(9, i, pose, FOV, points))
+        statuses = [get_update_status(m, kfs, params=PARAMS) for m in maps]
+        assert statuses[0] == statuses[1]
+        assert statuses[0].verdict is UpdateVerdict.UPDATING
+        best = [math.inf, math.inf]
+        for _ in range(5):
+            for i, m in enumerate(maps):
+                t0 = time.perf_counter()
+                get_update_status(m, kfs, params=PARAMS)
+                best[i] = min(best[i], time.perf_counter() - t0)
+        assert best[1] <= 2.0 * best[0], f"20k, 200k: {best[0] * 1e3:.2f}, {best[1] * 1e3:.2f} ms"
 
 
 class TestRequestCounts:
