@@ -313,11 +313,6 @@ class GlobalMap:
         allowed[rows] = True
         return self._point_index.any_within(centers, r, allowed)
 
-    def point_rows_within(self, center, r: float) -> np.ndarray:
-        """Ascending rows of the points within r of ``center`` (inclusive),
-        from the persistent point index."""
-        return self._point_index.radius_rows(center, r)
-
     def point_candidate_rows(self, centers, radii) -> list[np.ndarray]:
         """Per center, the rows of the points within its radius, plus perhaps
         a few just beyond it, in no particular order, from one query of the

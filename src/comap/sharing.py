@@ -82,11 +82,6 @@ def _window_rows(map: GlobalMap, cones: list[ViewCone]) -> list[np.ndarray]:
     ]
 
 
-def _cone_rows(map: GlobalMap, cone: ViewCone) -> np.ndarray:
-    """Ascending point-table rows of the map points inside the cone."""
-    return np.sort(_window_rows(map, [cone])[0])
-
-
 def build_shared_map(
     map: GlobalMap,
     q: Pose,
@@ -105,7 +100,7 @@ def build_shared_map(
     """
     cone = cone_from_fov(q, q_fov, params.h, alpha)
     in_cone = np.zeros(len(map.points), dtype=bool)
-    in_cone[_cone_rows(map, cone)] = True
+    in_cone[_window_rows(map, [cone])[0]] = True
     owner_rows, listed_rows = map.listings(in_cone)
     if exclude_client is not None:
         # A point is shared only when another client's frame lists it, and
@@ -176,27 +171,28 @@ def _cluster_sizes(positions: np.ndarray, radius: float) -> list[int]:
     """Single-linkage component sizes with the given linking radius, ordered
     by each component's lowest member.
 
-    A union-find with path halving (Tarjan, JACM 22(2), 1975) over the
-    linked pairs. A union hangs the higher root under the lower one, so
-    every parent is at or below its child and each root is its
-    component's lowest member.
+    A union-find over the linked pairs, run on whole arrays: each round
+    hangs the higher root of every pair whose roots differ under the lowest
+    root it is linked to, then jumps pointers until every node points at
+    its root (hook and jump, as in Shiloach and Vishkin, J. Algorithms
+    3(1), 1982). Every parent is at or below its child, so each root is
+    its component's lowest member.
     """
-    parent = list(range(len(positions)))
-    for i, j in KdTree(positions).pairs_within(radius).tolist():
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        if i < j:
-            parent[j] = i
-        elif j < i:
-            parent[i] = j
-    # Ascending, each parent is already a root when its child is reached.
-    for i, p in enumerate(parent):
-        parent[i] = parent[p]
-    sizes = np.bincount(np.array(parent, dtype=np.int64))
+    parent = np.arange(len(positions))
+    i, j = KdTree(positions).pairs_within(radius).T
+    while True:
+        pi, pj = parent[i], parent[j]
+        split = pi != pj
+        if not split.any():
+            break
+        pi, pj = pi[split], pj[split]
+        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    sizes = np.bincount(parent)
     return sizes[sizes > 0].tolist()
 
 

@@ -16,7 +16,6 @@ from comap.sharing import (
     UpdateStatus,
     UpdateVerdict,
     _cluster_sizes,
-    _cone_rows,
     _window_rows,
     build_shared_map,
     default_r_match,
@@ -525,7 +524,7 @@ class TestQueryLocalReads:
             assert set(gmap.rows_for_ids(np.concatenate(buffered)).tolist()) <= in_buffer
             for cone in cones:
                 want = np.flatnonzero(contains_many(cone, gmap.point_positions))
-                np.testing.assert_array_equal(_cone_rows(gmap, cone), want)
+                np.testing.assert_array_equal(np.sort(_window_rows(gmap, [cone])[0]), want)
 
     def test_window_rows_match_one_cone_at_a_time(self, rng):
         # Five cones of different widths around nearby poses, with rim,
@@ -551,7 +550,8 @@ class TestQueryLocalReads:
             assert len(buffered_rows(gmap._point_index)) == 5 * (6 + 1 + 3 * 6)
             for cone, rows in zip(cones, _window_rows(gmap, cones)):
                 want = np.flatnonzero(contains_many(cone, gmap.point_positions))
-                np.testing.assert_array_equal(np.sort(rows), _cone_rows(gmap, cone))
+                alone = _window_rows(gmap, [cone])[0]
+                np.testing.assert_array_equal(np.sort(rows), np.sort(alone))
                 np.testing.assert_array_equal(np.sort(rows), want)
 
     def test_build_shared_map_matches_full_scan(self, rng):
