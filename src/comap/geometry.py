@@ -6,6 +6,7 @@ numpy arrays of shape (3,) or (N, 3) in the global metric frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,8 +49,9 @@ class Pose:
 
     @classmethod
     def stored(cls, x: float, y: float, z: float, roll: float, pitch: float, yaw: float) -> "Pose":
-        """A pose from fields that a Pose already checked and wrapped (a
-        stored frame's row, say), built without checking them again."""
+        """A pose from fields already checked and wrapped (a stored frame's
+        row, or a pose the wire decoder checked), built without checking
+        them again."""
         pose = object.__new__(cls)
         pose.__dict__.update(x=x, y=y, z=z, roll=roll, pitch=pitch, yaw=yaw)
         return pose
@@ -129,9 +131,12 @@ class ViewCone:
         if not (0.0 < self.fov < math.pi):
             raise ValueError(f"cone fov must be in (0, pi), got {self.fov}")
 
-    @property
+    @functools.cached_property
     def axis(self) -> np.ndarray:
-        return optical_axis(self.apex_pose)
+        """The optical axis, computed once per cone and shared, so read-only."""
+        axis = optical_axis(self.apex_pose)
+        axis.flags.writeable = False
+        return axis
 
     def volume(self) -> float:
         return (math.pi / 3.0) * self.h**3 * math.tan(self.fov / 2.0) ** 2

@@ -4,13 +4,18 @@ Frames are little-endian: magic 0x4D51 (u16), version (u8), type (u8), then
 either a fixed-size body (overlap query and shared-map request, whose whole
 frame is exactly 64 bytes) or a payload length (u32) followed by the payload.
 Byte-level layouts are documented in docs/formats.md.
+
+``CODECS`` declares each message type once; every payload is read through
+one ``_Payload`` cursor, which refuses a payload it does not consume exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +42,6 @@ T_ERROR = 13
 # magic+version+type (4) + client u32 + keyframe u32 + np u16 + pose 6*f64 + pad 2.
 FIXED_TYPES = {T_OVERLAP_QUERY, T_SHARED_MAP_REQUEST}
 QUERY_FRAME_SIZE = 64
-_FIXED_BODY = struct.Struct("<IIH6d")
 _VAR_HEADER = struct.Struct("<HBBI")
 _FIXED_PREFIX = struct.Struct("<HBB")
 
@@ -58,15 +62,6 @@ class DecodeError(ValueError):
         self.code = code
 
 
-def _f32(x: float) -> float:
-    return float(np.float32(x))
-
-
-def _f32_points(pts) -> np.ndarray:
-    a = np.asarray(pts, dtype=np.float32)
-    return a.reshape(0, 3) if a.size == 0 else a.reshape(-1, 3)
-
-
 # The 54-byte point record of docs/formats.md, as one packed table row.
 POINT_DTYPE = np.dtype(
     [
@@ -84,7 +79,18 @@ def point_table(n: int = 0) -> np.ndarray:
     return np.zeros(n, dtype=POINT_DTYPE)
 
 
-@dataclass(eq=False)
+class _ArrayFields:
+    """Field-wise equality for messages that carry numpy arrays: an array
+    field compares by shape and values, every other field with ``==``."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
+
+
+@dataclass
 class OverlapQueryMsg:
     """64-byte overlap query: ids, a sample-count hint, and the query pose."""
 
@@ -93,22 +99,14 @@ class OverlapQueryMsg:
     np_hint: int
     pose: Pose
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and (self.client_id, self.keyframe_id, self.np_hint)
-            == (other.client_id, other.keyframe_id, other.np_hint)
-            and self.pose == other.pose
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class SharedMapRequestMsg(OverlapQueryMsg):
     """Same body as the overlap query under a distinct type tag."""
 
 
 @dataclass(eq=False)
-class OverlapResponseMsg:
+class OverlapResponseMsg(_ArrayFields):
     """Status bit (0: samples are REDUNDANT, 1: FRESH), spacing r, sample list."""
 
     status: int
@@ -116,38 +114,21 @@ class OverlapResponseMsg:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.r = _f32(self.r)
-        self.samples = _f32_points(self.samples)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OverlapResponseMsg)
-            and self.status == other.status
-            and self.r == other.r
-            and np.array_equal(self.samples, other.samples)
-        )
+        self.r = float(np.float32(self.r))
+        self.samples = np.asarray(self.samples, dtype=np.float32).reshape(-1, 3)
 
 
 @dataclass(eq=False)
-class KeyframeUploadMsg:
+class KeyframeUploadMsg(_ArrayFields):
     client_id: int
     keyframe_id: int
     pose: Pose
     fov: float
     points: np.ndarray = field(default_factory=point_table)  # POINT_DTYPE rows
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KeyframeUploadMsg)
-            and (self.client_id, self.keyframe_id, self.fov)
-            == (other.client_id, other.keyframe_id, other.fov)
-            and self.pose == other.pose
-            and self.points.tobytes() == other.points.tobytes()
-        )
-
 
 @dataclass(eq=False)
-class FrameRecord:
+class FrameRecord(_ArrayFields):
     frame_id: int
     client_id: int
     keyframe_id: int
@@ -158,29 +139,13 @@ class FrameRecord:
     def __post_init__(self):
         self.point_ids = np.asarray(self.point_ids, dtype=np.int64).reshape(-1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FrameRecord)
-            and (self.frame_id, self.client_id, self.keyframe_id, self.fov)
-            == (other.frame_id, other.client_id, other.keyframe_id, other.fov)
-            and self.pose == other.pose
-            and np.array_equal(self.point_ids, other.point_ids)
-        )
-
 
 @dataclass(eq=False)
-class SharedMapResponseMsg:
+class SharedMapResponseMsg(_ArrayFields):
     """Frames intersecting the shared cone plus a deduplicated point table."""
 
     frames: list[FrameRecord] = field(default_factory=list)
     points: np.ndarray = field(default_factory=point_table)  # POINT_DTYPE rows
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SharedMapResponseMsg)
-            and self.frames == other.frames
-            and self.points.tobytes() == other.points.tobytes()
-        )
 
     @property
     def empty(self) -> bool:
@@ -198,19 +163,12 @@ class SessionEndMsg:
     client_id: int
 
 
-@dataclass(eq=False)
+@dataclass
 class UpdateCheckMsg:
     """The device's recent keyframes, sent after repeated localization failures."""
 
     client_id: int
     keyframes: list[KeyframeUploadMsg] = field(default_factory=list)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UpdateCheckMsg)
-            and self.client_id == other.client_id
-            and self.keyframes == other.keyframes
-        )
 
 
 VERDICT_EXPANSION = 0
@@ -218,7 +176,7 @@ VERDICT_UPDATING = 1
 
 
 @dataclass(eq=False)
-class UpdateStatusMsg:
+class UpdateStatusMsg(_ArrayFields):
     verdict: int
     stale_ids: np.ndarray
     examined: int = 0
@@ -228,16 +186,6 @@ class UpdateStatusMsg:
 
     def __post_init__(self):
         self.stale_ids = np.asarray(self.stale_ids, dtype=np.int64).reshape(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UpdateStatusMsg)
-            and (self.verdict, self.examined, self.high_confidence,
-                 self.stale_candidates, self.cluster_count)
-            == (other.verdict, other.examined, other.high_confidence,
-                other.stale_candidates, other.cluster_count)
-            and np.array_equal(self.stale_ids, other.stale_ids)
-        )
 
 
 @dataclass(frozen=True)
@@ -264,164 +212,299 @@ class ErrorMsg:
     message: str
 
 
-# -- payload codecs --------------------------------------------------------
+# -- payload reader ----------------------------------------------------------
 
 
-def _pack_pose(p: Pose) -> bytes:
-    return struct.pack("<6d", p.x, p.y, p.z, p.roll, p.pitch, p.yaw)
+class _Payload:
+    """A cursor over the payload ``data[pos:end]`` of one frame. ``pos`` is
+    the frame offset of the next unread byte, so every DecodeError raised
+    while reading reports a frame offset."""
+
+    __slots__ = ("data", "pos", "end")
+
+    def __init__(self, data: bytes, pos: int, end: int):
+        self.data, self.pos, self.end = data, pos, end
+
+    def take(self, n: int) -> int:
+        """Consume ``n`` bytes and return the frame offset of the first."""
+        start = self.pos
+        if n > self.end - start:
+            raise DecodeError(f"need {n} bytes, {self.end - start} remain", start)
+        self.pos = start + n
+        return start
+
+    def read(self, s: struct.Struct) -> tuple:
+        return s.unpack_from(self.data, self.take(s.size))
+
+    def array(self, dtype, n: int) -> np.ndarray:
+        """The next ``n`` records of ``dtype``."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.data, dtype, n, self.take(n * dtype.itemsize)).copy()
+
+    def rest(self, dtype, n: int) -> np.ndarray:
+        """The ``n`` records of ``dtype`` that must end the payload."""
+        size = n * np.dtype(dtype).itemsize
+        if size != self.end - self.pos:
+            raise DecodeError(
+                f"{n} records need {size} bytes, {self.end - self.pos} remain", self.pos
+            )
+        return self.array(dtype, n)
+
+    def sub(self, n: int) -> "_Payload":
+        """The next ``n`` bytes as a payload of their own."""
+        start = self.take(n)
+        return _Payload(self.data, start, start + n)
+
+    def done(self):
+        if self.pos != self.end:
+            raise DecodeError("trailing bytes after the payload", self.pos)
 
 
 def _canonical_pose(vals, off: int) -> Pose:
-    """The pose of six decoded fields starting at ``off``. ``Pose`` wraps
-    angles to (-pi, pi]; an angle outside that range would not re-encode to
-    the bytes it came from, so it is refused."""
+    """The pose of six decoded fields at frame offset ``off``. ``Pose``
+    wraps angles to (-pi, pi]; an angle outside that range would not
+    re-encode to the bytes it came from, so it is refused. Wrapping leaves
+    the angles that pass unchanged, so the checked fields are stored as
+    they are."""
+    for i, v in enumerate(vals[:3]):
+        if not math.isfinite(v):
+            raise DecodeError(f"pose field {v!r} is not finite", off + 8 * i)
     for i, angle in enumerate(vals[3:]):
         if not -math.pi < angle <= math.pi:
             raise DecodeError(f"pose angle {angle!r} outside (-pi, pi]", off + 24 + 8 * i)
-    return Pose(*vals)
+    return Pose.stored(*vals)
 
 
-# Each reader below takes ``base``, the frame offset of ``data``'s first
-# byte, so that every DecodeError it raises reports a frame offset.
+def _bit(value: int, off: int, name: str) -> int:
+    if value > 1:
+        raise DecodeError(f"{name} byte {value} is neither 0 nor 1", off)
+    return value
 
 
-def _unpack_pose(data: bytes, off: int, base: int) -> tuple[Pose, int]:
-    return _canonical_pose(struct.unpack_from("<6d", data, off), base + off), off + 48
+def _pose_fields(p: Pose) -> tuple:
+    return p.x, p.y, p.z, p.roll, p.pitch, p.yaw
 
 
-def _decode_points(data: bytes, off: int, n: int, base: int) -> np.ndarray:
-    """The ``n``-row point table at ``off``, which must end ``data``."""
-    if len(data) - off != n * POINT_DTYPE.itemsize:
-        raise DecodeError(
-            f"{n} point records need {n * POINT_DTYPE.itemsize} bytes, "
-            f"{len(data) - off} remain", base + off
-        )
-    return np.frombuffer(data, dtype=POINT_DTYPE, count=n, offset=off).copy()
+# -- payload codecs ------------------------------------------------------------
+
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+# client, keyframe, np hint, pose, zero padding: the 60-byte fixed body.
+_QUERY_BODY = struct.Struct("<IIH6dH")
+assert 4 + _QUERY_BODY.size == QUERY_FRAME_SIZE
+_RESPONSE_HEAD = struct.Struct("<BfI")
+# client, keyframe, pose, fov, point count.
+_KEYFRAME_HEAD = struct.Struct("<II6ddI")
+_COUNTS = struct.Struct("<II")
+# frame id, client, keyframe, pose, fov, id count.
+_FRAME_HEAD = struct.Struct("<qII6ddI")
+_REGISTER = struct.Struct("<I4d")
+_CHECK_HEAD = struct.Struct("<IH")
+_STATUS_HEAD = struct.Struct("<BIIIII")
+_END_ACK = struct.Struct("<IIdB")
+_ERROR_HEAD = struct.Struct("<HH")
 
 
-def _pack_keyframe_payload(m: KeyframeUploadMsg) -> bytes:
-    out = struct.pack("<II", m.client_id, m.keyframe_id)
-    out += _pack_pose(m.pose)
-    out += struct.pack("<dI", m.fov, len(m.points))
-    return out + m.points.tobytes()
+def _write_query(m: OverlapQueryMsg) -> bytes:
+    return _QUERY_BODY.pack(m.client_id, m.keyframe_id, m.np_hint, *_pose_fields(m.pose), 0)
 
 
-def _unpack_keyframe_payload(data: bytes, base: int) -> KeyframeUploadMsg:
+def _read_query(cls, r: _Payload) -> OverlapQueryMsg:
+    at = r.pos
+    client_id, keyframe_id, np_hint, *pose, pad = r.read(_QUERY_BODY)
+    pose = _canonical_pose(pose, at + 10)
+    if pad:
+        raise DecodeError("nonzero padding", at + 58)
+    return cls(client_id, keyframe_id, np_hint, pose)
+
+
+def _write_response(m: OverlapResponseMsg) -> bytes:
+    head = _RESPONSE_HEAD.pack(m.status, m.r, len(m.samples))
+    return head + m.samples.astype("<f4").tobytes()
+
+
+def _read_response(r: _Payload) -> OverlapResponseMsg:
+    """An f32 NaN need not survive the f64 that ``OverlapResponseMsg.r``
+    holds bit for bit, so a NaN spacing is refused."""
+    at = r.pos
+    status, spacing, n = r.read(_RESPONSE_HEAD)
+    _bit(status, at, "overlap status")
+    if math.isnan(spacing):
+        raise DecodeError("sampling spacing is NaN", at + 1)
+    return OverlapResponseMsg(status, spacing, r.rest("<f4", 3 * n).reshape(n, 3))
+
+
+def _write_keyframe(m: KeyframeUploadMsg) -> bytes:
+    head = _KEYFRAME_HEAD.pack(
+        m.client_id, m.keyframe_id, *_pose_fields(m.pose), m.fov, len(m.points)
+    )
+    return head + m.points.tobytes()
+
+
+def _read_keyframe(r: _Payload) -> KeyframeUploadMsg:
     """One keyframe-upload payload; its point count must account for every
     byte, and its fov must lie in (0, pi)."""
-    client_id, keyframe_id = struct.unpack_from("<II", data, 0)
-    pose, off = _unpack_pose(data, 8, base)
-    fov, n = struct.unpack_from("<dI", data, off)
+    at = r.pos
+    client_id, keyframe_id, *pose, fov, n = r.read(_KEYFRAME_HEAD)
+    pose = _canonical_pose(pose, at + 8)
     if not 0.0 < fov < math.pi:
-        raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", base + off)
-    points = _decode_points(data, off + 12, n, base)
-    return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, points)
+        raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", at + 56)
+    return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, r.rest(POINT_DTYPE, n))
 
 
-def _encode_payload(msg) -> bytes:
-    if isinstance(msg, OverlapResponseMsg):
-        return (
-            struct.pack("<BfI", msg.status, msg.r, len(msg.samples))
-            + msg.samples.astype("<f4").tobytes()
+def _write_shared_map(m: SharedMapResponseMsg) -> bytes:
+    parts = [_COUNTS.pack(len(m.frames), len(m.points))]
+    for f in m.frames:
+        head = _FRAME_HEAD.pack(f.frame_id, f.client_id, f.keyframe_id,
+                                *_pose_fields(f.pose), f.fov, len(f.point_ids))
+        parts += [head, f.point_ids.astype("<i8").tobytes()]
+    return b"".join(parts) + m.points.tobytes()
+
+
+def _read_shared_map(r: _Payload) -> SharedMapResponseMsg:
+    n_frames, n_points = r.read(_COUNTS)
+    frames = []
+    for _ in range(n_frames):
+        at = r.pos
+        frame_id, client_id, keyframe_id, *pose, fov, n_ids = r.read(_FRAME_HEAD)
+        pose = _canonical_pose(pose, at + 16)
+        frames.append(
+            FrameRecord(frame_id, client_id, keyframe_id, pose, fov, r.array("<i8", n_ids))
         )
-    if isinstance(msg, KeyframeUploadMsg):
-        return _pack_keyframe_payload(msg)
-    if isinstance(msg, SharedMapResponseMsg):
-        out = struct.pack("<II", len(msg.frames), len(msg.points))
-        for f in msg.frames:
-            out += struct.pack("<qII", f.frame_id, f.client_id, f.keyframe_id)
-            out += _pack_pose(f.pose)
-            out += struct.pack("<dI", f.fov, len(f.point_ids))
-            out += f.point_ids.astype("<i8").tobytes()
-        return out + msg.points.tobytes()
-    if isinstance(msg, SessionRegisterMsg):
-        i = msg.intrinsics
-        return struct.pack("<I4d", msg.client_id, i.fx, i.fy, i.cx, i.cy)
-    if isinstance(msg, SessionEndMsg):
-        return struct.pack("<I", msg.client_id)
-    if isinstance(msg, UpdateCheckMsg):
-        out = struct.pack("<IH", msg.client_id, len(msg.keyframes))
-        for kf in msg.keyframes:
-            payload = _pack_keyframe_payload(kf)
-            out += struct.pack("<I", len(payload)) + payload
-        return out
-    if isinstance(msg, UpdateStatusMsg):
-        return (
-            struct.pack(
-                "<BIIIII",
-                msg.verdict,
-                msg.examined,
-                msg.high_confidence,
-                msg.stale_candidates,
-                msg.cluster_count,
-                len(msg.stale_ids),
-            )
-            + msg.stale_ids.astype("<i8").tobytes()
+    return SharedMapResponseMsg(frames, r.rest(POINT_DTYPE, n_points))
+
+
+def _write_register(m: SessionRegisterMsg) -> bytes:
+    i = m.intrinsics
+    return _REGISTER.pack(m.client_id, i.fx, i.fy, i.cx, i.cy)
+
+
+def _read_register(r: _Payload) -> SessionRegisterMsg:
+    at = r.pos
+    client_id, *intrinsics = r.read(_REGISTER)
+    try:
+        intrinsics = CameraIntrinsics(*intrinsics)
+    except ValueError as e:
+        raise DecodeError(str(e), at + 4) from e
+    return SessionRegisterMsg(client_id, intrinsics)
+
+
+def _write_update_check(m: UpdateCheckMsg) -> bytes:
+    parts = [_CHECK_HEAD.pack(m.client_id, len(m.keyframes))]
+    for kf in m.keyframes:
+        payload = _write_keyframe(kf)
+        parts += [_U32.pack(len(payload)), payload]
+    return b"".join(parts)
+
+
+def _read_update_check(r: _Payload) -> UpdateCheckMsg:
+    client_id, n = r.read(_CHECK_HEAD)
+    keyframes = []
+    for _ in range(n):
+        (length,) = r.read(_U32)
+        keyframes.append(_read_keyframe(r.sub(length)))
+    return UpdateCheckMsg(client_id, keyframes)
+
+
+def _write_update_status(m: UpdateStatusMsg) -> bytes:
+    head = _STATUS_HEAD.pack(
+        m.verdict, m.examined, m.high_confidence, m.stale_candidates, m.cluster_count,
+        len(m.stale_ids),
+    )
+    return head + m.stale_ids.astype("<i8").tobytes()
+
+
+def _read_update_status(r: _Payload) -> UpdateStatusMsg:
+    at = r.pos
+    verdict, examined, high, candidates, clusters, n = r.read(_STATUS_HEAD)
+    _bit(verdict, at, "update verdict")
+    return UpdateStatusMsg(verdict, r.rest("<i8", n), examined, high, candidates, clusters)
+
+
+def _write_end_ack(m: EndAckMsg) -> bytes:
+    return _END_ACK.pack(m.frame_count, m.point_count, m.elapsed_seconds, int(m.map_changed))
+
+
+def _read_end_ack(r: _Payload) -> EndAckMsg:
+    at = r.pos
+    frames, points, elapsed, changed = r.read(_END_ACK)
+    return EndAckMsg(frames, points, elapsed, bool(_bit(changed, at + 16, "map changed")))
+
+
+def _write_error(m: ErrorMsg) -> bytes:
+    raw = m.message.encode("utf-8")
+    return _ERROR_HEAD.pack(m.code, len(raw)) + raw
+
+
+def _read_error(r: _Payload) -> ErrorMsg:
+    at = r.pos
+    code, n = r.read(_ERROR_HEAD)
+    if n != r.end - r.pos:
+        raise DecodeError(
+            f"message length {n} does not match the {r.end - r.pos} bytes that follow", at + 2
         )
-    if isinstance(msg, UploadAckMsg):
-        return struct.pack("<q", msg.frame_id)
-    if isinstance(msg, RegisterAckMsg):
-        return struct.pack("<I", msg.client_id)
-    if isinstance(msg, EndAckMsg):
-        return struct.pack(
-            "<IIdB",
-            msg.frame_count,
-            msg.point_count,
-            msg.elapsed_seconds,
-            int(msg.map_changed),
-        )
-    if isinstance(msg, ErrorMsg):
-        raw = msg.message.encode("utf-8")
-        return struct.pack("<HH", msg.code, len(raw)) + raw
-    raise TypeError(f"cannot encode {type(msg).__name__}")
+    start = r.take(n)
+    try:
+        return ErrorMsg(code, str(r.data[start : start + n], "utf-8"))
+    except UnicodeDecodeError as e:
+        raise DecodeError(f"message is not UTF-8: {e.reason}", start + e.start) from e
 
 
-_TYPE_OF = {
-    OverlapQueryMsg: T_OVERLAP_QUERY,
-    SharedMapRequestMsg: T_SHARED_MAP_REQUEST,
-    OverlapResponseMsg: T_OVERLAP_RESPONSE,
-    KeyframeUploadMsg: T_KEYFRAME_UPLOAD,
-    SharedMapResponseMsg: T_SHARED_MAP_RESPONSE,
-    SessionRegisterMsg: T_SESSION_REGISTER,
-    SessionEndMsg: T_SESSION_END,
-    UpdateCheckMsg: T_UPDATE_CHECK,
-    UpdateStatusMsg: T_UPDATE_STATUS,
-    UploadAckMsg: T_UPLOAD_ACK,
-    RegisterAckMsg: T_REGISTER_ACK,
-    EndAckMsg: T_END_ACK,
-    ErrorMsg: T_ERROR,
-}
+class Codec(NamedTuple):
+    """One message type: its tag, class, traffic category, and the writer
+    and reader of its payload (of its 60-byte body, for a fixed type)."""
+
+    tag: int
+    cls: type
+    category: str
+    write: Callable[..., bytes]
+    read: Callable[[_Payload], object]
 
 
-def message_type(msg) -> int:
-    return _TYPE_OF[type(msg)]
+CODECS = (
+    Codec(T_OVERLAP_QUERY, OverlapQueryMsg, "query",
+          _write_query, functools.partial(_read_query, OverlapQueryMsg)),
+    Codec(T_OVERLAP_RESPONSE, OverlapResponseMsg, "response", _write_response, _read_response),
+    Codec(T_KEYFRAME_UPLOAD, KeyframeUploadMsg, "keyframe_upload",
+          _write_keyframe, _read_keyframe),
+    Codec(T_SHARED_MAP_REQUEST, SharedMapRequestMsg, "shared_map",
+          _write_query, functools.partial(_read_query, SharedMapRequestMsg)),
+    Codec(T_SHARED_MAP_RESPONSE, SharedMapResponseMsg, "shared_map",
+          _write_shared_map, _read_shared_map),
+    Codec(T_SESSION_REGISTER, SessionRegisterMsg, "session", _write_register, _read_register),
+    Codec(T_SESSION_END, SessionEndMsg, "session",
+          lambda m: _U32.pack(m.client_id), lambda r: SessionEndMsg(*r.read(_U32))),
+    Codec(T_UPDATE_CHECK, UpdateCheckMsg, "update_check",
+          _write_update_check, _read_update_check),
+    Codec(T_UPDATE_STATUS, UpdateStatusMsg, "update_check",
+          _write_update_status, _read_update_status),
+    Codec(T_UPLOAD_ACK, UploadAckMsg, "ack",
+          lambda m: _I64.pack(m.frame_id), lambda r: UploadAckMsg(*r.read(_I64))),
+    Codec(T_REGISTER_ACK, RegisterAckMsg, "ack",
+          lambda m: _U32.pack(m.client_id), lambda r: RegisterAckMsg(*r.read(_U32))),
+    Codec(T_END_ACK, EndAckMsg, "ack", _write_end_ack, _read_end_ack),
+    Codec(T_ERROR, ErrorMsg, "error", _write_error, _read_error),
+)
+_BY_TAG = {c.tag: c for c in CODECS}
+_BY_CLASS = {c.cls: c for c in CODECS}
 
 
 def encode(msg) -> bytes:
     """Encode one message as a framed byte string."""
-    mtype = message_type(msg)
-    if mtype in FIXED_TYPES:
-        body = _FIXED_BODY.pack(
-            msg.client_id, msg.keyframe_id, msg.np_hint,
-            msg.pose.x, msg.pose.y, msg.pose.z,
-            msg.pose.roll, msg.pose.pitch, msg.pose.yaw,
-        )
-        frame = _FIXED_PREFIX.pack(MAGIC, VERSION, mtype) + body + b"\x00\x00"
-        assert len(frame) == QUERY_FRAME_SIZE
-        return frame
-    payload = _encode_payload(msg)
-    return _VAR_HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
-
-
-# client u32, keyframe u32, pose 6 x f64, fov f64, point count u32.
-_KEYFRAME_HEADER_BYTES = 68
+    codec = _BY_CLASS.get(type(msg))
+    if codec is None:
+        raise TypeError(f"cannot encode {type(msg).__name__}")
+    payload = codec.write(msg)
+    if codec.tag in FIXED_TYPES:
+        return _FIXED_PREFIX.pack(MAGIC, VERSION, codec.tag) + payload
+    return _VAR_HEADER.pack(MAGIC, VERSION, codec.tag, len(payload)) + payload
 
 
 def max_request_bytes(np_max: int, update_window: int) -> int:
     """Largest frame a device sends: an update check of ``update_window``
     keyframes of ``np_max`` points each, or one such keyframe upload."""
-    keyframe = _KEYFRAME_HEADER_BYTES + POINT_DTYPE.itemsize * np_max
-    return 8 + max(keyframe, 6 + update_window * (4 + keyframe))
+    keyframe = _KEYFRAME_HEAD.size + POINT_DTYPE.itemsize * np_max
+    return 8 + max(keyframe, _CHECK_HEAD.size + update_window * (_U32.size + keyframe))
 
 
 def frame_length(prefix: bytes) -> int:
@@ -437,7 +520,7 @@ def frame_length(prefix: bytes) -> int:
         return QUERY_FRAME_SIZE
     if len(prefix) < 8:
         raise DecodeError("variable frame shorter than its 8-byte header", len(prefix))
-    (length,) = struct.unpack_from("<I", prefix, 4)
+    (length,) = _U32.unpack_from(prefix, 4)
     return 8 + length
 
 
@@ -448,93 +531,16 @@ def decode(data: bytes):
         raise DecodeError(f"truncated frame: need {total} bytes, have {len(data)}", len(data))
     if len(data) > total:
         raise DecodeError("trailing bytes after frame", total)
-    mtype = data[3]
-    try:
-        if mtype in FIXED_TYPES:
-            client_id, keyframe_id, np_hint, *pose_vals = _FIXED_BODY.unpack_from(data, 4)
-            cls = OverlapQueryMsg if mtype == T_OVERLAP_QUERY else SharedMapRequestMsg
-            return cls(client_id, keyframe_id, np_hint, _canonical_pose(pose_vals, 14))
-        payload = data[8:]
-        if mtype == T_OVERLAP_RESPONSE:
-            status, r, n = struct.unpack_from("<BfI", payload, 0)
-            if len(payload) != 9 + 12 * n:
-                raise DecodeError("sample list length mismatch", 8 + len(payload))
-            pts = np.frombuffer(payload, dtype="<f4", count=3 * n, offset=9)
-            return OverlapResponseMsg(status, r, pts.reshape(n, 3).copy())
-        if mtype == T_KEYFRAME_UPLOAD:
-            return _unpack_keyframe_payload(payload, 8)
-        if mtype == T_SHARED_MAP_RESPONSE:
-            n_frames, n_points = struct.unpack_from("<II", payload, 0)
-            off = 8
-            frames = []
-            for _ in range(n_frames):
-                fid, client_id, keyframe_id = struct.unpack_from("<qII", payload, off)
-                pose, off2 = _unpack_pose(payload, off + 16, 8)
-                fov, n_ids = struct.unpack_from("<dI", payload, off2)
-                off2 += 12
-                ids = np.frombuffer(payload, dtype="<i8", count=n_ids, offset=off2).copy()
-                off = off2 + 8 * n_ids
-                frames.append(FrameRecord(fid, client_id, keyframe_id, pose, fov, ids))
-            return SharedMapResponseMsg(frames, _decode_points(payload, off, n_points, 8))
-        if mtype == T_SESSION_REGISTER:
-            client_id, fx, fy, cx, cy = struct.unpack_from("<I4d", payload, 0)
-            return SessionRegisterMsg(client_id, CameraIntrinsics(fx, fy, cx, cy))
-        if mtype == T_SESSION_END:
-            (client_id,) = struct.unpack_from("<I", payload, 0)
-            return SessionEndMsg(client_id)
-        if mtype == T_UPDATE_CHECK:
-            client_id, n = struct.unpack_from("<IH", payload, 0)
-            off = 6
-            kfs = []
-            for _ in range(n):
-                (length,) = struct.unpack_from("<I", payload, off)
-                if off + 4 + length > len(payload):
-                    raise DecodeError(f"keyframe of {length} bytes overruns the payload", 8 + off)
-                kfs.append(
-                    _unpack_keyframe_payload(payload[off + 4 : off + 4 + length], 8 + off + 4)
-                )
-                off += 4 + length
-            if off != len(payload):
-                raise DecodeError("trailing bytes after the last keyframe", 8 + off)
-            return UpdateCheckMsg(client_id, kfs)
-        if mtype == T_UPDATE_STATUS:
-            verdict, examined, high, cand, clusters, n = struct.unpack_from("<BIIIII", payload, 0)
-            ids = np.frombuffer(payload, dtype="<i8", count=n, offset=21).copy()
-            return UpdateStatusMsg(verdict, ids, examined, high, cand, clusters)
-        if mtype == T_UPLOAD_ACK:
-            return UploadAckMsg(*struct.unpack_from("<q", payload, 0))
-        if mtype == T_REGISTER_ACK:
-            return RegisterAckMsg(*struct.unpack_from("<I", payload, 0))
-        if mtype == T_END_ACK:
-            frames, points, elapsed, changed = struct.unpack_from("<IIdB", payload, 0)
-            return EndAckMsg(frames, points, elapsed, bool(changed))
-        if mtype == T_ERROR:
-            code, n = struct.unpack_from("<HH", payload, 0)
-            return ErrorMsg(code, payload[4 : 4 + n].decode("utf-8"))
-    except (struct.error, ValueError) as e:
-        if isinstance(e, DecodeError):
-            raise
-        raise DecodeError(f"malformed payload for type {mtype}: {e}", 8) from e
-    raise DecodeError(f"unknown message type {mtype}", 3, code=E_UNKNOWN_TYPE)
+    codec = _BY_TAG.get(data[3])
+    if codec is None:
+        raise DecodeError(f"unknown message type {data[3]}", 3, code=E_UNKNOWN_TYPE)
+    payload = _Payload(data, 4 if codec.tag in FIXED_TYPES else 8, total)
+    msg = codec.read(payload)
+    payload.done()
+    return msg
 
 
 # -- traffic metering -------------------------------------------------------
-
-CATEGORY_OF_TYPE = {
-    T_OVERLAP_QUERY: "query",
-    T_OVERLAP_RESPONSE: "response",
-    T_KEYFRAME_UPLOAD: "keyframe_upload",
-    T_SHARED_MAP_REQUEST: "shared_map",
-    T_SHARED_MAP_RESPONSE: "shared_map",
-    T_SESSION_REGISTER: "session",
-    T_SESSION_END: "session",
-    T_UPDATE_CHECK: "update_check",
-    T_UPDATE_STATUS: "update_check",
-    T_UPLOAD_ACK: "ack",
-    T_REGISTER_ACK: "ack",
-    T_END_ACK: "ack",
-    T_ERROR: "error",
-}
 
 
 @dataclass
@@ -543,8 +549,6 @@ class TrafficStats:
 
     upload_bytes: dict[str, int] = field(default_factory=dict)
     download_bytes: dict[str, int] = field(default_factory=dict)
-    upload_msgs: dict[str, int] = field(default_factory=dict)
-    download_msgs: dict[str, int] = field(default_factory=dict)
     keyframes: int = 0
 
     def note_keyframe(self):
@@ -558,26 +562,13 @@ class TrafficStats:
     def total_download(self) -> int:
         return sum(self.download_bytes.values())
 
-    def merge(self, other: "TrafficStats"):
-        for src, dst in (
-            (other.upload_bytes, self.upload_bytes),
-            (other.download_bytes, self.download_bytes),
-            (other.upload_msgs, self.upload_msgs),
-            (other.download_msgs, self.download_msgs),
-        ):
-            for k, v in src.items():
-                dst[k] = dst.get(k, 0) + v
-        self.keyframes += other.keyframes
-
 
 def meter(stats: TrafficStats, msg, direction: str, size: int | None = None) -> TrafficStats:
     """Accumulate one message's encoded size under its category."""
     if direction not in ("upload", "download"):
         raise ValueError(f"direction must be upload or download, got {direction}")
-    category = CATEGORY_OF_TYPE[message_type(msg)]
+    category = _BY_CLASS[type(msg)].category
     nbytes = len(encode(msg)) if size is None else size
     buckets = stats.upload_bytes if direction == "upload" else stats.download_bytes
-    counts = stats.upload_msgs if direction == "upload" else stats.download_msgs
     buckets[category] = buckets.get(category, 0) + nbytes
-    counts[category] = counts.get(category, 0) + 1
     return stats

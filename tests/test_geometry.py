@@ -132,6 +132,15 @@ class TestMakeViewCone:
         with pytest.raises(ValueError):
             make_view_cone(Pose(0, 0, 0), FC, h=0.0)
 
+    def test_axis_is_computed_once_and_read_only(self):
+        pose = Pose(1, 2, 3, 0.1, -0.4, 2.0)
+        cone = cone_from_fov(pose, 1.2, h=20.0)
+        assert cone.axis is cone.axis
+        np.testing.assert_array_equal(cone.axis, optical_axis(pose))
+        assert cone == cone_from_fov(pose, 1.2, h=20.0)
+        with pytest.raises(ValueError):
+            cone.axis[0] = 0.0
+
 
 class TestContains:
     def cone(self):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comap import wire
 from comap.geometry import CameraIntrinsics, Pose
 from comap.params import FULL_KEYFRAME_BYTES
 from comap.wire import (
+    CODECS,
     DecodeError,
     EndAckMsg,
     ErrorMsg,
@@ -33,9 +35,12 @@ from comap.wire import (
     E_UNKNOWN_TYPE,
     FIXED_TYPES,
     POINT_DTYPE,
+    T_ERROR,
     T_KEYFRAME_UPLOAD,
+    T_OVERLAP_RESPONSE,
     T_SHARED_MAP_RESPONSE,
     T_UPDATE_CHECK,
+    T_UPDATE_STATUS,
 )
 
 from conftest import point_records
@@ -55,7 +60,7 @@ def rand_points(rng, n):
 
 
 def rand_message(rng, kind=None):
-    kind = rng.integers(0, 10) if kind is None else kind
+    kind = rng.integers(0, 13) if kind is None else kind
     if kind == 0:
         return OverlapQueryMsg(int(rng.integers(0, 1 << 32)), int(rng.integers(0, 1 << 32)),
                                int(rng.integers(0, 1 << 16)), rand_pose(rng))
@@ -91,17 +96,32 @@ def rand_message(rng, kind=None):
         return UpdateStatusMsg(int(rng.integers(0, 2)),
                                rng.integers(0, 1 << 40, size=int(rng.integers(0, 30))),
                                *(int(rng.integers(0, 1 << 20)) for _ in range(4)))
-    return ErrorMsg(int(rng.integers(0, 1 << 16)), "p" * int(rng.integers(0, 60)))
+    if kind == 9:
+        return UploadAckMsg(int(rng.integers(-(1 << 62), 1 << 62)))
+    if kind == 10:
+        return RegisterAckMsg(int(rng.integers(0, 1 << 32)))
+    if kind == 11:
+        return EndAckMsg(int(rng.integers(0, 1 << 32)), int(rng.integers(0, 1 << 32)),
+                         float(rng.uniform(0, 100)), bool(rng.integers(0, 2)))
+    return ErrorMsg(int(rng.integers(0, 1 << 16)),
+                    "".join(rng.choice(list("p\u00e9\u2713"), int(rng.integers(0, 60)))))
 
 
-# rand_message kinds of the frames whose point tables carry a count.
-COUNTED_KINDS = (3, 4, 7)
-COUNTED_TYPES = (T_KEYFRAME_UPLOAD, T_SHARED_MAP_RESPONSE, T_UPDATE_CHECK)
+# rand_message kinds of the variable-size frames (all but the two fixed
+# 64-byte queries), and of those with a count or length field.
+VARIABLE_KINDS = tuple(range(2, 13))
+COUNTED_KINDS = (2, 3, 4, 7, 8, 12)
 
 
 def count_fields(raw) -> list[tuple[int, str]]:
     """Frame offsets and struct formats of every count and length field of
-    an encoded keyframe upload, shared-map response or update check."""
+    an encoded frame of one of the ``COUNTED_KINDS``."""
+    if raw[3] == T_OVERLAP_RESPONSE:
+        return [(13, "<I")]
+    if raw[3] == T_UPDATE_STATUS:
+        return [(25, "<I")]
+    if raw[3] == T_ERROR:
+        return [(10, "<H")]
     if raw[3] == T_KEYFRAME_UPLOAD:
         return [(72, "<I")]
     if raw[3] == T_SHARED_MAP_RESPONSE:
@@ -157,14 +177,16 @@ POSE_VALUES = st.floats() | st.floats(-7.0, 7.0) | st.sampled_from(
 
 @st.composite
 def mutated_frames(draw, framed=None):
-    """A keyframe upload, shared-map response or update check, truncated,
-    extended or with one count field rewritten; or any frame carrying a pose
-    (the fixed 64-byte queries too) with one pose field rewritten. With
-    ``framed`` (drawn when None) a variable frame's header length is then
-    set to the payload actually present."""
+    """Any variable-size frame truncated or extended; a frame with a count
+    or length field with one such field rewritten; any frame carrying a
+    pose (the fixed 64-byte queries too) with one pose field rewritten; or
+    any frame with one byte after its header rewritten. With ``framed``
+    (drawn when None) a variable frame's header length is then set to the
+    payload actually present."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    how = draw(st.sampled_from(["truncate", "extend", "count", "pose"]))
-    kinds = POSED_KINDS if how == "pose" else COUNTED_KINDS
+    how = draw(st.sampled_from(["truncate", "extend", "count", "pose", "byte"]))
+    kinds = {"truncate": VARIABLE_KINDS, "extend": VARIABLE_KINDS, "count": COUNTED_KINDS,
+             "pose": POSED_KINDS, "byte": range(13)}[how]
     raw = bytearray(encode(rand_message(rng, kind=draw(st.sampled_from(kinds)))))
     if how == "pose":
         fields = pose_fields(raw)
@@ -174,6 +196,9 @@ def mutated_frames(draw, framed=None):
         del raw[draw(st.integers(8, len(raw) - 1)):]
     elif how == "extend":
         raw += draw(st.binary(min_size=1, max_size=120))
+    elif how == "byte":
+        header = 4 if raw[3] in FIXED_TYPES else 8
+        raw[draw(st.integers(header, len(raw) - 1))] = draw(st.integers(0, 255))
     else:
         off, fmt = draw(st.sampled_from(count_fields(raw)))
         (old,) = struct.unpack_from(fmt, raw, off)
@@ -194,6 +219,15 @@ def keyframe_upload(n, kf_id=1):
 
 def reframed(payload: bytes, mtype: int) -> bytes:
     return struct.pack("<HBBI", 0x4D51, 1, mtype, len(payload)) + payload
+
+
+class TestRegistry:
+    def test_every_tag_and_message_class_is_registered_once(self):
+        tags = [v for k, v in vars(wire).items() if k.startswith("T_")]
+        classes = [v for k, v in vars(wire).items() if isinstance(v, type) and k.endswith("Msg")]
+        assert len(set(tags)) == len(tags)
+        assert sorted(c.tag for c in CODECS) == sorted(tags)
+        assert sorted(c.cls.__name__ for c in CODECS) == sorted(cls.__name__ for cls in classes)
 
 
 class TestQueryFrameContract:
@@ -368,13 +402,77 @@ class TestDecodeErrors:
             msg = decode(raw)
         except DecodeError:
             return
-        assert raw[3] in COUNTED_TYPES or raw[3] in FIXED_TYPES
         assert encode(msg) == raw
 
     def test_trailing_bytes_rejected(self):
         raw = encode(SessionEndMsg(1)) + b"\x00"
         with pytest.raises(DecodeError):
             decode(raw)
+
+    @pytest.mark.parametrize("msg, at", [
+        (SessionRegisterMsg(1, CameraIntrinsics(500, 500, 320, 240)), None),
+        (SessionEndMsg(1), None),
+        (UpdateStatusMsg(1, [4, 5]), 29),  # the stale ids
+        (UploadAckMsg(3), None),
+        (RegisterAckMsg(1), None),
+        (EndAckMsg(1, 2, 0.0), None),
+        (ErrorMsg(1, "no"), 10),  # the message length
+    ])
+    def test_payload_must_be_consumed_exactly(self, msg, at):
+        # A byte past the payload's last field, counted in the frame's
+        # length, is refused where the payload stops making sense.
+        raw = encode(msg)
+        with pytest.raises(DecodeError) as err:
+            decode(reframed(raw[8:] + b"\x00", raw[3]))
+        assert err.value.code == E_MALFORMED
+        assert err.value.offset == (len(raw) if at is None else at)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    @pytest.mark.parametrize("msg, at", [
+        (OverlapResponseMsg(1, 0.5, [[1, 2, 3]]), 8),  # status
+        (UpdateStatusMsg(1, [4, 5]), 8),  # verdict
+        (EndAckMsg(1, 2, 0.0, True), 24),  # map changed
+    ])
+    def test_bit_fields_outside_0_and_1_rejected(self, msg, at, value):
+        raw = bytearray(encode(msg))
+        raw[at] = value
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(raw))
+        assert err.value.code == E_MALFORMED
+        assert err.value.offset == at
+
+    @pytest.mark.parametrize("length", [0, 2, 4, 0xFFFF])
+    def test_error_message_length_must_match_payload(self, length):
+        raw = bytearray(encode(ErrorMsg(2, "abc")))
+        struct.pack_into("<H", raw, 10, length)
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(raw))
+        assert err.value.code == E_MALFORMED
+        assert err.value.offset == 10
+
+    def test_error_message_must_be_utf8(self):
+        raw = bytearray(encode(ErrorMsg(2, "abc")))
+        raw[13] = 0xFF
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(raw))
+        assert err.value.offset == 13
+
+    def test_query_padding_must_be_zero(self):
+        for msg in (OverlapQueryMsg(1, 2, 3, Pose(0, 0, 0)), SharedMapRequestMsg(1, 2, 3, Pose(0, 0, 0))):
+            raw = bytearray(encode(msg))
+            raw[63] = 1
+            with pytest.raises(DecodeError) as err:
+                decode(bytes(raw))
+            assert err.value.offset == 62
+
+    @pytest.mark.parametrize("nan", ["0000c07f", "0100807f"])  # quiet, signalling
+    def test_nan_sample_spacing_rejected(self, nan):
+        # A signalling f32 NaN would come back quiet: not the same bytes.
+        raw = bytearray(encode(OverlapResponseMsg(0, 0.5, [[1, 2, 3]])))
+        raw[9:13] = bytes.fromhex(nan)
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(raw))
+        assert err.value.offset == 9
 
     def test_frame_length_helper(self):
         assert frame_length(encode(OverlapQueryMsg(1, 1, 1, Pose(0, 0, 0)))[:4]) == 64
