@@ -1,7 +1,8 @@
 """Server-side global map: frames, points, and incremental spatial indices.
 
 Points live only in row-indexed columns (ids, float64 positions, 32-byte
-descriptors, observation counts) found through an id-to-row dict. Frames
+descriptors, observation counts); ids are found by binary search along the
+point rows in ascending id order, into which new rows are merged. Frames
 live only in a frame table (id, client, keyframe id, six pose floats, fov,
 and the optical axis derived from the pose) whose rows hold strictly
 ascending frame ids, so a frame is refused unless its id is above the last
@@ -216,7 +217,7 @@ class GlobalMap:
         self._pt_desc = np.empty((0, 32), dtype=np.uint8)
         self._pt_obs = np.empty(0, dtype=np.int64)
         self._pt_count = 0
-        self._id_to_row: dict[int, int] = {}
+        self._by_id = np.empty(0, dtype=np.int64)  # point rows in ascending id order
         self._point_index = _IncrementalIndex()
         # Frame table (row-indexed, frame ids strictly ascending): the one
         # store of frames. Pose columns are x, y, z, roll, pitch, yaw;
@@ -327,8 +328,11 @@ class GlobalMap:
     def rows_for_ids(self, ids) -> np.ndarray:
         """Point-table row of each id; -1 where the id is not stored."""
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        get = self._id_to_row.get
-        return np.fromiter((get(i, -1) for i in ids.tolist()), np.int64, len(ids))
+        if not self._pt_count:
+            return np.full(len(ids), -1, dtype=np.int64)
+        at = np.searchsorted(self._pt_ids[: self._pt_count], ids, sorter=self._by_id)
+        rows = self._by_id[np.minimum(at, self._pt_count - 1)]
+        return np.where(self._pt_ids[rows] == ids, rows, -1)
 
     def allocate_frame_id(self) -> int:
         """The id after the last stored frame's (1 in an empty map); the
@@ -401,11 +405,7 @@ class GlobalMap:
         group = np.cumsum(head) - 1
         listings = np.bincount(group[distinct_pair])
         first = perm[head]
-        # One row lookup per distinct id; in an empty map every id is new.
-        if self._pt_count:
-            uniq_rows = self.rows_for_ids(sorted_ids[head])
-        else:
-            uniq_rows = np.full(len(first), -1, dtype=np.int64)
+        uniq_rows = self.rows_for_ids(sorted_ids[head])
         new = np.flatnonzero(uniq_rows < 0)
         new = new[np.argsort(first[new])]
         uniq_rows[new] = self._pt_count + np.arange(len(new))
@@ -441,8 +441,11 @@ class GlobalMap:
         self._mem_pt[m : m + n] = rows
 
     def _append_points(self, ids: np.ndarray, positions: np.ndarray, descriptors: np.ndarray):
-        """New rows with observation count 0, indexed in one batch."""
+        """New rows with observation count 0, indexed and put in id order in one batch."""
         base, k = self._pt_count, len(ids)
+        order = np.argsort(ids)
+        at = np.searchsorted(self._pt_ids[:base], ids[order], sorter=self._by_id)
+        self._by_id = np.insert(self._by_id, at, base + order)
         self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs = _reserve(
             (self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs), base + k, 64
         )
@@ -451,7 +454,6 @@ class GlobalMap:
         self._pt_desc[base : base + k] = descriptors
         self._pt_obs[base : base + k] = 0
         self._pt_count += k
-        self._id_to_row.update(zip(ids.tolist(), range(base, base + k)))
         self._point_index.add(positions)
 
 
@@ -548,9 +550,8 @@ def audit(map: GlobalMap) -> list[str]:
     violations = []
     ids = map.points
     n = len(ids)
-    if len(map._id_to_row) != n or any(
-        not 0 <= row < n or ids[row] != pid for pid, row in map._id_to_row.items()
-    ):
+    by_id, permutation = map._by_id, np.array_equal(np.sort(map._by_id), np.arange(n))
+    if not permutation or (ids[by_id[1:]] <= ids[by_id[:-1]]).any():
         violations.append(f"id index out of sync with the {n}-row point table")
     owners = np.bincount(map.owner_pairs()[0], minlength=n)[:n]
     for row in np.flatnonzero(map.point_observation_counts != owners):
@@ -588,7 +589,7 @@ def state_digest(map: GlobalMap) -> str:
         h.update(struct.pack("<q", fid))
         h.update(pose.tobytes())
         h.update(np.sort(ids).tobytes())
-    order = np.argsort(map.points, kind="stable")
+    order = map._by_id
     table = np.empty(len(order), dtype=_DIGEST_POINT)
     table["id"] = map.points[order]
     table["obs"] = map.point_observation_counts[order]
@@ -625,7 +626,7 @@ def _write_atomically(path, data):
 def save_snapshot(map: GlobalMap, path):
     """Versioned little-endian binary snapshot (see docs/formats.md), written
     atomically."""
-    order = np.argsort(map.points, kind="stable")
+    order = map._by_id
     table = np.empty(len(order), dtype=_SNAPSHOT_POINT)
     table["id"] = map.points[order]
     table["position"] = map.point_positions[order]
@@ -682,28 +683,28 @@ def load_snapshot(path) -> GlobalMap:
         raise SnapshotError(f"{len(data) - off} trailing bytes after the last frame")
 
     ids = table["id"]
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    if (sorted_ids[1:] == sorted_ids[:-1]).any():
-        raise SnapshotError("point table lists an id twice")
+    ascends = ids[1:] > ids[:-1]
+    if not ascends.all():
+        j = int(np.argmin(ascends))
+        fault = "lists an id twice" if ids[j] == ids[j + 1] else "is not in id order"
+        raise SnapshotError(f"point table {fault}: {ids[j]} then {ids[j + 1]}")
     listed_ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
-    at = np.searchsorted(sorted_ids, listed_ids)
+    at = np.searchsorted(ids, listed_ids)
     listed = at < n_points
-    listed[listed] = sorted_ids[at[listed]] == listed_ids[listed]
+    listed[listed] = ids[at[listed]] == listed_ids[listed]
     if not listed.all():
         j = int(np.argmin(listed))
         f = frames[np.searchsorted(np.cumsum([f.np_new for f in frames]), j, side="right")]
         raise SnapshotError(
             f"frame {f.frame_id} lists point {listed_ids[j]}, absent from the table"
         )
-    src = order[at]
     m = GlobalMap(np_max=np_max)
     try:
-        m._append_frames(frames, table["position"][src], table["descriptor"][src])
+        m._append_frames(frames, table["position"][at], table["descriptor"][at])
     except ValueError as e:
         raise SnapshotError(f"malformed snapshot: {e}") from e
     if m._pt_count < n_points:
         unlisted = np.ones(n_points, dtype=bool)
-        unlisted[src] = False
+        unlisted[at] = False
         raise SnapshotError(f"point {ids[np.argmax(unlisted)]} is listed by no frame")
     return m

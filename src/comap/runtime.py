@@ -251,19 +251,10 @@ class MapServer:
         return session
 
     def handle(self, msg):
-        if isinstance(msg, SessionRegisterMsg):
-            return self._on_register(msg)
-        if isinstance(msg, SharedMapRequestMsg):
-            return self._on_shared_map_request(msg)
-        if isinstance(msg, OverlapQueryMsg):
-            return self._on_overlap_query(msg)
-        if isinstance(msg, KeyframeUploadMsg):
-            return self._on_upload(msg)
-        if isinstance(msg, UpdateCheckMsg):
-            return self._on_update_check(msg)
-        if isinstance(msg, SessionEndMsg):
-            return self._on_end(msg)
-        raise ProtocolError(f"no handler for {type(msg).__name__}")
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
+            raise ProtocolError(f"no handler for {type(msg).__name__}")
+        return handler(self, msg)
 
     def _on_register(self, msg: SessionRegisterMsg) -> RegisterAckMsg:
         with self._session_lock:
@@ -358,6 +349,16 @@ class MapServer:
             self.ended_sessions += 1
         with self._map_lock.reading():
             return on_session_end(self.map, msg.client_id)
+
+    # Keyed by exact class: a SharedMapRequestMsg is also an OverlapQueryMsg.
+    _HANDLERS = {
+        SessionRegisterMsg: _on_register,
+        OverlapQueryMsg: _on_overlap_query,
+        SharedMapRequestMsg: _on_shared_map_request,
+        KeyframeUploadMsg: _on_upload,
+        UpdateCheckMsg: _on_update_check,
+        SessionEndMsg: _on_end,
+    }
 
     # -- metrics -----------------------------------------------------------
 

@@ -299,7 +299,6 @@ class DeviceLoopState:
     params: ProtocolParams = DEFAULT_PARAMS
     np_hint: int = 0
     r_match: float = 0.0
-    slice_points: np.ndarray | None = None
     slice_tree: KdTree | None = None
     recent_kfs: deque = field(default_factory=lambda: deque(maxlen=5))
     trace: list = field(default_factory=list)
@@ -318,15 +317,13 @@ class DeviceLoopState:
 
     def set_slice(self, resp: SharedMapResponseMsg):
         pts = resp.points["position"].astype(np.float64)
-        self.slice_points = pts
         self.slice_tree = KdTree(pts) if len(pts) else None
 
     def clear_slice(self):
-        self.slice_points = None
         self.slice_tree = None
 
     def has_slice(self) -> bool:
-        return self.slice_points is not None and len(self.slice_points) > 0
+        return self.slice_tree is not None
 
     def localize_on_slice(self, observations: np.ndarray) -> LocalizationOutcome:
         if not self.has_slice():

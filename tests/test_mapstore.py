@@ -273,6 +273,57 @@ class TestSelectNeighbors:
         np.testing.assert_array_equal(ns.point_ids, [2])
 
 
+INT64 = np.iinfo(np.int64)
+
+
+class TestRowsForIds:
+    """``rows_for_ids`` against a dict built from the stored ids."""
+
+    @staticmethod
+    def assert_matches_dict(gmap, queries):
+        queries = np.asarray(queries, dtype=np.int64)
+        row_of = {pid: row for row, pid in enumerate(gmap.points.tolist())}
+        want = np.array([row_of.get(q, -1) for q in queries.tolist()], dtype=np.int64)
+        got = gmap.rows_for_ids(queries)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_empty_map(self):
+        gmap = GlobalMap()
+        self.assert_matches_dict(gmap, [0, 1, -1, INT64.min, INT64.max, 1])
+        assert gmap.rows_for_ids([]).shape == (0,)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        # Negative ids and both int64 extremes are stored too. Frames draw
+        # from the pool with replacement, so ids repeat within a frame, and
+        # batches of one to three frames repeat them across frames.
+        extremes = [INT64.min, INT64.min + 1, -1, 0, INT64.max - 1, INT64.max]
+        pool = np.unique(np.concatenate([rng.integers(-500, 500, 120), extremes]))
+        gmap = GlobalMap(np_max=40)
+        fid = 0
+        for _ in range(12):
+            frames = []
+            for _ in range(int(rng.integers(1, 4))):
+                fid += 1
+                ids = rng.choice(pool, int(rng.integers(0, 41)))
+                frames.append(MapFrame(fid, 1, fid, Pose(0, 0, 0), 1.4, ids))
+            n = sum(f.np_new for f in frames)
+            gmap._append_frames(frames, rng.uniform(-20, 20, (n, 3)), None)
+            # Unsorted, with repeats: pool ids (stored or not yet), their
+            # neighbours, ids outside the pool and the extremes.
+            queries = np.concatenate([
+                rng.choice(pool, 40),
+                rng.choice(pool[1:-1], 10) + rng.choice([-1, 1], 10),
+                rng.integers(-2000, 2000, 20),
+                extremes, extremes,
+            ]).astype(np.int64)
+            rng.shuffle(queries)
+            self.assert_matches_dict(gmap, queries)
+        assert audit(gmap) == []
+
+
 class TestPointIndexQueries:
     def test_nearest_rows_match_a_tree_over_all_points(self, rng):
         # Snapped points on a coarse grid tie often; the buffered second wave
@@ -349,9 +400,9 @@ class TestAudit:
     def test_detects_missing_point(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        pid = int(gmap.points[0])
-        del gmap._id_to_row[pid]
-        assert audit(gmap) != []
+        # Row 0 drops out of the id order.
+        gmap._by_id = gmap._by_id[gmap._by_id != 0]
+        assert any("id index" in v for v in audit(gmap))
 
     def test_detects_corrupted_observation_count(self, rng):
         gmap = GlobalMap()
@@ -362,7 +413,15 @@ class TestAudit:
     def test_detects_id_index_pointing_at_another_row(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        gmap._id_to_row[int(gmap.points[0])] = 1
+        # Point 0's place in the id order now holds row 1.
+        gmap._by_id[gmap._by_id == 0] = 1
+        assert any("id index" in v for v in audit(gmap))
+
+    def test_detects_id_order_out_of_order(self, rng):
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
+        # Still every row once, but two ids out of order.
+        gmap._by_id[[0, 1]] = gmap._by_id[[1, 0]]
         assert any("id index" in v for v in audit(gmap))
 
     def test_detects_index_divergence(self, rng):
@@ -578,6 +637,20 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="twice"):
             load_snapshot(bad)
 
+    def test_table_out_of_id_order_is_snapshot_error(self, tmp_path, rng):
+        # The first two records are points 10 and 11; swap them.
+        path = tmp_path / "map.mpps"
+        save_snapshot(self.build_map(rng), path)
+        data = bytearray(path.read_bytes())
+        first, second = data[16:80], data[80:144]
+        assert struct.unpack_from("<q", first) == (10,)
+        assert struct.unpack_from("<q", second) == (11,)
+        data[16:144] = second + first
+        bad = tmp_path / "order.mpps"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="id order"):
+            load_snapshot(bad)
+
     def test_short_header_is_snapshot_error(self, tmp_path):
         bad = tmp_path / "short.mpps"
         bad.write_bytes(b"MPPS\x01\x00")
@@ -645,13 +718,13 @@ def replay_load_snapshot(path) -> GlobalMap:
 
 
 def assert_same_map(a: GlobalMap, b: GlobalMap):
-    """Every column, membership, id dict and frame of two maps are equal."""
+    """Every column, membership, id order and frame of two maps are equal."""
     assert a.np_max == b.np_max and a.allocate_frame_id() == b.allocate_frame_id()
     for name in ("points", "point_positions", "point_descriptors", "point_observation_counts"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for x, y in zip(a.memberships(), b.memberships()):
         np.testing.assert_array_equal(x, y)
-    assert a._id_to_row == b._id_to_row
+    np.testing.assert_array_equal(a._by_id, b._by_id)
     assert a._fr_count == b._fr_count
     for name in ("_fr_ids", "_fr_client", "_fr_keyframe", "_fr_pose", "_fr_fov", "_fr_axis"):
         np.testing.assert_array_equal(

@@ -164,6 +164,16 @@ class TestServerDispatch:
             assert reply.code == wire.E_MALFORMED
         assert (len(server.map.frames), len(server.map.points)) == (0, 0)
 
+    def test_reply_type_sent_to_server_is_protocol_error(self):
+        server = fresh_server()
+        register(server, 1)
+        for msg in (RegisterAckMsg(1), UploadAckMsg(7), SharedMapResponseMsg()):
+            reply = decode(server.handle_bytes(encode(msg)))
+            assert isinstance(reply, ErrorMsg)
+            assert reply.code == wire.E_PROTOCOL
+            assert reply.message == f"no handler for {type(msg).__name__}"
+        assert list(server.sessions) == [1]
+
     def test_unknown_type_byte_never_crashes(self):
         server = fresh_server()
         raw = struct.pack("<HBBI", 0x4D51, 1, 222, 4) + b"abcd"
