@@ -49,9 +49,8 @@ class Pose:
 
     @classmethod
     def stored(cls, x: float, y: float, z: float, roll: float, pitch: float, yaw: float) -> "Pose":
-        """A pose from fields already checked and wrapped (a stored frame's
-        row, or a pose the wire decoder checked), built without checking
-        them again."""
+        """A pose from fields the wire decoder already checked, built
+        without checking them again."""
         pose = object.__new__(cls)
         pose.__dict__.update(x=x, y=y, z=z, roll=roll, pitch=pitch, yaw=yaw)
         return pose
@@ -78,11 +77,6 @@ class Pose:
         return np.array(
             [self.x, self.y, self.z, self.roll, self.pitch, self.yaw], dtype=np.float64
         )
-
-    @classmethod
-    def from_array(cls, a) -> "Pose":
-        x, y, z, roll, pitch, yaw = (float(v) for v in a)
-        return cls(x, y, z, roll, pitch, yaw)
 
 
 def euler_from_matrix(R: np.ndarray) -> tuple[float, float, float]:

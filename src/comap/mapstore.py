@@ -45,6 +45,7 @@ import numpy as np
 
 from .geometry import Pose, optical_axis
 from .spatial import KdTree, _search_radius
+from .wire import FRAME_DTYPE, pack_runs
 
 SNAPSHOT_MAGIC = b"MPPS"
 SNAPSHOT_VERSION = 2
@@ -279,9 +280,16 @@ class GlobalMap:
         off = self._fr_off[: self._fr_count + 1]
         return np.repeat(np.arange(self._fr_count), np.diff(off)), self._mem_pt[: off[-1]]
 
-    def frame_point_rows(self, frame_row: int) -> np.ndarray:
-        """Point rows of one frame's ids, in the frame's order."""
-        return self._mem_pt[self._fr_off[frame_row] : self._fr_off[frame_row + 1]]
+    def frame_headers(self, rows, counts, dtype=FRAME_DTYPE) -> np.ndarray:
+        """The ``rows`` as ``dtype`` frame headers with ``counts`` ids each."""
+        heads = np.empty(len(rows), dtype=dtype)
+        heads["frame_id"] = self._fr_ids[rows]
+        heads["client_id"] = self._fr_client[rows]
+        heads["keyframe_id"] = self._fr_keyframe[rows]
+        heads["pose"] = self._fr_pose[rows]
+        heads["fov"] = self._fr_fov[rows]
+        heads["id_count"] = counts
+        return heads
 
     def listings(self, point_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(frame row, point row) of each listed id whose point row is set in
@@ -576,16 +584,12 @@ def audit(map: GlobalMap) -> list[str]:
 _DIGEST_POINT = np.dtype([("id", "<i8"), ("obs", "<i4"), ("position", "<f8", (3,))])
 
 
-def _frame_point_ids(map: GlobalMap) -> list[np.ndarray]:
-    """Each frame's point ids, in the frame's order, by frame row."""
-    off = map._fr_off[: map._fr_count + 1]
-    return np.split(map._pt_ids[map._mem_pt[: off[-1]]], off[1:-1])
-
-
 def state_digest(map: GlobalMap) -> str:
     """Order-independent digest of poses, points, and counts."""
     h = hashlib.sha1()
-    for fid, pose, ids in zip(map.frames.tolist(), map._fr_pose, _frame_point_ids(map)):
+    off = map._fr_off[: map._fr_count + 1]
+    frame_ids = np.split(map._pt_ids[map._mem_pt[: off[-1]]], off[1:-1])
+    for fid, pose, ids in zip(map.frames.tolist(), map._fr_pose, frame_ids):
         h.update(struct.pack("<q", fid))
         h.update(pose.tobytes())
         h.update(np.sort(ids).tobytes())
@@ -605,6 +609,9 @@ _SNAPSHOT_POINT = np.dtype(
     [("id", "<i8"), ("position", "<f8", (3,)), ("descriptor", "u1", (32,))]
 )
 _SNAPSHOT_FRAME = struct.Struct("<qII6ddH")
+# The same header as save_snapshot packs it: the wire's, with a u16 id count.
+_SNAPSHOT_FRAME_DTYPE = np.dtype(FRAME_DTYPE.descr[:-1] + [("id_count", "<u2")])
+assert _SNAPSHOT_FRAME_DTYPE.itemsize == _SNAPSHOT_FRAME.size
 
 
 def _write_atomically(path, data):
@@ -631,18 +638,15 @@ def save_snapshot(map: GlobalMap, path):
     table["id"] = map.points[order]
     table["position"] = map.point_positions[order]
     table["descriptor"] = map.point_descriptors[order]
+    n = map._fr_count
+    off = map._fr_off[: n + 1]
+    frames = map.frame_headers(np.arange(n), np.diff(off), _SNAPSHOT_FRAME_DTYPE)
     parts = [
         SNAPSHOT_MAGIC,
-        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, len(map.frames), len(order)),
+        struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, n, len(order)),
         table.tobytes(),
+        pack_runs(frames, map._pt_ids[map._mem_pt[: off[-1]]]),
     ]
-    n = map._fr_count
-    for fid, client, keyframe, pose, fov, ids in zip(
-        map.frames.tolist(), map._fr_client[:n].tolist(), map._fr_keyframe[:n].tolist(),
-        map._fr_pose[:n].tolist(), map._fr_fov[:n].tolist(), _frame_point_ids(map),
-    ):
-        parts.append(_SNAPSHOT_FRAME.pack(fid, client, keyframe, *pose, fov, len(ids)))
-        parts.append(ids.astype("<i8").tobytes())
     _write_atomically(path, b"".join(parts))
 
 

@@ -203,10 +203,14 @@ class MapServer:
     # -- message handling -------------------------------------------------
 
     @property
+    def np_max(self) -> int:
+        """Most points a keyframe carries: bounds frame sizes and np hints."""
+        return max(self.map.np_max, self.params.np_max)
+
+    @property
     def max_frame_bytes(self) -> int:
         """Largest frame accepted over TCP; a longer header is malformed."""
-        np_max = max(self.map.np_max, self.params.np_max)
-        return wire.max_request_bytes(np_max, self.params.update_window)
+        return wire.max_request_bytes(self.np_max, self.params.update_window)
 
     def decode_error_reply(self, error: DecodeError) -> bytes:
         """The error frame answering undecodable bytes, coded as ``error`` says."""
@@ -270,6 +274,8 @@ class MapServer:
     def _assess(self, session: Session, msg) -> tuple:
         """The session's memo entry for this query, assessing on a miss.
         Call under the map read lock."""
+        if msg.np_hint > self.np_max:
+            raise ProtocolError(f"np hint {msg.np_hint} above the {self.np_max}-point bound")
         k = msg.np_hint if msg.np_hint > 0 else self.params.np_default
         # Pose bits, not float equality: -0.0 and 0.0 are different keys.
         key = (msg.keyframe_id, msg.pose.as_array().tobytes(), k, self.map.version)
@@ -311,6 +317,8 @@ class MapServer:
 
     def _on_upload(self, msg: KeyframeUploadMsg) -> UploadAckMsg:
         session = self._session(msg.client_id)
+        if len(msg.points) > self.map.np_max:
+            raise ProtocolError(f"{len(msg.points)} points above capacity {self.map.np_max}")
         with self._map_lock.writing():
             if self.auto_align and not session.aligned:
                 self._try_align(session, msg)
@@ -336,8 +344,8 @@ class MapServer:
 
     def _on_update_check(self, msg: UpdateCheckMsg):
         session = self._session(msg.client_id)
-        if not msg.keyframes:
-            raise ProtocolError("update check carries no keyframes")
+        if not 0 < len(msg.keyframes) <= self.params.update_window:
+            raise ProtocolError(f"{len(msg.keyframes)} keyframes outside the update window")
         with self._map_lock.reading():
             status = get_update_status(self.map, msg.keyframes, params=self.params)
         return status.to_msg()

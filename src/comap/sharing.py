@@ -7,10 +7,12 @@ from the map's persistent point index: every row within a padded ball about
 the apex that bounds the cone is a candidate, and ``contains_many`` decides
 on the candidates alone. Shared frames are the in-cone points' owners plus
 the gated neighbor frames whose positions one ``contains_many`` call puts in
-the cone. The update check asks the index once for the candidates of every
-cone in its window, tests re-observation only for its high-confidence rows
-and their neighbors, takes the neighbors from the index's exact k nearest,
-and clusters the confirmed rows with a union-find.
+the cone, gathered from the map's frame columns into one ``FRAME_DTYPE``
+table and one id column, as the wire carries them. The update check asks
+the index once for the candidates of every cone in its window, tests
+re-observation only for its high-confidence rows and their neighbors, takes
+the neighbors from the index's exact k nearest, and clusters the confirmed
+rows with a union-find.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .mapstore import select_neighbors  # noqa: F401
 from .params import DEFAULT_PARAMS, ProtocolParams
 from .spatial import KdTree, _search_radius
 from .wire import (
-    FrameRecord,
     KeyframeUploadMsg,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
@@ -44,23 +45,21 @@ from .wire import (
 
 @dataclass
 class SharedMapSlice:
-    """A proactive slice of the global map around a query pose."""
+    """A proactive slice of the global map around a query pose, its frames
+    as the wire carries them (``SharedMapResponseMsg``)."""
 
-    frames: list[FrameRecord]
+    frames: np.ndarray
+    frame_point_ids: np.ndarray
     point_ids: np.ndarray
     point_positions: np.ndarray
     point_observations: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return len(self.point_ids) == 0 and not self.frames
 
     def to_response(self) -> SharedMapResponseMsg:
         points = point_table(len(self.point_ids))
         points["id"] = self.point_ids
         points["position"] = self.point_positions
         points["observation_count"] = np.minimum(self.point_observations, 0xFFFF)
-        return SharedMapResponseMsg(frames=list(self.frames), points=points)
+        return SharedMapResponseMsg(self.frames, self.frame_point_ids, points)
 
 
 def _window_rows(map: GlobalMap, cones: list[ViewCone]) -> list[np.ndarray]:
@@ -95,8 +94,8 @@ def build_shared_map(
     The cone is the query's view cone widened by the oversharing factor;
     shared points are exactly the map points inside it, so the oversharing
     factor directly governs how far one slice carries the device. Shared
-    frame records are the owners of in-cone points plus the distance/angle
-    gated neighbor frames positioned inside the cone.
+    frames are the owners of in-cone points plus the distance/angle gated
+    neighbor frames positioned inside the cone, in frame id order.
     """
     cone = cone_from_fov(q, q_fov, params.h, alpha)
     in_cone = np.zeros(len(map.points), dtype=bool)
@@ -114,22 +113,16 @@ def build_shared_map(
     frame_rows = np.union1d(owner_rows, gated[contains_many(cone, map._fr_pose[gated, :3])])
     # A shared frame's in-cone ids are its run of the listings, which
     # ascend by frame row; a gated frame listing none has an empty run.
-    frame_ids = np.split(map.points[listed_rows], np.searchsorted(owner_rows, frame_rows[1:]))
-    records = [
-        FrameRecord(fid, client, keyframe, Pose.stored(*pose), fov, ids)
-        for fid, client, keyframe, pose, fov, ids in zip(
-            map._fr_ids[frame_rows].tolist(), map._fr_client[frame_rows].tolist(),
-            map._fr_keyframe[frame_rows].tolist(), map._fr_pose[frame_rows].tolist(),
-            map._fr_fov[frame_rows].tolist(), frame_ids,
-        )
-    ]
+    runs = np.searchsorted(owner_rows, frame_rows)
+    counts = np.diff(runs, append=len(owner_rows))
 
     rows = np.unique(listed_rows)
     ids = map.points[rows]
     order = np.argsort(ids, kind="stable")
     rows, ids = rows[order], ids[order]
     return SharedMapSlice(
-        frames=records,
+        frames=map.frame_headers(frame_rows, counts),
+        frame_point_ids=map.points[listed_rows],
         point_ids=ids,
         point_positions=map.point_positions[rows],
         point_observations=map.point_observation_counts[rows],

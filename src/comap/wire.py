@@ -7,6 +7,8 @@ Byte-level layouts are documented in docs/formats.md.
 
 ``CODECS`` declares each message type once; every payload is read through
 one ``_Payload`` cursor, which refuses a payload it does not consume exactly.
+Points travel as one packed table (``POINT_DTYPE``), a shared map's frames as
+another (``FRAME_DTYPE``) plus the id column their id runs make.
 """
 
 from __future__ import annotations
@@ -79,6 +81,32 @@ def point_table(n: int = 0) -> np.ndarray:
     return np.zeros(n, dtype=POINT_DTYPE)
 
 
+# The 76-byte shared-map frame header of docs/formats.md, as one packed
+# table row; ``id_count`` ids (i64) follow each header on the wire.
+FRAME_DTYPE = np.dtype([("frame_id", "<i8"), ("client_id", "<u4"), ("keyframe_id", "<u4"),
+                        ("pose", "<f8", (6,)), ("fov", "<f8"), ("id_count", "<u4")])
+assert FRAME_DTYPE.itemsize == 76
+
+
+def _run_mask(head_size: int, counts) -> np.ndarray:
+    """True on the header bytes of a section of ``head_size``-byte headers,
+    each followed by its run of ``counts`` i64 ids."""
+    runs = np.empty(2 * len(counts), dtype=np.int64)
+    runs[0::2] = head_size
+    runs[1::2] = 8 * np.asarray(counts, dtype=np.int64)
+    return np.repeat(np.arange(len(runs)) % 2 == 0, runs)
+
+
+def pack_runs(heads: np.ndarray, ids) -> bytes:
+    """The packed records ``heads``, each followed by its ``id_count`` ids
+    from ``ids``: a shared map's frame section, and a snapshot's."""
+    mask = _run_mask(heads.dtype.itemsize, heads["id_count"])
+    out = np.empty(len(mask), dtype=np.uint8)
+    out[mask] = np.ascontiguousarray(heads).view(np.uint8)
+    out[~mask] = np.asarray(ids, dtype="<i8").view(np.uint8)
+    return out.tobytes()
+
+
 class _ArrayFields:
     """Field-wise equality for messages that carry numpy arrays: an array
     field compares by shape and values, every other field with ``==``."""
@@ -128,28 +156,18 @@ class KeyframeUploadMsg(_ArrayFields):
 
 
 @dataclass(eq=False)
-class FrameRecord(_ArrayFields):
-    frame_id: int
-    client_id: int
-    keyframe_id: int
-    pose: Pose
-    fov: float
-    point_ids: np.ndarray
-
-    def __post_init__(self):
-        self.point_ids = np.asarray(self.point_ids, dtype=np.int64).reshape(-1)
-
-
-@dataclass(eq=False)
 class SharedMapResponseMsg(_ArrayFields):
-    """Frames intersecting the shared cone plus a deduplicated point table."""
+    """Frames intersecting the shared cone (``FRAME_DTYPE`` rows, each
+    followed in ``frame_point_ids`` by its ``id_count`` ids) plus a
+    deduplicated point table."""
 
-    frames: list[FrameRecord] = field(default_factory=list)
+    frames: np.ndarray = field(default_factory=lambda: np.zeros(0, FRAME_DTYPE))
+    frame_point_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     points: np.ndarray = field(default_factory=point_table)  # POINT_DTYPE rows
 
     @property
     def empty(self) -> bool:
-        return not self.frames and not len(self.points)
+        return not len(self.frames) and not len(self.points)
 
 
 @dataclass(frozen=True)
@@ -236,11 +254,6 @@ class _Payload:
     def read(self, s: struct.Struct) -> tuple:
         return s.unpack_from(self.data, self.take(s.size))
 
-    def array(self, dtype, n: int) -> np.ndarray:
-        """The next ``n`` records of ``dtype``."""
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.data, dtype, n, self.take(n * dtype.itemsize)).copy()
-
     def rest(self, dtype, n: int) -> np.ndarray:
         """The ``n`` records of ``dtype`` that must end the payload."""
         size = n * np.dtype(dtype).itemsize
@@ -248,7 +261,7 @@ class _Payload:
             raise DecodeError(
                 f"{n} records need {size} bytes, {self.end - self.pos} remain", self.pos
             )
-        return self.array(dtype, n)
+        return np.frombuffer(self.data, dtype, n, self.take(size)).copy()
 
     def sub(self, n: int) -> "_Payload":
         """The next ``n`` bytes as a payload of their own."""
@@ -260,19 +273,37 @@ class _Payload:
             raise DecodeError("trailing bytes after the payload", self.pos)
 
 
-def _canonical_pose(vals, off: int) -> Pose:
-    """The pose of six decoded fields at frame offset ``off``. ``Pose``
-    wraps angles to (-pi, pi]; an angle outside that range would not
-    re-encode to the bytes it came from, so it is refused. Wrapping leaves
-    the angles that pass unchanged, so the checked fields are stored as
-    they are."""
-    for i, v in enumerate(vals[:3]):
-        if not math.isfinite(v):
-            raise DecodeError(f"pose field {v!r} is not finite", off + 8 * i)
-    for i, angle in enumerate(vals[3:]):
-        if not -math.pi < angle <= math.pi:
-            raise DecodeError(f"pose angle {angle!r} outside (-pi, pi]", off + 24 + 8 * i)
-    return Pose.stored(*vals)
+# Per pose field, the open lower and closed upper bound of its values: a
+# position must be finite, an angle in (-pi, pi].
+_POSE_LO = np.array([-np.inf] * 3 + [-math.pi] * 3)
+_POSE_HI = np.array([np.finfo(np.float64).max] * 3 + [math.pi] * 3)
+
+
+def _refuse_first(ok: np.ndarray, values: np.ndarray, offset, size: int, what: str):
+    """Refuse the first False of ``ok``: field (r, c) of the (n, k)
+    ``values`` is ``size`` bytes wide, at frame offset ``offset(r) + size * c``."""
+    if np.count_nonzero(ok) < ok.size:
+        row, col = divmod(int(np.argmin(ok)), ok.shape[1])
+        raise DecodeError(f"{what}: {float(values[row, col])!r}", offset(row) + size * col)
+
+
+def _check_poses(poses, offset):
+    """Refuse a non-finite position or an angle outside (-pi, pi] in the
+    (n, 6) ``poses``: ``Pose`` wraps angles to that range, so it stores an
+    angle that passes as it is (``Pose.stored``), and no other re-encodes."""
+    poses = np.asarray(poses, dtype=np.float64).reshape(-1, 6)
+    ok = (_POSE_LO < poses) & (poses <= _POSE_HI)
+    _refuse_first(ok, poses, offset, 8, "pose field not finite, or angle outside (-pi, pi]")
+
+
+def _points(r: _Payload, n: int) -> np.ndarray:
+    """The ``n`` point records that end the payload, positions finite."""
+    at = r.pos + POINT_DTYPE.fields["position"][1]
+    points = r.rest(POINT_DTYPE, n)
+    xyz = points["position"]
+    _refuse_first(np.isfinite(xyz), xyz, lambda row: at + POINT_DTYPE.itemsize * row, 4,
+                  "point position not finite")
+    return points
 
 
 def _bit(value: int, off: int, name: str) -> int:
@@ -296,8 +327,6 @@ _RESPONSE_HEAD = struct.Struct("<BfI")
 # client, keyframe, pose, fov, point count.
 _KEYFRAME_HEAD = struct.Struct("<II6ddI")
 _COUNTS = struct.Struct("<II")
-# frame id, client, keyframe, pose, fov, id count.
-_FRAME_HEAD = struct.Struct("<qII6ddI")
 _REGISTER = struct.Struct("<I4d")
 _CHECK_HEAD = struct.Struct("<IH")
 _STATUS_HEAD = struct.Struct("<BIIIII")
@@ -312,10 +341,10 @@ def _write_query(m: OverlapQueryMsg) -> bytes:
 def _read_query(cls, r: _Payload) -> OverlapQueryMsg:
     at = r.pos
     client_id, keyframe_id, np_hint, *pose, pad = r.read(_QUERY_BODY)
-    pose = _canonical_pose(pose, at + 10)
+    _check_poses(pose, lambda row: at + 10)
     if pad:
         raise DecodeError("nonzero padding", at + 58)
-    return cls(client_id, keyframe_id, np_hint, pose)
+    return cls(client_id, keyframe_id, np_hint, Pose.stored(*pose))
 
 
 def _write_response(m: OverlapResponseMsg) -> bytes:
@@ -346,32 +375,38 @@ def _read_keyframe(r: _Payload) -> KeyframeUploadMsg:
     byte, and its fov must lie in (0, pi)."""
     at = r.pos
     client_id, keyframe_id, *pose, fov, n = r.read(_KEYFRAME_HEAD)
-    pose = _canonical_pose(pose, at + 8)
+    _check_poses(pose, lambda row: at + 8)
     if not 0.0 < fov < math.pi:
         raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", at + 56)
-    return KeyframeUploadMsg(client_id, keyframe_id, pose, fov, r.rest(POINT_DTYPE, n))
+    return KeyframeUploadMsg(client_id, keyframe_id, Pose.stored(*pose), fov, _points(r, n))
 
 
 def _write_shared_map(m: SharedMapResponseMsg) -> bytes:
-    parts = [_COUNTS.pack(len(m.frames), len(m.points))]
-    for f in m.frames:
-        head = _FRAME_HEAD.pack(f.frame_id, f.client_id, f.keyframe_id,
-                                *_pose_fields(f.pose), f.fov, len(f.point_ids))
-        parts += [head, f.point_ids.astype("<i8").tobytes()]
-    return b"".join(parts) + m.points.tobytes()
+    head = _COUNTS.pack(len(m.frames), len(m.points))
+    return head + pack_runs(m.frames, m.frame_point_ids) + m.points.tobytes()
 
 
 def _read_shared_map(r: _Payload) -> SharedMapResponseMsg:
+    """Walks the id counts only, then gathers headers and ids through one
+    mask. A bad pose in a whole header is refused before a later cut."""
     n_frames, n_points = r.read(_COUNTS)
-    frames = []
-    for _ in range(n_frames):
-        at = r.pos
-        frame_id, client_id, keyframe_id, *pose, fov, n_ids = r.read(_FRAME_HEAD)
-        pose = _canonical_pose(pose, at + 16)
-        frames.append(
-            FrameRecord(frame_id, client_id, keyframe_id, pose, fov, r.array("<i8", n_ids))
-        )
-    return SharedMapResponseMsg(frames, r.rest(POINT_DTYPE, n_points))
+    start, starts, counts, short = r.pos, [], [], None
+    try:
+        for _ in range(n_frames):
+            starts.append(r.take(FRAME_DTYPE.itemsize))
+            counts.append(0)  # until the frame's run is all there
+            (n_ids,) = _U32.unpack_from(r.data, starts[-1] + FRAME_DTYPE.fields["id_count"][1])
+            r.take(8 * n_ids)
+            counts[-1] = n_ids
+    except DecodeError as e:
+        short = e
+    mask = _run_mask(FRAME_DTYPE.itemsize, counts)
+    section = np.frombuffer(r.data, np.uint8, len(mask), start)
+    frames = section[mask].view(FRAME_DTYPE)
+    _check_poses(frames["pose"], lambda row: starts[row] + FRAME_DTYPE.fields["pose"][1])
+    if short is not None:
+        raise short
+    return SharedMapResponseMsg(frames, section[~mask].view("<i8"), _points(r, n_points))
 
 
 def _write_register(m: SessionRegisterMsg) -> bytes:

@@ -39,14 +39,15 @@ def insert_point_cloud(gmap: GlobalMap, positions, client_id=1, frame_pose=None,
 def stored_frames(gmap: GlobalMap) -> dict[int, MapFrame]:
     """Every stored frame by id, in row order, each rebuilt from its
     frame-table row and its memberships."""
+    mem_fr, mem_pt = gmap.memberships()
     return {
         int(gmap._fr_ids[row]): MapFrame(
             int(gmap._fr_ids[row]),
             int(gmap._fr_client[row]),
             int(gmap._fr_keyframe[row]),
-            Pose.from_array(gmap._fr_pose[row]),
+            Pose(*gmap._fr_pose[row].tolist()),
             float(gmap._fr_fov[row]),
-            gmap.points[gmap.frame_point_rows(row)],
+            gmap.points[mem_pt[mem_fr == row]],
         )
         for row in range(len(gmap.frames))
     }

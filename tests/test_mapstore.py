@@ -174,7 +174,8 @@ class TestInsertFrame:
         np.testing.assert_array_equal(gmap.point_observation_counts, [1, 2, 1, 1])
         np.testing.assert_array_equal(gmap.point_positions[1:3], [[1, 1, 1], [9, 9, 9]])
         assert owners_of(gmap, 9) == {2} and owners_of(gmap, 6) == {1, 2}
-        np.testing.assert_array_equal(gmap.points[gmap.frame_point_rows(1)], [9, 6, 9, 6, 4])
+        mem_fr, mem_pt = gmap.memberships()
+        np.testing.assert_array_equal(gmap.points[mem_pt[mem_fr == 1]], [9, 6, 9, 6, 4])
         assert audit(gmap) == []
 
     def test_positions_must_align_with_ids(self):
@@ -383,11 +384,10 @@ class TestPointIndexQueries:
             listed = rng.choice(ids, int(rng.integers(0, 60)), replace=False)
             frame, pos = frame_with_points(fid, Pose(0, 0, 0), listed, listed[:, None] * [1.0, 0, 0])
             insert_frame(gmap, frame, pos)
+        mem_fr, mem_pt = gmap.memberships()
         for _ in range(20):
             frame_rows = rng.choice(20, int(rng.integers(0, 21)), replace=False)
-            want = np.unique(
-                np.concatenate([gmap.frame_point_rows(r) for r in frame_rows] + [np.empty(0, int)])
-            )
+            want = np.unique(mem_pt[np.isin(mem_fr, frame_rows)])
             np.testing.assert_array_equal(_union_rows(gmap, frame_rows), want)
 
 
@@ -706,7 +706,7 @@ def replay_load_snapshot(path) -> GlobalMap:
     gmap = GlobalMap(np_max=np_max)
     for _ in range(n_frames):
         fid, client, kf = struct.unpack_from("<qII", data, off)
-        pose = Pose.from_array(struct.unpack_from("<6d", data, off + 16))
+        pose = Pose(*struct.unpack_from("<6d", data, off + 16))
         fov, n = struct.unpack_from("<dH", data, off + 64)
         ids = np.frombuffer(data, "<i8", n, off + FRAME_HEAD)
         off += FRAME_HEAD + 8 * n

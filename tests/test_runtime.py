@@ -164,6 +164,63 @@ class TestServerDispatch:
             assert reply.code == wire.E_MALFORMED
         assert (len(server.map.frames), len(server.map.points)) == (0, 0)
 
+    def test_non_finite_point_position_is_malformed_and_stores_nothing(self, rng):
+        # Client 2's points lie in client 1's cone, so the update check
+        # reaches its re-observation test.
+        server = fresh_server()
+        register(server, 1)
+        register(server, 2)
+        pose = Pose(0, 0, 1.5, 0, math.pi / 2, 0)
+        pts = point_records(np.arange(1, 201), pose.position + rng.uniform(0, 12, (200, 3)))
+        server.handle_bytes(encode(KeyframeUploadMsg(2, 0, pose, 1.38, pts)))
+        bad = point_records(np.arange(1001, 1041), rng.uniform(0, 10, (40, 3)))
+        bad["position"][1, 2] = math.nan
+        upload = KeyframeUploadMsg(1, 0, pose, 1.38, bad)
+        for msg in (upload, UpdateCheckMsg(1, [upload])):
+            reply = decode(server.handle_bytes(encode(msg)))
+            assert isinstance(reply, ErrorMsg)
+            assert reply.code == wire.E_MALFORMED
+        assert (len(server.map.frames), len(server.map.points)) == (1, 200)
+
+    def test_upload_above_np_max_is_protocol_error_and_stores_nothing(self, rng):
+        server = fresh_server()
+        register(server, 1)
+        n = server.map.np_max
+        pts = point_records(np.arange(1, n + 2), rng.uniform(0, 10, (n + 1, 3)))
+        pose = Pose(0, 0, 1.5, 0, math.pi / 2, 0)
+        reply = decode(server.handle_bytes(encode(KeyframeUploadMsg(1, 0, pose, 1.38, pts))))
+        assert isinstance(reply, ErrorMsg)
+        assert reply.code == wire.E_PROTOCOL
+        assert (len(server.map.frames), len(server.map.points)) == (0, 0)
+        ack = decode(server.handle_bytes(encode(KeyframeUploadMsg(1, 0, pose, 1.38, pts[:n]))))
+        assert isinstance(ack, UploadAckMsg)
+
+    def test_np_hint_above_np_max_is_protocol_error(self):
+        server = fresh_server()
+        register(server, 1)
+        limit = max(server.map.np_max, PARAMS.np_max)
+        pose = Pose(0, 0, 1.5, 0, math.pi / 2, 0)
+        for cls, reply_cls in ((OverlapQueryMsg, OverlapResponseMsg),
+                               (SharedMapRequestMsg, SharedMapResponseMsg)):
+            ok = decode(server.handle_bytes(encode(cls(1, 0, limit, pose))))
+            assert isinstance(ok, reply_cls)
+            for hint in (limit + 1, 0xFFFF):
+                reply = decode(server.handle_bytes(encode(cls(1, 0, hint, pose))))
+                assert isinstance(reply, ErrorMsg)
+                assert reply.code == wire.E_PROTOCOL
+
+    def test_update_check_longer_than_window_is_protocol_error(self, rng):
+        server = fresh_server()
+        register(server, 1)
+        window = PARAMS.update_window
+        pts = point_records(np.arange(1, 41), rng.uniform(0, 10, (40, 3)))
+        kfs = [KeyframeUploadMsg(1, i, Pose(0, 0, 1.5), 1.38, pts) for i in range(window + 1)]
+        ok = decode(server.handle_bytes(encode(UpdateCheckMsg(1, kfs[:window]))))
+        assert isinstance(ok, wire.UpdateStatusMsg)
+        reply = decode(server.handle_bytes(encode(UpdateCheckMsg(1, kfs))))
+        assert isinstance(reply, ErrorMsg)
+        assert reply.code == wire.E_PROTOCOL
+
     def test_reply_type_sent_to_server_is_protocol_error(self):
         server = fresh_server()
         register(server, 1)

@@ -25,7 +25,7 @@ from comap.sharing import (
 from comap.sim import generate_scene, mutate_scene, observe
 from comap.spatial import KdTree, linear_radius_search
 from comap.wire import (
-    FrameRecord,
+    FRAME_DTYPE,
     KeyframeUploadMsg,
     SharedMapRequestMsg,
     SharedMapResponseMsg,
@@ -81,7 +81,6 @@ def path_poses(x0=0.0, x1=60.0, step=2.0, y=0.0, z=1.5):
 class TestBuildSharedMap:
     def test_empty_map_gives_empty_slice(self):
         slice_ = build_shared_map(GlobalMap(), Pose(0, 0, 0), FOV, alpha=1.3)
-        assert slice_.empty
         assert slice_.to_response().empty
 
     def test_alpha_monotone_point_sets(self, rng):
@@ -112,18 +111,17 @@ class TestBuildSharedMap:
         gmap = GlobalMap(np_max=400)
         insert_point_cloud(gmap, rng.uniform(-15, 35, (1500, 3)), frame_pose=Pose(0, 0, 0))
         slice_ = build_shared_map(gmap, Pose(0, 0, 1.0), FOV, alpha=1.0)
-        id_set = set(slice_.point_ids.tolist())
-        assert slice_.frames
-        for fr in slice_.frames:
-            assert set(fr.point_ids.tolist()) <= id_set
+        assert len(slice_.frames)
+        assert slice_.frames["id_count"].sum() == len(slice_.frame_point_ids)
+        assert set(slice_.frame_point_ids.tolist()) <= set(slice_.point_ids.tolist())
 
     def test_exclude_client_hides_their_contribution(self, rng):
         gmap = GlobalMap(np_max=400)
         insert_point_cloud(gmap, rng.uniform(0, 15, (300, 3)), client_id=1, frame_pose=Pose(0, 0, 0))
         slice_self = build_shared_map(gmap, Pose(0, 0, 1.0), FOV, 1.3, exclude_client=1)
         slice_other = build_shared_map(gmap, Pose(0, 0, 1.0), FOV, 1.3, exclude_client=2)
-        assert slice_self.empty
-        assert not slice_other.empty
+        assert slice_self.to_response().empty
+        assert not slice_other.to_response().empty
 
 
 class TestLocalize:
@@ -185,9 +183,7 @@ class ScriptedLink:
 
 
 def slice_response(points):
-    return SharedMapResponseMsg(
-        frames=[], points=point_records(np.arange(1, len(points) + 1), points)
-    )
+    return SharedMapResponseMsg(points=point_records(np.arange(1, len(points) + 1), points))
 
 
 class TestDeviceLoop:
@@ -421,18 +417,17 @@ def full_scan_build_shared_map(gmap, q, q_fov, alpha, params=PARAMS, exclude_cli
     for fid in neighbors.frame_ids:
         if contains(cone, frames[fid].pose.position):
             frame_rows.add(list(frames).index(fid))
-    records = []
+    heads, runs = [], [np.empty(0, dtype=np.int64)]
     for row in sorted(frame_rows, key=lambda r: gmap._fr_ids[r]):
         f = frames[int(gmap._fr_ids[row])]
-        rows = gmap.frame_point_rows(row)
-        records.append(
-            FrameRecord(f.frame_id, f.client_id, f.keyframe_id, f.pose, f.fov,
-                        gmap.points[rows[in_cone[rows]]])
-        )
+        rows = mem_pt[mem_fr == row]
+        runs.append(gmap.points[rows[in_cone[rows]]])
+        heads.append((f.frame_id, f.client_id, f.keyframe_id, f.pose.as_array(), f.fov,
+                      len(runs[-1])))
     rows = np.flatnonzero(in_cone)
     rows = rows[np.argsort(gmap.points[rows], kind="stable")]
-    return SharedMapSlice(records, gmap.points[rows], positions[rows],
-                          gmap.point_observation_counts[rows])
+    return SharedMapSlice(np.array(heads, dtype=FRAME_DTYPE).reshape(-1), np.concatenate(runs),
+                          gmap.points[rows], positions[rows], gmap.point_observation_counts[rows])
 
 
 def full_scan_update_status(gmap, kfs, k_nn, r_match, params=PARAMS):
@@ -564,7 +559,8 @@ class TestQueryLocalReads:
                     got = build_shared_map(gmap, q, FOV, alpha, params=PARAMS,
                                            exclude_client=exclude)
                     want = full_scan_build_shared_map(gmap, q, FOV, alpha, exclude_client=exclude)
-                    assert got.frames == want.frames
+                    assert got.frames.tobytes() == want.frames.tobytes()
+                    np.testing.assert_array_equal(got.frame_point_ids, want.frame_point_ids)
                     np.testing.assert_array_equal(got.point_ids, want.point_ids)
                     np.testing.assert_array_equal(got.point_positions, want.point_positions)
                     np.testing.assert_array_equal(got.point_observations,

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 
@@ -14,7 +15,6 @@ from comap.wire import (
     DecodeError,
     EndAckMsg,
     ErrorMsg,
-    FrameRecord,
     KeyframeUploadMsg,
     OverlapQueryMsg,
     OverlapResponseMsg,
@@ -34,6 +34,7 @@ from comap.wire import (
     E_MALFORMED,
     E_UNKNOWN_TYPE,
     FIXED_TYPES,
+    FRAME_DTYPE,
     POINT_DTYPE,
     T_ERROR,
     T_KEYFRAME_UPLOAD,
@@ -59,6 +60,29 @@ def rand_points(rng, n):
     )
 
 
+def edge_ints(rng, n, lo, hi):
+    """``n`` ints in [lo, hi]; about a quarter each are lo and hi."""
+    vals = rng.integers(lo, hi, n, dtype=np.int64, endpoint=True)
+    edge = rng.integers(0, 4, n)
+    vals[edge == 0], vals[edge == 1] = lo, hi
+    return vals
+
+
+def rand_frames(rng):
+    """A shared-map frame table and its id column: empty id runs, and
+    frame, client and keyframe ids at the limits of their fields, are
+    common."""
+    n = int(rng.integers(0, 5))
+    frames = np.zeros(n, FRAME_DTYPE)
+    frames["frame_id"] = edge_ints(rng, n, -(1 << 63), (1 << 63) - 1)
+    frames["client_id"] = edge_ints(rng, n, 0, (1 << 32) - 1)
+    frames["keyframe_id"] = edge_ints(rng, n, 0, (1 << 32) - 1)
+    frames["pose"] = np.array([rand_pose(rng).as_array() for _ in range(n)]).reshape(n, 6)
+    frames["fov"] = rng.uniform(0.3, 3.0, n)
+    frames["id_count"] = rng.integers(0, 15, n) * (rng.random(n) < 0.7)
+    return frames, rng.integers(0, 1 << 40, size=int(frames["id_count"].sum()))
+
+
 def rand_message(rng, kind=None):
     kind = rng.integers(0, 13) if kind is None else kind
     if kind == 0:
@@ -75,14 +99,7 @@ def rand_message(rng, kind=None):
                                  rand_pose(rng), float(rng.uniform(0.3, 3.0)),
                                  rand_points(rng, int(rng.integers(0, 20))))
     if kind == 4:
-        frames = [
-            FrameRecord(int(rng.integers(0, 1 << 40)), int(rng.integers(0, 1 << 32)),
-                        int(rng.integers(0, 1 << 32)), rand_pose(rng),
-                        float(rng.uniform(0.3, 3.0)),
-                        rng.integers(0, 1 << 40, size=int(rng.integers(0, 15))))
-            for _ in range(int(rng.integers(0, 5)))
-        ]
-        return SharedMapResponseMsg(frames, rand_points(rng, int(rng.integers(0, 25))))
+        return SharedMapResponseMsg(*rand_frames(rng), rand_points(rng, int(rng.integers(0, 25))))
     if kind == 5:
         return SessionRegisterMsg(int(rng.integers(0, 1 << 32)),
                                   CameraIntrinsics(*rng.uniform(10, 2000, 4)))
@@ -176,18 +193,21 @@ POSE_VALUES = st.floats() | st.floats(-7.0, 7.0) | st.sampled_from(
 
 
 @st.composite
-def mutated_frames(draw, framed=None):
+def mutated_frames(draw, framed=None, kind=None):
     """Any variable-size frame truncated or extended; a frame with a count
     or length field with one such field rewritten; any frame carrying a
     pose (the fixed 64-byte queries too) with one pose field rewritten; or
     any frame with one byte after its header rewritten. With ``framed``
     (drawn when None) a variable frame's header length is then set to the
-    payload actually present."""
+    payload actually present. ``kind`` (drawn when None) is the
+    ``rand_message`` kind mutated; every mutation applies to kind 4."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     how = draw(st.sampled_from(["truncate", "extend", "count", "pose", "byte"]))
     kinds = {"truncate": VARIABLE_KINDS, "extend": VARIABLE_KINDS, "count": COUNTED_KINDS,
              "pose": POSED_KINDS, "byte": range(13)}[how]
-    raw = bytearray(encode(rand_message(rng, kind=draw(st.sampled_from(kinds)))))
+    if kind is None:
+        kind = draw(st.sampled_from(kinds))
+    raw = bytearray(encode(rand_message(rng, kind=kind)))
     if how == "pose":
         fields = pose_fields(raw)
         if fields:
@@ -343,7 +363,7 @@ class TestDecodeErrors:
         assert err.value.offset == 76  # the first point record
 
     def test_shared_map_response_trailing_point_rejected(self):
-        msg = SharedMapResponseMsg([], keyframe_upload(2).points)
+        msg = SharedMapResponseMsg(points=keyframe_upload(2).points)
         raw = encode(msg)
         assert decode(raw) == msg
         with pytest.raises(DecodeError):
@@ -363,12 +383,12 @@ class TestDecodeErrors:
 
     def test_non_canonical_pose_angle_rejected(self):
         # A roll of 4.0 is refused at its frame offset: in an upload, in a
-        # shared-map response's frame record and in an update check's keyframe.
+        # shared-map response's frame header and in an update check's keyframe.
         upload = keyframe_upload(2)
-        record = FrameRecord(3, 1, 1, Pose(1, 2, 3), 1.4, [1, 2])
+        frames = np.array([(3, 1, 1, Pose(1, 2, 3).as_array(), 1.4, 2)], dtype=FRAME_DTYPE)
         for msg, roll_at in (
             (upload, 16 + 24),
-            (SharedMapResponseMsg([record], upload.points), 32 + 24),
+            (SharedMapResponseMsg(frames, [1, 2], upload.points), 32 + 24),
             (UpdateCheckMsg(1, [upload]), 26 + 24),
         ):
             raw = bytearray(encode(msg))
@@ -377,6 +397,25 @@ class TestDecodeErrors:
                 decode(bytes(raw))
             assert err.value.code == E_MALFORMED
             assert err.value.offset == roll_at
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_non_finite_point_position_rejected(self, value, axis):
+        # The second point's position is refused at its component's frame
+        # offset: in an upload, in a shared-map response's point table and
+        # in an update check's keyframe.
+        upload = keyframe_upload(3)
+        upload.points["position"][1, axis] = value
+        at = 54 + 8 + 4 * axis
+        for msg, table_at in (
+            (upload, 76),
+            (SharedMapResponseMsg(points=upload.points), 16),
+            (UpdateCheckMsg(1, [upload]), 86),
+        ):
+            with pytest.raises(DecodeError, match="position") as err:
+                decode(encode(msg))
+            assert err.value.code == E_MALFORMED
+            assert err.value.offset == table_at + at
 
     @pytest.mark.parametrize("fov", [0.0, -1.4, math.pi, 4.0, math.nan, math.inf, -math.inf])
     def test_keyframe_fov_outside_open_range_rejected(self, fov):
@@ -478,6 +517,128 @@ class TestDecodeErrors:
         assert frame_length(encode(OverlapQueryMsg(1, 1, 1, Pose(0, 0, 0)))[:4]) == 64
         raw = encode(SessionEndMsg(1))
         assert frame_length(raw[:8]) == len(raw)
+
+
+# -- the per-record shared-map codec, kept as the reference ------------------
+
+# frame id, client, keyframe, pose, fov, id count.
+_FRAME_HEAD = struct.Struct("<qII6ddI")
+
+
+def canonical_pose(vals, off: int):
+    """Refuse six decoded pose fields at frame offset ``off`` field by
+    field: a non-finite position, then an angle outside (-pi, pi]."""
+    for i, v in enumerate(vals[:3]):
+        if not math.isfinite(v):
+            raise DecodeError(f"pose field {v!r} is not finite", off + 8 * i)
+    for i, angle in enumerate(vals[3:]):
+        if not -math.pi < angle <= math.pi:
+            raise DecodeError(f"pose angle {angle!r} outside (-pi, pi]", off + 24 + 8 * i)
+
+
+def reference_write_shared_map(m: SharedMapResponseMsg) -> bytes:
+    """Packs each frame header and its id run separately."""
+    parts = [struct.pack("<II", len(m.frames), len(m.points))]
+    runs = np.split(m.frame_point_ids, np.cumsum(m.frames["id_count"], dtype=np.int64)[:-1])
+    for (fid, client, keyframe, pose, fov, n), ids in zip(m.frames.tolist(), runs):
+        parts += [_FRAME_HEAD.pack(fid, client, keyframe, *pose, fov, n),
+                  ids.astype("<i8").tobytes()]
+    return b"".join(parts) + m.points.tobytes()
+
+
+def reference_read_shared_map(r) -> SharedMapResponseMsg:
+    """Reads and checks one frame header and its id run at a time; the
+    point table goes through the codec's own point reader."""
+    n_frames, n_points = r.read(struct.Struct("<II"))
+    heads, runs = [], [np.empty(0, dtype=np.int64)]
+    for _ in range(n_frames):
+        at = r.pos
+        frame_id, client_id, keyframe_id, *pose, fov, n_ids = r.read(_FRAME_HEAD)
+        canonical_pose(pose, at + 16)
+        heads.append((frame_id, client_id, keyframe_id, pose, fov, n_ids))
+        runs.append(np.frombuffer(r.data, "<i8", n_ids, r.take(8 * n_ids)))
+    frames = np.array(heads, dtype=FRAME_DTYPE).reshape(-1)
+    return SharedMapResponseMsg(frames, np.concatenate(runs), wire._points(r, n_points))
+
+
+@contextlib.contextmanager
+def reference_shared_map_codec():
+    """``encode`` and ``decode`` with the per-record shared-map codec."""
+    codec = wire._BY_TAG[T_SHARED_MAP_RESPONSE]
+    reference = codec._replace(write=reference_write_shared_map, read=reference_read_shared_map)
+    wire._BY_TAG[codec.tag] = wire._BY_CLASS[codec.cls] = reference
+    try:
+        yield
+    finally:
+        wire._BY_TAG[codec.tag] = wire._BY_CLASS[codec.cls] = codec
+
+
+def decoded(raw):
+    """The message ``raw`` decodes to, or the code and offset refusing it."""
+    try:
+        return decode(raw)
+    except DecodeError as e:
+        return e.code, e.offset
+
+
+def assert_same_outcome(raw):
+    """Both shared-map codecs accept ``raw`` or refuse it with the same
+    code and offset; what they accept is bit for bit the same, and both
+    writers re-encode it to the same bytes."""
+    got = decoded(raw)
+    with reference_shared_map_codec():
+        want = decoded(raw)
+        want_raw = encode(got) if isinstance(got, SharedMapResponseMsg) else None
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("frames", "frame_point_ids", "points"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert encode(got) == want_raw == raw
+
+
+class TestSharedMapCodec:
+    def test_random_responses_match_the_per_record_codec(self, rng):
+        for _ in range(1000):
+            assert_same_outcome(encode(rand_message(rng, kind=4)))
+
+    @given(mutated_frames(kind=4))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_responses_match_the_per_record_codec(self, raw):
+        assert_same_outcome(raw)
+
+    @pytest.mark.parametrize("value", [4.0, math.nan, math.inf])
+    def test_bad_pose_is_reported_before_any_later_fault(self, value):
+        # Frame 1's yaw is bad, and the payload is then cut short at every
+        # byte after that frame's header, or a frame is given a longer id
+        # run: the pose is refused first.
+        frames = np.zeros(3, FRAME_DTYPE)
+        frames["frame_id"] = [5, 6, 7]
+        frames["fov"] = 1.4
+        frames["id_count"] = [2, 3, 1]
+        msg = SharedMapResponseMsg(frames, np.arange(6), keyframe_upload(2).points)
+        raw = bytearray(encode(msg))
+        frame_at = 16 + 76 + 8 * 2
+        yaw_at = frame_at + 16 + 40
+        struct.pack_into("<d", raw, yaw_at, value)
+        for end in range(frame_at + 76, len(raw)):
+            cut = bytearray(raw[:end])
+            struct.pack_into("<I", cut, 4, end - 8)
+            assert decoded(bytes(cut)) == (E_MALFORMED, yaw_at)
+            assert_same_outcome(bytes(cut))
+        for at in (frame_at + 72, frame_at + 76 + 8 * 3 + 72):
+            longer = bytearray(raw)
+            struct.pack_into("<I", longer, at, 1 << 20)
+            assert decoded(bytes(longer)) == (E_MALFORMED, yaw_at)
+            assert_same_outcome(bytes(longer))
+
+    def test_run_writer_checks_the_id_count(self):
+        frames = np.zeros(2, FRAME_DTYPE)
+        frames["id_count"] = [1, 2]
+        with pytest.raises(ValueError):
+            wire.pack_runs(frames, np.arange(4))
 
 
 def per_keyframe_kb(stats: TrafficStats, category: str | None = None) -> float:
