@@ -66,8 +66,6 @@ from .sharing import (
     DeviceLoopState,
     LocalizationOutcome,
     SharedMapSlice,
-    UpdateStatus,
-    UpdateVerdict,
     build_shared_map,
     get_update_status,
     run_device_loop,

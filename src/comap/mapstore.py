@@ -3,24 +3,28 @@
 Points live only in row-indexed columns (ids, float64 positions, 32-byte
 descriptors, observation counts); ids are found by binary search along the
 point rows in ascending id order, into which new rows are merged. Frames
-live only in a frame table (id, client, keyframe id, six pose floats, fov,
-and the optical axis derived from the pose) whose rows hold strictly
-ascending frame ids, so a frame is refused unless its id is above the last
-stored one. Which frames list which points is one append-only column of
-point rows, one per listed id in frame order: each frame's listings are a
-contiguous run of it, delimited by a per-frame offset column, so a frame's
-point ids are a slice, a point's owners are the frames whose runs list it,
-and its observation count is their number. Frames enter through one batch
-append: ``insert_frame`` passes one frame, ``load_snapshot`` every frame of
-a snapshot at once. Two persistent ``spatial.KdTree`` indices, one over
-point positions and one over frame positions, are positional: a row is the
-position's place in its table. Each absorbs a batch through a side buffer
-of the rows after its tree's and rebuilds once the buffer exceeds 10% of
-the tree size, so a load builds each index once. Single-center radius
-queries scan the buffer linearly; batch queries (overlap classification, k
-nearest neighbors) search it through a small tree of its own, built on
-demand and kept until the next insert. Nearest-neighbor lists merge the
-tree's and the buffer's by (squared distance, row).
+live only in one table of the wire's frame headers (``FRAME_DTYPE``: id,
+client and keyframe ids as u32, six pose floats, fov and the frame's
+listing count), beside the optical axis derived from each pose. Its rows
+hold strictly ascending frame ids, so a frame is refused unless its id is
+above the last stored one. Which frames list which points is one
+append-only column of point rows, one per listed id in frame order: each
+frame's listings are a contiguous run of it, delimited by a per-frame
+offset column, so a frame's point ids are a slice, a point's owners are the
+frames whose runs list it, and its observation count is their number.
+Frames enter through one batch append of a header table and the id column
+its runs make: ``insert_frame`` passes one frame's header,
+``load_snapshot`` every frame of a snapshot at once, as the wire's run
+reader (``wire.read_runs``) reads them. Two persistent ``spatial.KdTree``
+indices, one over point positions and one over frame positions, are
+positional: a row is the position's place in its table. Each absorbs a
+batch through a side buffer of the rows after its tree's and rebuilds once
+the buffer exceeds 10% of the tree size, so a load builds each index once.
+Radius queries take candidates from the tree and a linear scan of the
+buffer; overlap classification and k-nearest queries search the buffer
+through a small tree of its own, built on demand and kept until the next
+insert. Nearest-neighbor lists merge the tree's and the buffer's by
+(squared distance, row).
 
 Reads are query-local: shared slices and update checks take the points of
 a cone from the candidates of a radius query of the point index
@@ -45,7 +49,7 @@ import numpy as np
 
 from .geometry import Pose, optical_axis
 from .spatial import KdTree, _search_radius
-from .wire import FRAME_DTYPE, pack_runs
+from .wire import FRAME_DTYPE, DecodeError, _Payload, pack_runs, read_runs
 
 SNAPSHOT_MAGIC = b"MPPS"
 SNAPSHOT_VERSION = 2
@@ -87,6 +91,15 @@ class MapFrame:
     @property
     def np_new(self) -> int:
         return len(self.ids)
+
+    def header(self) -> np.ndarray:
+        """The frame as a one-row ``FRAME_DTYPE`` table. Raises ValueError
+        when an id does not fit its field: client and keyframe ids are u32."""
+        try:
+            return np.array([(self.frame_id, self.client_id, self.keyframe_id,
+                              self.pose.as_array(), self.fov, self.np_new)], dtype=FRAME_DTYPE)
+        except OverflowError as e:
+            raise ValueError(f"frame {self.frame_id}: {e}") from e
 
 
 @dataclass
@@ -145,15 +158,6 @@ class _IncrementalIndex:
         """Every indexed position, by row."""
         return np.concatenate([self._tree.points, self._pending_pos])
 
-    def radius_rows(self, center, r: float) -> np.ndarray:
-        """Ascending rows with distance <= r; identical arithmetic to the linear oracle."""
-        center = np.asarray(center, dtype=np.float64)
-        d2 = np.sum((self._pending_pos - center) ** 2, axis=1)
-        # Tree rows precede buffer rows, and each part's hits ascend.
-        return np.concatenate(
-            [self._tree.radius_search(center, r), len(self._tree) + np.flatnonzero(d2 <= r * r)]
-        )
-
     def candidate_rows(self, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
         """Per center, the rows of every point within its radius and possibly
         of some a little beyond it, in no particular order; the caller
@@ -164,8 +168,7 @@ class _IncrementalIndex:
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radii = np.asarray(radii, dtype=np.float64)
-        idx, counts = self._tree.candidates_within(centers, radii)
-        rows = np.split(idx, np.cumsum(counts)[:-1])[: len(counts)]
+        rows = self._tree.candidates_within(centers, radii)
         if not len(self._pending_pos):
             return rows
         d2 = np.sum((self._pending_pos - centers[:, None, :]) ** 2, axis=-1)
@@ -221,13 +224,9 @@ class GlobalMap:
         self._by_id = np.empty(0, dtype=np.int64)  # point rows in ascending id order
         self._point_index = _IncrementalIndex()
         # Frame table (row-indexed, frame ids strictly ascending): the one
-        # store of frames. Pose columns are x, y, z, roll, pitch, yaw;
-        # _fr_axis is the optical axis derived from them, for the gate.
-        self._fr_ids = np.empty(0, dtype=np.int64)
-        self._fr_client = np.empty(0, dtype=np.int64)
-        self._fr_keyframe = np.empty(0, dtype=np.int64)
-        self._fr_pose = np.empty((0, 6), dtype=np.float64)
-        self._fr_fov = np.empty(0, dtype=np.float64)
+        # store of frames, each id_count the frame's number of listings.
+        # _fr_axis is the optical axis derived from each pose, for the gate.
+        self._frames = np.zeros(0, dtype=FRAME_DTYPE)
         self._fr_axis = np.empty((0, 3), dtype=np.float64)
         self._fr_count = 0
         self._frame_index = _IncrementalIndex()
@@ -258,7 +257,7 @@ class GlobalMap:
     @property
     def frames(self) -> np.ndarray:
         """Read-only ids of the stored frames, ascending, in row order."""
-        ids = self._fr_ids[: self._fr_count]
+        ids = self._frames["frame_id"][: self._fr_count]
         ids.flags.writeable = False
         return ids
 
@@ -280,14 +279,9 @@ class GlobalMap:
         off = self._fr_off[: self._fr_count + 1]
         return np.repeat(np.arange(self._fr_count), np.diff(off)), self._mem_pt[: off[-1]]
 
-    def frame_headers(self, rows, counts, dtype=FRAME_DTYPE) -> np.ndarray:
-        """The ``rows`` as ``dtype`` frame headers with ``counts`` ids each."""
-        heads = np.empty(len(rows), dtype=dtype)
-        heads["frame_id"] = self._fr_ids[rows]
-        heads["client_id"] = self._fr_client[rows]
-        heads["keyframe_id"] = self._fr_keyframe[rows]
-        heads["pose"] = self._fr_pose[rows]
-        heads["fov"] = self._fr_fov[rows]
+    def frame_headers(self, rows, counts) -> np.ndarray:
+        """The frame-table ``rows``, with ``counts`` ids each."""
+        heads = self._frames[rows]
         heads["id_count"] = counts
         return heads
 
@@ -303,7 +297,7 @@ class GlobalMap:
         """(point row, frame id), once per frame listing the point, ordered
         by point id, then frame id."""
         fr, pt = self.memberships()
-        fids = self._fr_ids[fr]
+        fids = self._frames["frame_id"][fr]
         order = np.lexsort((fids, self._pt_ids[pt]))
         pt, fids = pt[order], fids[order]
         keep = np.ones(len(pt), dtype=bool)
@@ -363,31 +357,31 @@ class GlobalMap:
 
     # -- mutation ---------------------------------------------------------
 
-    def _append_frames(self, frames: list[MapFrame], positions, descriptors):
+    def _append_frames(self, heads: np.ndarray, ids, positions, descriptors):
         """Store frames and integrate their points: the map's one construction path.
 
-        ``positions`` and ``descriptors`` align with the frames' ids
-        concatenated in order. The batch is checked whole before anything
-        is stored, so a rejected batch leaves the map unchanged. The result
-        equals appending the frames one at a time: new ids take rows in
-        order of first appearance over the batch, keeping their first
-        position and descriptor, and each point's observation count grows
-        by the number of distinct frames listing it.
+        ``heads`` is a table of frame headers (``FRAME_DTYPE``'s fields in
+        its order), and ``ids`` their runs of point ids concatenated in
+        order, ``id_count`` each; ``positions`` and ``descriptors`` align
+        with ``ids``. The batch is checked whole before anything is stored,
+        so a rejected batch leaves the map unchanged. The result equals
+        appending the frames one at a time: new ids take rows in order of
+        first appearance over the batch, keeping their first position and
+        descriptor, and each point's observation count grows by the number
+        of distinct frames listing it.
         """
-        lengths = [f.np_new for f in frames]
-        ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
         last = int(self.frames[-1]) if self._fr_count else None
-        for f in frames:
-            fid = f.frame_id
+        for fid, _, _, _, fov, count in heads.tolist():
             if last is not None and fid <= last:
                 raise DuplicateFrameError(f"frame {fid} is not above frame {last}")
             last = fid
-            if f.np_new > self.np_max:
+            if count > self.np_max:
                 raise FrameTooLargeError(
-                    f"frame {fid} carries {f.np_new} points, capacity {self.np_max}"
+                    f"frame {fid} carries {count} points, capacity {self.np_max}"
                 )
-            if not 0.0 < f.fov < math.pi:
-                raise ValueError(f"frame {fid} has fov {f.fov!r}, outside (0, pi)")
+            if not 0.0 < fov < math.pi:
+                raise ValueError(f"frame {fid} has fov {fov!r}, outside (0, pi)")
+        ids = np.asarray(ids, dtype=np.int64)
         n = len(ids)
         positions = np.asarray(positions, dtype=np.float64)
         if positions.shape != (n, 3):
@@ -398,12 +392,14 @@ class GlobalMap:
         if descriptors is None:
             descriptors = np.zeros((n, 32), dtype=np.uint8)
         descriptors = np.asarray(descriptors, dtype=np.uint8).reshape(n, 32)
-        if not frames:
+        k = len(heads)
+        if not k:
             return
 
         # One stable sort groups each id's memberships in frame order, so a
         # repeat within one frame sits next to the pair it repeats.
-        frame_of = np.repeat(np.arange(len(frames)), lengths)
+        lengths = heads["id_count"].astype(np.int64)
+        frame_of = np.repeat(np.arange(k), lengths)
         perm = np.argsort(ids, kind="stable")
         sorted_ids, sorted_frames = ids[perm], frame_of[perm]
         head = np.ones(n, dtype=bool)
@@ -425,26 +421,17 @@ class GlobalMap:
             self._append_points(ids[src], positions[src], descriptors[src])
         self._pt_obs[uniq_rows] += listings
 
-        base, k = self._fr_count, len(frames)
-        (
-            self._fr_ids, self._fr_client, self._fr_keyframe, self._fr_pose, self._fr_fov,
-            self._fr_axis, self._fr_off,
-        ) = _reserve(
-            (self._fr_ids, self._fr_client, self._fr_keyframe, self._fr_pose, self._fr_fov,
-             self._fr_axis, self._fr_off),
-            base + k + 1, 16,
+        base = self._fr_count
+        self._frames, self._fr_axis, self._fr_off = _reserve(
+            (self._frames, self._fr_axis, self._fr_off), base + k + 1, 16
         )
         added = slice(base, base + k)
-        self._fr_ids[added] = [f.frame_id for f in frames]
-        self._fr_client[added] = [f.client_id for f in frames]
-        self._fr_keyframe[added] = [f.keyframe_id for f in frames]
-        self._fr_pose[added] = [f.pose.as_array() for f in frames]
-        self._fr_fov[added] = [f.fov for f in frames]
-        self._fr_axis[added] = [optical_axis(f.pose) for f in frames]
+        self._frames[added] = heads
+        self._fr_axis[added] = _optical_axes(heads["pose"])
         m = self._fr_off[base]
         self._fr_off[base + 1 : base + k + 1] = m + np.cumsum(lengths)
         self._fr_count += k
-        self._frame_index.add(self._fr_pose[added, :3])
+        self._frame_index.add(self._frames["pose"][added, :3])
         (self._mem_pt,) = _reserve((self._mem_pt,), m + n, 256)
         self._mem_pt[m : m + n] = rows
 
@@ -468,38 +455,44 @@ class GlobalMap:
 def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -> int:
     """Store a frame and integrate its points into the global map.
 
-    ``positions`` (and ``descriptors``, 32 bytes each, zero when omitted)
-    align with ``frame.ids``. An id already stored keeps its position and
-    descriptor, and its observation count grows by one. An id repeated
-    within the frame is counted once, with its first position. Raises
-    DuplicateFrameError for a frame id not above the last stored one,
-    FrameTooLargeError for more than ``np_max`` ids, and ValueError for
+    The frame is stored as its ``header()`` row, and ``positions`` (and
+    ``descriptors``, 32 bytes each, zero when omitted) align with
+    ``frame.ids``. An id already stored keeps its position and descriptor,
+    and its observation count grows by one. An id repeated within the frame
+    is counted once, with its first position. Raises DuplicateFrameError
+    for a frame id not above the last stored one, FrameTooLargeError for
+    more than ``np_max`` ids, and ValueError for a client or keyframe id
+    outside u32 (the snapshot and the wire carry them as u32), for
     positions that do not align with the ids or are not finite, or for a
     fov outside (0, pi); the map is then unchanged.
     """
-    map._append_frames([frame], positions, descriptors)
+    map._append_frames(frame.header(), frame.ids, positions, descriptors)
     return frame.frame_id
+
+
+def _optical_axes(poses: np.ndarray) -> np.ndarray:
+    """``optical_axis`` of each (x, y, z, roll, pitch, yaw) row."""
+    return np.array([optical_axis(Pose.stored(*p)) for p in poses.tolist()]).reshape(-1, 3)
 
 
 def _gated_frames(
     map: GlobalMap, q: Pose, q_fov: float, t_d: float, exclude_client: int | None
 ) -> np.ndarray:
-    """Frame-table rows passing the distance and axis-angle gates."""
+    """Frame-table rows passing the distance and axis-angle gates, in no
+    particular order."""
     if not map._fr_count:
         return np.empty(0, dtype=np.int64)
     qpos = q.position
-    cand = map._frame_index.radius_rows(qpos, t_d)
+    (cand,) = map._frame_index.candidate_rows(qpos, [t_d])
     if exclude_client is not None and len(cand):
-        cand = cand[map._fr_client[cand] != exclude_client]
+        cand = cand[map._frames["client_id"][cand] != exclude_client]
     if not len(cand):
         return cand
-    dist = np.linalg.norm(map._fr_pose[cand, :3] - qpos, axis=1)
+    dist = np.linalg.norm(map._frames["pose"][cand, :3] - qpos, axis=1)
     cand = cand[dist < t_d]
     if len(cand):
-        qaxis = optical_axis(q)
-        cosang = np.clip(map._fr_axis[cand] @ qaxis, -1.0, 1.0)
-        angles = np.arccos(cosang)
-        cand = cand[angles < 0.5 * (q_fov + map._fr_fov[cand])]
+        cosang = np.clip(map._fr_axis[cand] @ optical_axis(q), -1.0, 1.0)
+        cand = cand[np.arccos(cosang) < 0.5 * (q_fov + map._frames["fov"][cand])]
     return cand
 
 
@@ -545,7 +538,7 @@ def select_neighbors(
     cand = _gated_frames(map, q, q_fov, t_d, exclude_client)
     if not len(cand):
         return NeighborSet([], np.empty(0, dtype=np.int64), np.empty((0, 3)))
-    frame_ids = sorted(map._fr_ids[cand].tolist())
+    frame_ids = sorted(map._frames["frame_id"][cand].tolist())
     rows = _union_rows(map, cand)
     ids = map._pt_ids[rows]
     order = np.argsort(ids, kind="stable")
@@ -568,9 +561,14 @@ def audit(map: GlobalMap) -> list[str]:
             f"{owners[row]} owners"
         )
 
+    frames = map._frames[: map._fr_count]
+    if not np.array_equal(np.diff(map._fr_off[: map._fr_count + 1]), frames["id_count"]):
+        violations.append("frame offsets disagree with the frames' id counts")
+    if not np.array_equal(map._fr_axis[: map._fr_count], _optical_axes(frames["pose"])):
+        violations.append("frame axes disagree with the frames' poses")
     for name, index, table in (
         ("point", map._point_index, map.point_positions),
-        ("frame", map._frame_index, map._fr_pose[: map._fr_count, :3]),
+        ("frame", map._frame_index, frames["pose"][:, :3]),
     ):
         if not np.array_equal(index.positions(), table):
             violations.append(
@@ -589,7 +587,7 @@ def state_digest(map: GlobalMap) -> str:
     h = hashlib.sha1()
     off = map._fr_off[: map._fr_count + 1]
     frame_ids = np.split(map._pt_ids[map._mem_pt[: off[-1]]], off[1:-1])
-    for fid, pose, ids in zip(map.frames.tolist(), map._fr_pose, frame_ids):
+    for fid, pose, ids in zip(map.frames.tolist(), map._frames["pose"], frame_ids):
         h.update(struct.pack("<q", fid))
         h.update(pose.tobytes())
         h.update(np.sort(ids).tobytes())
@@ -608,10 +606,8 @@ def state_digest(map: GlobalMap) -> str:
 _SNAPSHOT_POINT = np.dtype(
     [("id", "<i8"), ("position", "<f8", (3,)), ("descriptor", "u1", (32,))]
 )
-_SNAPSHOT_FRAME = struct.Struct("<qII6ddH")
-# The same header as save_snapshot packs it: the wire's, with a u16 id count.
+# The wire's frame header, with a u16 id count.
 _SNAPSHOT_FRAME_DTYPE = np.dtype(FRAME_DTYPE.descr[:-1] + [("id_count", "<u2")])
-assert _SNAPSHOT_FRAME_DTYPE.itemsize == _SNAPSHOT_FRAME.size
 
 
 def _write_atomically(path, data):
@@ -639,13 +635,12 @@ def save_snapshot(map: GlobalMap, path):
     table["position"] = map.point_positions[order]
     table["descriptor"] = map.point_descriptors[order]
     n = map._fr_count
-    off = map._fr_off[: n + 1]
-    frames = map.frame_headers(np.arange(n), np.diff(off), _SNAPSHOT_FRAME_DTYPE)
     parts = [
         SNAPSHOT_MAGIC,
         struct.pack("<HHII", SNAPSHOT_VERSION, map.np_max, n, len(order)),
         table.tobytes(),
-        pack_runs(frames, map._pt_ids[map._mem_pt[: off[-1]]]),
+        pack_runs(map._frames[:n].astype(_SNAPSHOT_FRAME_DTYPE),
+                  map._pt_ids[map._mem_pt[: map._fr_off[n]]]),
     ]
     _write_atomically(path, b"".join(parts))
 
@@ -673,18 +668,12 @@ def load_snapshot(path) -> GlobalMap:
     if off > len(data):
         raise SnapshotError(f"truncated snapshot: need {off} bytes, have {len(data)}")
     table = np.frombuffer(data, dtype=_SNAPSHOT_POINT, count=n_points, offset=16)
+    runs = _Payload(data, off, len(data))
     try:
-        frames = []
-        for _ in range(n_frames):
-            fid, client, keyframe, *pose, fov, np_new = _SNAPSHOT_FRAME.unpack_from(data, off)
-            off += _SNAPSHOT_FRAME.size
-            ids = np.frombuffer(data, dtype="<i8", count=np_new, offset=off)
-            off += 8 * np_new
-            frames.append(MapFrame(fid, client, keyframe, Pose(*pose), fov, ids))
-    except (struct.error, ValueError) as e:
-        raise SnapshotError(f"malformed snapshot at offset {off}: {e}") from e
-    if off != len(data):
-        raise SnapshotError(f"{len(data) - off} trailing bytes after the last frame")
+        heads, listed_ids = read_runs(runs, _SNAPSHOT_FRAME_DTYPE, n_frames)
+        runs.done()
+    except DecodeError as e:
+        raise SnapshotError(f"malformed snapshot: {e}") from e
 
     ids = table["id"]
     ascends = ids[1:] > ids[:-1]
@@ -692,19 +681,16 @@ def load_snapshot(path) -> GlobalMap:
         j = int(np.argmin(ascends))
         fault = "lists an id twice" if ids[j] == ids[j + 1] else "is not in id order"
         raise SnapshotError(f"point table {fault}: {ids[j]} then {ids[j + 1]}")
-    listed_ids = np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)])
     at = np.searchsorted(ids, listed_ids)
     listed = at < n_points
     listed[listed] = ids[at[listed]] == listed_ids[listed]
     if not listed.all():
         j = int(np.argmin(listed))
-        f = frames[np.searchsorted(np.cumsum([f.np_new for f in frames]), j, side="right")]
-        raise SnapshotError(
-            f"frame {f.frame_id} lists point {listed_ids[j]}, absent from the table"
-        )
+        fid = heads["frame_id"][np.searchsorted(np.cumsum(heads["id_count"]), j, side="right")]
+        raise SnapshotError(f"frame {fid} lists point {listed_ids[j]}, absent from the table")
     m = GlobalMap(np_max=np_max)
     try:
-        m._append_frames(frames, table["position"][at], table["descriptor"][at])
+        m._append_frames(heads, listed_ids, table["position"][at], table["descriptor"][at])
     except ValueError as e:
         raise SnapshotError(f"malformed snapshot: {e}") from e
     if m._pt_count < n_points:

@@ -347,8 +347,7 @@ class MapServer:
         if not 0 < len(msg.keyframes) <= self.params.update_window:
             raise ProtocolError(f"{len(msg.keyframes)} keyframes outside the update window")
         with self._map_lock.reading():
-            status = get_update_status(self.map, msg.keyframes, params=self.params)
-        return status.to_msg()
+            return get_update_status(self.map, msg.keyframes, params=self.params)
 
     def _on_end(self, msg: SessionEndMsg) -> EndAckMsg:
         with self._session_lock:

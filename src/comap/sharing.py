@@ -7,12 +7,12 @@ from the map's persistent point index: every row within a padded ball about
 the apex that bounds the cone is a candidate, and ``contains_many`` decides
 on the candidates alone. Shared frames are the in-cone points' owners plus
 the gated neighbor frames whose positions one ``contains_many`` call puts in
-the cone, gathered from the map's frame columns into one ``FRAME_DTYPE``
+the cone, gathered from the map's frame table into one ``FRAME_DTYPE``
 table and one id column, as the wire carries them. The update check asks
 the index once for the candidates of every cone in its window, tests
 re-observation only for its high-confidence rows and their neighbors, takes
-the neighbors from the index's exact k nearest, and clusters the confirmed
-rows with a union-find.
+the neighbors from the index's exact k nearest, clusters the confirmed rows
+with a union-find, and answers with the wire's ``UpdateStatusMsg``.
 """
 
 from __future__ import annotations
@@ -104,13 +104,14 @@ def build_shared_map(
     if exclude_client is not None:
         # A point is shared only when another client's frame lists it, and
         # only other clients' frames are shared.
-        other = map._fr_client[owner_rows] != exclude_client
+        other = map._frames["client_id"][owner_rows] != exclude_client
         owner_rows, listed_rows = owner_rows[other], listed_rows[other]
 
     # Frames listing a shared point always intersect the cone; gated
     # neighbor frames are kept only when their position lies in it.
     gated = _gated_frames(map, q, q_fov, params.t_d, exclude_client)
-    frame_rows = np.union1d(owner_rows, gated[contains_many(cone, map._fr_pose[gated, :3])])
+    gated = gated[contains_many(cone, map._frames["pose"][gated, :3])]
+    frame_rows = np.union1d(owner_rows, gated)
     # A shared frame's in-cone ids are its run of the listings, which
     # ascend by frame row; a gated frame listing none has an empty run.
     runs = np.searchsorted(owner_rows, frame_rows)
@@ -133,31 +134,6 @@ def build_shared_map(
 class LocalizationOutcome:
     matched_count: int
     success: bool
-
-
-class UpdateVerdict(enum.Enum):
-    EXPANSION = "EXPANSION"
-    UPDATING = "UPDATING"
-
-
-@dataclass
-class UpdateStatus:
-    verdict: UpdateVerdict
-    stale_point_ids: set[int]
-    examined: int = 0
-    high_confidence: int = 0
-    stale_candidates: int = 0
-    cluster_count: int = 0
-
-    def to_msg(self) -> UpdateStatusMsg:
-        return UpdateStatusMsg(
-            verdict=VERDICT_UPDATING if self.verdict is UpdateVerdict.UPDATING else VERDICT_EXPANSION,
-            stale_ids=np.array(sorted(self.stale_point_ids), dtype=np.int64),
-            examined=self.examined,
-            high_confidence=self.high_confidence,
-            stale_candidates=self.stale_candidates,
-            cluster_count=self.cluster_count,
-        )
 
 
 def _cluster_sizes(positions: np.ndarray, radius: float) -> list[int]:
@@ -194,15 +170,17 @@ def get_update_status(
     kfs: list[KeyframeUploadMsg],
     r_match: float | None = None,
     params: ProtocolParams = DEFAULT_PARAMS,
-) -> UpdateStatus:
+) -> UpdateStatusMsg:
     """Decide whether repeated localization failures mean the world changed.
 
     High-confidence map points (observation count at or above the in-cone
     median) that no submitted keyframe re-observed within ``r_match`` are
     stale candidates; a candidate is confirmed when at least half of its
     ``params.k_nn`` nearest map points are also unobserved. The verdict is
-    UPDATING only when enough confirmed points form a spatial cluster,
-    otherwise the device is simply off the map (EXPANSION).
+    ``VERDICT_UPDATING``, with the confirmed points' ids ascending as the
+    stale ids, only when enough confirmed points form a spatial cluster;
+    otherwise the device is simply off the map (``VERDICT_EXPANSION``, no
+    stale ids).
 
     The cost follows the window, not the map: one query of the point index
     gives every cone's candidate rows, which ``contains_many`` decides on;
@@ -230,11 +208,11 @@ def get_update_status(
 
     examined = len(high_rows)
     if examined == 0:
-        return UpdateStatus(UpdateVerdict.EXPANSION, set())
+        return UpdateStatusMsg(VERDICT_EXPANSION, [])
 
     obs = np.concatenate([kf.points["position"] for kf in kfs]).astype(np.float64)
     if not len(obs):
-        return UpdateStatus(UpdateVerdict.EXPANSION, set(), examined=examined)
+        return UpdateStatusMsg(VERDICT_EXPANSION, [], examined=examined)
     obs_tree = KdTree(obs)
     candidate_rows = high_rows[~obs_tree.any_within(positions[high_rows], r_match)]
     confirmed = candidate_rows
@@ -253,12 +231,9 @@ def get_update_status(
         and bool(sizes)
         and max(sizes) >= params.cluster_min
     )
-    stale_ids = (
-        set(map.points[confirmed].tolist()) if updating else set()
-    )
-    return UpdateStatus(
-        verdict=UpdateVerdict.UPDATING if updating else UpdateVerdict.EXPANSION,
-        stale_point_ids=stale_ids,
+    return UpdateStatusMsg(
+        verdict=VERDICT_UPDATING if updating else VERDICT_EXPANSION,
+        stale_ids=np.sort(map.points[confirmed]) if updating else [],
         examined=examined,
         high_confidence=examined,
         stale_candidates=int(len(candidate_rows)),

@@ -23,7 +23,7 @@ def _search_radius(r):
     a little over ``r`` so the tree's own rounding cannot drop a point at
     exactly ``r``. A NaN radius passes through unchecked."""
     # A float scalar, the common case, skips the array round trip.
-    negative = r < 0 if isinstance(r, (float, np.floating)) else np.any(np.asarray(r) < 0)
+    negative = r < 0 if isinstance(r, (float, np.floating)) else (np.asarray(r) < 0).any()
     if negative:
         raise ValueError(f"radius must be non-negative, got {r}")
     return r * (1.0 + 1e-9) + 1e-9
@@ -131,19 +131,17 @@ class KdTree:
             out[tied] = idx[order][rank < k].reshape(len(tied), k)
         return out if centers.ndim > 1 else out[0]
 
-    def candidates_within(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    def candidates_within(self, centers, radii) -> list[np.ndarray]:
         """Unfiltered radius-query candidates of each center, from one ball
-        query: (indices, counts), where the i-th run of ``counts[i]``
-        indices, in no particular order, holds every point within
-        ``radii[i]`` of center i and possibly points a little beyond it.
-        The caller decides on them.
+        query: per center i, the indices, in no particular order, of every
+        point within ``radii[i]`` of it and possibly of points a little
+        beyond it. The caller decides on them.
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        if not self._tree.n or not len(centers):
-            return np.empty(0, dtype=np.int64), np.zeros(len(centers), dtype=np.int64)
-        return _flatten(
-            self._tree.query_ball_point(centers, _search_radius(radii), return_sorted=False)
-        )
+        if not self._tree.n:
+            return [np.empty(0, dtype=np.int64) for _ in centers]
+        balls = self._tree.query_ball_point(centers, _search_radius(radii), return_sorted=False)
+        return [np.asarray(b, dtype=np.int64) for b in balls]
 
     def pairs_within(self, r: float) -> np.ndarray:
         """Lexicographically sorted (P, 2) index pairs i < j within r."""

@@ -8,7 +8,8 @@ Byte-level layouts are documented in docs/formats.md.
 ``CODECS`` declares each message type once; every payload is read through
 one ``_Payload`` cursor, which refuses a payload it does not consume exactly.
 Points travel as one packed table (``POINT_DTYPE``), a shared map's frames as
-another (``FRAME_DTYPE``) plus the id column their id runs make.
+another (``FRAME_DTYPE``) plus the id column their id runs make; ``pack_runs``
+and ``read_runs`` write and read such runs, for the wire and for map snapshots.
 """
 
 from __future__ import annotations
@@ -105,6 +106,36 @@ def pack_runs(heads: np.ndarray, ids) -> bytes:
     out[mask] = np.ascontiguousarray(heads).view(np.uint8)
     out[~mask] = np.asarray(ids, dtype="<i8").view(np.uint8)
     return out.tobytes()
+
+
+def read_runs(r: _Payload, dtype: np.dtype, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` packed ``dtype`` records that ``pack_runs`` wrote at the
+    cursor, each followed by its ``id_count`` ids, and the id column those
+    runs make: a shared map's frame section, and a snapshot's.
+
+    Walks the id counts only, then gathers headers and ids through one
+    mask. The headers' poses pass ``_check_poses``, and a bad pose in a
+    whole header is refused before a later cut.
+    """
+    count_type, count_at = dtype.fields["id_count"]
+    count = struct.Struct("<" + count_type.char)
+    start, starts, counts, short = r.pos, [], [], None
+    try:
+        for _ in range(n):
+            starts.append(r.take(dtype.itemsize))
+            counts.append(0)  # until the record's run is all there
+            (n_ids,) = count.unpack_from(r.data, starts[-1] + count_at)
+            r.take(8 * n_ids)
+            counts[-1] = n_ids
+    except DecodeError as e:
+        short = e
+    mask = _run_mask(dtype.itemsize, counts)
+    section = np.frombuffer(r.data, np.uint8, len(mask), start)
+    heads = section[mask].view(dtype)
+    _check_poses(heads["pose"], lambda row: starts[row] + dtype.fields["pose"][1])
+    if short is not None:
+        raise short
+    return heads, section[~mask].view("<i8")
 
 
 class _ArrayFields:
@@ -387,26 +418,9 @@ def _write_shared_map(m: SharedMapResponseMsg) -> bytes:
 
 
 def _read_shared_map(r: _Payload) -> SharedMapResponseMsg:
-    """Walks the id counts only, then gathers headers and ids through one
-    mask. A bad pose in a whole header is refused before a later cut."""
     n_frames, n_points = r.read(_COUNTS)
-    start, starts, counts, short = r.pos, [], [], None
-    try:
-        for _ in range(n_frames):
-            starts.append(r.take(FRAME_DTYPE.itemsize))
-            counts.append(0)  # until the frame's run is all there
-            (n_ids,) = _U32.unpack_from(r.data, starts[-1] + FRAME_DTYPE.fields["id_count"][1])
-            r.take(8 * n_ids)
-            counts[-1] = n_ids
-    except DecodeError as e:
-        short = e
-    mask = _run_mask(FRAME_DTYPE.itemsize, counts)
-    section = np.frombuffer(r.data, np.uint8, len(mask), start)
-    frames = section[mask].view(FRAME_DTYPE)
-    _check_poses(frames["pose"], lambda row: starts[row] + FRAME_DTYPE.fields["pose"][1])
-    if short is not None:
-        raise short
-    return SharedMapResponseMsg(frames, section[~mask].view("<i8"), _points(r, n_points))
+    frames, ids = read_runs(r, FRAME_DTYPE, n_frames)
+    return SharedMapResponseMsg(frames, ids, _points(r, n_points))
 
 
 def _write_register(m: SessionRegisterMsg) -> bytes:

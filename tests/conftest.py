@@ -41,15 +41,12 @@ def stored_frames(gmap: GlobalMap) -> dict[int, MapFrame]:
     frame-table row and its memberships."""
     mem_fr, mem_pt = gmap.memberships()
     return {
-        int(gmap._fr_ids[row]): MapFrame(
-            int(gmap._fr_ids[row]),
-            int(gmap._fr_client[row]),
-            int(gmap._fr_keyframe[row]),
-            Pose(*gmap._fr_pose[row].tolist()),
-            float(gmap._fr_fov[row]),
-            gmap.points[mem_pt[mem_fr == row]],
+        fid: MapFrame(
+            fid, client, keyframe, Pose(*pose.tolist()), fov, gmap.points[mem_pt[mem_fr == row]]
         )
-        for row in range(len(gmap.frames))
+        for row, (fid, client, keyframe, pose, fov, _) in enumerate(
+            gmap._frames[: len(gmap.frames)].tolist()
+        )
     }
 
 

@@ -13,8 +13,6 @@ from comap.sharing import (
     DeviceAction,
     DeviceLoopState,
     SharedMapSlice,
-    UpdateStatus,
-    UpdateVerdict,
     _cluster_sizes,
     _window_rows,
     build_shared_map,
@@ -258,8 +256,8 @@ class TestGetUpdateStatus:
         gmap = map_from_passes(scene, path_poses())
         kfs = self.kfs_at(scene, path_poses(28, 32))
         status = get_update_status(gmap, kfs, params=PARAMS)
-        assert status.verdict is UpdateVerdict.EXPANSION
-        assert status.stale_point_ids == set()
+        assert status.verdict == VERDICT_EXPANSION
+        assert len(status.stale_ids) == 0
 
     def test_removed_cluster_detected_with_recall(self):
         scene = corridor_scene()
@@ -268,20 +266,22 @@ class TestGetUpdateStatus:
         poses = path_poses(26, 34)
         kfs = self.kfs_at(mutated, poses)
         status = get_update_status(gmap, kfs, params=PARAMS)
-        assert status.verdict is UpdateVerdict.UPDATING
+        assert status.verdict == VERDICT_UPDATING
+        stale = set(status.stale_ids.tolist())
+        assert status.stale_ids.tolist() == sorted(stale)
         cluster_ids = set(int(i) for i in scene.cluster_ids("cars"))
-        recall = len(status.stale_point_ids & cluster_ids) / len(cluster_ids)
+        recall = len(stale & cluster_ids) / len(cluster_ids)
         assert recall >= 0.8
         # Background landmarks barely pollute the stale set.
-        false_ids = status.stale_point_ids - cluster_ids
-        assert len(false_ids) <= len(status.stale_point_ids) // 2
+        false_ids = stale - cluster_ids
+        assert len(false_ids) <= len(stale) // 2
 
     def test_never_mapped_region_is_expansion(self):
         scene = corridor_scene()
         gmap = map_from_passes(scene, path_poses())
         kfs = self.kfs_at(scene, [Pose(500, 500, 1.5, 0.0, math.pi / 2, 0.0)])
         status = get_update_status(gmap, kfs, params=PARAMS)
-        assert status.verdict is UpdateVerdict.EXPANSION
+        assert status.verdict == VERDICT_EXPANSION
         assert status.examined == 0
 
     def test_no_false_alarms_across_randomized_replays(self):
@@ -292,7 +292,7 @@ class TestGetUpdateStatus:
             x = float(rng.uniform(10, 50))
             kfs = self.kfs_at(scene, path_poses(x, x + 4), seed=seed)
             status = get_update_status(gmap, kfs, params=PARAMS)
-            assert status.verdict is UpdateVerdict.EXPANSION, f"false alarm at seed {seed}"
+            assert status.verdict == VERDICT_EXPANSION, f"false alarm at seed {seed}"
 
     def test_empty_keyframes_rejected(self):
         with pytest.raises(ValueError):
@@ -393,9 +393,9 @@ class TestUpdateCheckOracle:
         )
         assert self_dropped > 0 and 0 < len(confirmed) < len(candidates)
         status = get_update_status(gmap, kfs, r_match=r_match, params=PARAMS)
-        assert status.verdict is UpdateVerdict.UPDATING
+        assert status.verdict == VERDICT_UPDATING
         assert status.stale_candidates == len(candidates)
-        assert status.stale_point_ids == set(int(i) for i in gmap.points[confirmed])
+        np.testing.assert_array_equal(status.stale_ids, np.sort(gmap.points[confirmed]))
         assert status.cluster_count == sum(1 for s in sizes if s >= PARAMS.cluster_min)
 
 
@@ -408,7 +408,7 @@ def full_scan_build_shared_map(gmap, q, q_fov, alpha, params=PARAMS, exclude_cli
     mem_fr, mem_pt = gmap.memberships()
     owner = in_cone[mem_pt]
     if exclude_client is not None:
-        owner &= gmap._fr_client[mem_fr] != exclude_client
+        owner &= gmap._frames["client_id"][mem_fr] != exclude_client
         in_cone = np.zeros_like(in_cone)
         in_cone[mem_pt[owner]] = True
     frame_rows = set(mem_fr[owner].tolist())
@@ -418,8 +418,8 @@ def full_scan_build_shared_map(gmap, q, q_fov, alpha, params=PARAMS, exclude_cli
         if contains(cone, frames[fid].pose.position):
             frame_rows.add(list(frames).index(fid))
     heads, runs = [], [np.empty(0, dtype=np.int64)]
-    for row in sorted(frame_rows, key=lambda r: gmap._fr_ids[r]):
-        f = frames[int(gmap._fr_ids[row])]
+    for row in sorted(frame_rows, key=lambda r: gmap.frames[r]):
+        f = frames[int(gmap.frames[row])]
         rows = mem_pt[mem_fr == row]
         runs.append(gmap.points[rows[in_cone[rows]]])
         heads.append((f.frame_id, f.client_id, f.keyframe_id, f.pose.as_array(), f.fov,
@@ -437,7 +437,7 @@ def full_scan_update_status(gmap, kfs, k_nn, r_match, params=PARAMS):
     positions = gmap.point_positions
     counts = gmap.point_observation_counts
     if not len(positions):
-        return UpdateStatus(UpdateVerdict.EXPANSION, set())
+        return UpdateStatusMsg(VERDICT_EXPANSION, [])
     high = np.zeros(len(positions), dtype=bool)
     for kf in kfs:
         in_cone = contains_many(cone_from_fov(kf.pose, kf.fov, params.h), positions)
@@ -445,10 +445,10 @@ def full_scan_update_status(gmap, kfs, k_nn, r_match, params=PARAMS):
             high |= in_cone & (counts >= float(np.median(counts[in_cone])))
     examined = int(high.sum())
     if examined == 0:
-        return UpdateStatus(UpdateVerdict.EXPANSION, set())
+        return UpdateStatusMsg(VERDICT_EXPANSION, [])
     obs = np.concatenate([kf.points["position"] for kf in kfs]).astype(np.float64)
     if not len(obs):
-        return UpdateStatus(UpdateVerdict.EXPANSION, set(), examined=examined)
+        return UpdateStatusMsg(VERDICT_EXPANSION, [], examined=examined)
     observed = KdTree(obs).any_within(positions, r_match)
     candidate_rows = np.flatnonzero(high & ~observed)
     confirmed = candidate_rows
@@ -462,9 +462,9 @@ def full_scan_update_status(gmap, kfs, k_nn, r_match, params=PARAMS):
     updating = (
         len(confirmed) >= params.stale_min and bool(sizes) and max(sizes) >= params.cluster_min
     )
-    return UpdateStatus(
-        verdict=UpdateVerdict.UPDATING if updating else UpdateVerdict.EXPANSION,
-        stale_point_ids=set(gmap.points[confirmed].tolist()) if updating else set(),
+    return UpdateStatusMsg(
+        verdict=VERDICT_UPDATING if updating else VERDICT_EXPANSION,
+        stale_ids=sorted(gmap.points[confirmed].tolist()) if updating else [],
         examined=examined,
         high_confidence=examined,
         stale_candidates=int(len(candidate_rows)),
@@ -581,7 +581,7 @@ class TestQueryLocalReads:
                     want = full_scan_update_status(gmap, kfs, PARAMS.k_nn, r)
                     assert got == want
                     verdicts.add(got.verdict)
-        assert verdicts == {UpdateVerdict.EXPANSION, UpdateVerdict.UPDATING}
+        assert verdicts == {VERDICT_EXPANSION, VERDICT_UPDATING}
 
 
 def corridor_map(positions):
@@ -597,7 +597,9 @@ def corridor_map(positions):
         frames.append(MapFrame(j + 1, 1, j, pose, FOV, listed + 1))
         rows.append(listed)
     gmap = GlobalMap(np_max=500)
-    gmap._append_frames(frames, positions[np.concatenate(rows)], None)
+    heads = np.concatenate([f.header() for f in frames])
+    ids = np.concatenate([f.ids for f in frames])
+    gmap._append_frames(heads, ids, positions[np.concatenate(rows)], None)
     return gmap
 
 
@@ -622,7 +624,7 @@ class TestUpdateCheckScaling:
             kfs.append(KeyframeUploadMsg(9, i, pose, FOV, points))
         statuses = [get_update_status(m, kfs, params=PARAMS) for m in maps]
         assert statuses[0] == statuses[1]
-        assert statuses[0].verdict is UpdateVerdict.UPDATING
+        assert statuses[0].verdict == VERDICT_UPDATING
         best = [math.inf, math.inf]
         for _ in range(5):
             for i, m in enumerate(maps):
