@@ -123,35 +123,32 @@ def build_response(verdict: OverlapVerdict) -> OverlapResponseMsg:
     return OverlapResponseMsg(1, verdict.r, verdict.fresh_samples)
 
 
-def partition_keyframe(kf: Keyframe, resp: OverlapResponseMsg) -> Keyframe:
-    """Drop the map points the response marks redundant.
+def partition_keyframe(kf: Keyframe, resp: OverlapResponseMsg) -> np.ndarray:
+    """The mask of ``kf``'s points the response leaves to upload.
 
     With a REDUNDANT list (status 0) every point within r of a listed sample
-    is removed; with a FRESH list (status 1) only points within r of a listed
-    sample survive; a point at exactly r is within it. Pose and fov are
-    unchanged.
+    is dropped; with a FRESH list (status 1) only points within r of a listed
+    sample are kept; a point at exactly r is within it.
     """
     if resp.r <= 0:
         raise ValueError(f"response spacing must be positive, got {resp.r}")
     near = np.zeros(len(kf), dtype=bool)
     if len(resp.samples):
         near = KdTree(resp.samples).any_within(kf.positions, float(resp.r))
-    keep = ~near if resp.status == 0 else near
-    return kf.subset(keep)
+    return ~near if resp.status == 0 else near
 
 
-def inject_redundancy(kf_pruned: Keyframe, kf_orig: Keyframe) -> Keyframe:
-    """Re-add pruned points observed strictly more often than the keyframe mean.
+def inject_redundancy(kf: Keyframe, keep: np.ndarray) -> np.ndarray:
+    """The mask of dropped points to re-add: those outside ``keep`` observed
+    strictly more often than the mean over all of ``kf``'s points.
 
-    The mean is taken over all of the original keyframe's points; order of
-    the original keyframe is preserved in the output.
+    The decision is per position, so a repeated id is re-added only where
+    that copy itself was dropped and its own count is above the mean.
     """
-    if len(kf_orig) == 0:
-        return kf_pruned
-    kept = np.isin(kf_orig.landmark_ids, kf_pruned.landmark_ids)
-    mean_count = float(kf_orig.observation_counts.mean())
-    inject = ~kept & (kf_orig.observation_counts > mean_count)
-    return kf_orig.subset(kept | inject)
+    if len(kf) == 0:
+        return np.zeros(0, dtype=bool)
+    counts = kf.observation_counts
+    return ~keep & (counts > counts.mean())
 
 
 def integrate_upload(

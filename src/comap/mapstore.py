@@ -214,6 +214,9 @@ class GlobalMap:
     """The server's shared map."""
 
     def __init__(self, np_max: int = 300):
+        # The snapshot header and the query's np hint hold it as a u16.
+        if not 1 <= np_max <= 0xFFFF:
+            raise ValueError(f"np_max must be in 1..65535, got {np_max}")
         self.np_max = np_max
         # Point table (row-indexed): the one store of map points.
         self._pt_ids = np.empty(0, dtype=np.int64)
@@ -688,8 +691,8 @@ def load_snapshot(path) -> GlobalMap:
         j = int(np.argmin(listed))
         fid = heads["frame_id"][np.searchsorted(np.cumsum(heads["id_count"]), j, side="right")]
         raise SnapshotError(f"frame {fid} lists point {listed_ids[j]}, absent from the table")
-    m = GlobalMap(np_max=np_max)
     try:
+        m = GlobalMap(np_max=np_max)
         m._append_frames(heads, listed_ids, table["position"][at], table["descriptor"][at])
     except ValueError as e:
         raise SnapshotError(f"malformed snapshot: {e}") from e

@@ -719,10 +719,8 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
         reply = link.send(SessionRegisterMsg(cfg.client_id, cfg.intrinsics))
         if not isinstance(reply, RegisterAckMsg):
             raise SessionAborted(f"registration rejected: {reply}")
-        sharing = False
         for kf in keyframes:
             result.keyframes += 1
-            stats.note_keyframe()
             state.note_keyframe(kf)
             trace.append(
                 {
@@ -736,7 +734,7 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
                 upload(kf)
                 continue
 
-            if sharing and state.has_slice():
+            if state.has_slice():
                 outcome = state.localize_on_slice(kf.positions)
                 trace.append(
                     {
@@ -750,10 +748,10 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
                     result.overlap_degrees.append(1.0)
                     continue
                 action = run_device_loop(state, kf.keyframe_id, kf.pose, kf.positions)
-                if action in (DeviceAction.CONTINUE_ON_SHARED_MAP, DeviceAction.UPDATE_DETECTED):
+                if action is not DeviceAction.EXPAND:
                     result.overlap_degrees.append(1.0)
                     continue
-                sharing = False  # fall through to the expansion path
+                state.clear_slice()  # fall through to the expansion path
 
             query = OverlapQueryMsg(cfg.client_id, kf.keyframe_id, len(kf), kf.pose)
             resp = link.send(query)
@@ -773,25 +771,21 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
             )
             if degree > params.t_seen:
                 action = run_device_loop(state, kf.keyframe_id, kf.pose, kf.positions)
-                if action in (DeviceAction.CONTINUE_ON_SHARED_MAP, DeviceAction.UPDATE_DETECTED):
-                    sharing = True
+                if action is not DeviceAction.EXPAND:
                     continue
-                sharing = False
-            pruned = partition_keyframe(kf, resp)
-            final = inject_redundancy(pruned, kf)
-            injected_ids = sorted(
-                set(final.landmark_ids.tolist()) - set(pruned.landmark_ids.tolist())
-            )
+                state.clear_slice()
+            keep = partition_keyframe(kf, resp)
+            inject = inject_redundancy(kf, keep)
             trace.append(
                 {
                     "event": "partition",
                     "keyframe_id": kf.keyframe_id,
-                    "kept": len(pruned),
-                    "injected": len(final) - len(pruned),
-                    "injected_ids": injected_ids,
+                    "kept": int(keep.sum()),
+                    "injected": int(inject.sum()),
+                    "injected_ids": np.sort(kf.landmark_ids[inject]).tolist(),
                 }
             )
-            upload(final)
+            upload(kf.subset(keep | inject))
 
         reply = link.send(SessionEndMsg(cfg.client_id))
         if isinstance(reply, EndAckMsg):

@@ -268,7 +268,7 @@ class DeviceLoopState:
     np_hint: int = 0
     r_match: float = 0.0
     slice_tree: KdTree | None = None
-    recent_kfs: deque = field(default_factory=lambda: deque(maxlen=5))
+    recent_kfs: deque = field(init=False)
     trace: list = field(default_factory=list)
     update_events: list = field(default_factory=list)
 
@@ -277,7 +277,7 @@ class DeviceLoopState:
             self.np_hint = self.params.np_default
         if self.r_match <= 0:
             self.r_match = default_r_match(self.fov, self.params)
-        self.recent_kfs = deque(self.recent_kfs, maxlen=self.params.update_window)
+        self.recent_kfs = deque(maxlen=self.params.update_window)
 
     def note_keyframe(self, kf: Keyframe):
         """Keep a keyframe for the next update check's window."""

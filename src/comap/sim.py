@@ -46,7 +46,6 @@ class Scene:
     positions: np.ndarray
     bounds: np.ndarray  # (2, 3): min corner, max corner
     seed: int
-    clusters: dict[str, np.ndarray] = field(default_factory=dict)
     _catalog: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     _index: KdTree | None = field(default=None, init=False, repr=False, compare=False)
     _descriptors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -102,7 +101,6 @@ def generate_scene(
     bounds = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
     rng = np.random.default_rng(seed)
     ids_parts, pos_parts = [], []
-    clusters: dict[str, np.ndarray] = {}
     catalog: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     next_id = 1
     for spec in cluster_spec or []:
@@ -118,7 +116,6 @@ def generate_scene(
         next_id += count
         ids_parts.append(ids)
         pos_parts.append(pos)
-        clusters[label] = ids
         catalog[label] = (ids, pos)
 
     n_background = landmark_count - (next_id - 1)
@@ -134,7 +131,6 @@ def generate_scene(
         positions=np.vstack(pos_parts),
         bounds=bounds,
         seed=seed,
-        clusters=clusters,
         _catalog=catalog,
     )
 
@@ -165,7 +161,6 @@ def mutate_scene(scene: Scene, op: str, cluster_ref: str) -> Scene:
         positions=new_pos,
         bounds=scene.bounds,
         seed=scene.seed,
-        clusters=dict(scene.clusters),
         _catalog=dict(scene._catalog),
     )
 

@@ -598,10 +598,6 @@ class TrafficStats:
 
     upload_bytes: dict[str, int] = field(default_factory=dict)
     download_bytes: dict[str, int] = field(default_factory=dict)
-    keyframes: int = 0
-
-    def note_keyframe(self):
-        self.keyframes += 1
 
     @property
     def total_upload(self) -> int:

@@ -10,7 +10,7 @@ from comap.mapstore import GlobalMap, MapFrame, insert_frame
 from comap.params import CAMERA_PRESETS, ProtocolParams
 from comap.scenario import ScenarioConfig, UserSpec
 from comap.sim import TrajectorySpec
-from comap.wire import point_table
+from comap.wire import decode, encode, point_table
 
 SIM_INTR = CAMERA_PRESETS["sim_752x480"]
 
@@ -65,6 +65,19 @@ def point_records(ids, positions, descriptors=None, observation_counts=1):
         table["descriptor"] = descriptors
     table["observation_count"] = observation_counts
     return table
+
+
+class ScriptedTransport:
+    """A client transport that answers each request with the next scripted
+    reply, encoded, and keeps every request it was sent, decoded."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.sent = []
+
+    def request(self, raw):
+        self.sent.append(decode(raw))
+        return encode(self.replies.pop(0))
 
 
 def straight_trajectory(length=80.0, d_kf=2.0, z=1.5, heading=0.0):

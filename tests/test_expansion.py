@@ -18,10 +18,23 @@ from comap.expansion import (
 from comap.geometry import Pose, cone_from_fov, sample_cone
 from comap.mapstore import GlobalMap, state_digest
 from comap.overlap import OverlapVerdict
+from comap.runtime import ClientConfig, client_pipeline
 from comap.sim import landmark_descriptor
-from comap.wire import KeyframeUploadMsg, OverlapResponseMsg
+from comap.wire import (
+    EndAckMsg,
+    KeyframeUploadMsg,
+    OverlapResponseMsg,
+    RegisterAckMsg,
+    UploadAckMsg,
+)
 
-from conftest import insert_point_cloud, point_records, stored_frames
+from conftest import (
+    SIM_INTR,
+    ScriptedTransport,
+    insert_point_cloud,
+    point_records,
+    stored_frames,
+)
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -90,9 +103,9 @@ def dense_near_any_sample(positions, samples, r):
     return np.any(d2 <= r * r, axis=1)
 
 
-def dense_partition(kf, resp):
+def dense_keep(kf, resp):
     near = dense_near_any_sample(kf.positions, resp.samples, float(resp.r))
-    return kf.subset(~near if resp.status == 0 else near)
+    return ~near if resp.status == 0 else near
 
 
 def keyframe_at(positions):
@@ -100,6 +113,10 @@ def keyframe_at(positions):
     n = len(positions)
     return Keyframe(0, Pose(0, 0, 0), 1.38, np.arange(1, n + 1), positions,
                     np.zeros((n, 32), dtype=np.uint8), np.ones(n, dtype=np.int64))
+
+
+def assert_mask_of(keep, kf):
+    assert keep.dtype == bool and keep.shape == (len(kf),)
 
 
 class TestPartitionMatchesDenseReference:
@@ -116,9 +133,9 @@ class TestPartitionMatchesDenseReference:
         kf = keyframe_at(positions)
         resp = OverlapResponseMsg(status, 0.5, [[1.0, 2.0, 3.0], [-4.0, 0.0, 2.0]])
         near = np.array([True] * 4 + [False] * 4)
-        out = partition_keyframe(kf, resp)
-        np.testing.assert_array_equal(out.landmark_ids, kf.landmark_ids[near == bool(status)])
-        np.testing.assert_array_equal(out.landmark_ids, dense_partition(kf, resp).landmark_ids)
+        keep = partition_keyframe(kf, resp)
+        np.testing.assert_array_equal(keep, near == bool(status))
+        np.testing.assert_array_equal(keep, dense_keep(kf, resp))
 
     @pytest.mark.parametrize("status", [0, 1])
     def test_random_rim_points_match(self, status):
@@ -130,9 +147,9 @@ class TestPartitionMatchesDenseReference:
         scale = r * (1.0 + rng.integers(-4, 5, (300, 1)) * 1e-16)
         kf = keyframe_at(samples[rng.integers(0, 150, 300)] + d * scale)
         resp = OverlapResponseMsg(status, r, samples)
-        out = partition_keyframe(kf, resp)
-        np.testing.assert_array_equal(out.landmark_ids, dense_partition(kf, resp).landmark_ids)
-        assert 0 < len(out) < len(kf)
+        keep = partition_keyframe(kf, resp)
+        np.testing.assert_array_equal(keep, dense_keep(kf, resp))
+        assert 0 < keep.sum() < len(kf)
 
     @pytest.mark.parametrize("status", [0, 1])
     def test_empty_samples_and_empty_keyframes(self, status, rng):
@@ -140,10 +157,10 @@ class TestPartitionMatchesDenseReference:
         for resp in (OverlapResponseMsg(status, 2.0, np.empty((0, 3))),
                      OverlapResponseMsg(status, 2.0, kf.positions[:5])):
             for k in (kf, Keyframe.empty(0, kf.pose, kf.fov)):
-                out = partition_keyframe(k, resp)
-                np.testing.assert_array_equal(out.landmark_ids,
-                                              dense_partition(k, resp).landmark_ids)
-        assert len(partition_keyframe(kf, OverlapResponseMsg(status, 2.0, np.empty((0, 3))))) \
+                keep = partition_keyframe(k, resp)
+                assert_mask_of(keep, k)
+                np.testing.assert_array_equal(keep, dense_keep(k, resp))
+        assert partition_keyframe(kf, OverlapResponseMsg(status, 2.0, np.empty((0, 3)))).sum() \
             == (len(kf) if status == 0 else 0)
 
 
@@ -151,19 +168,19 @@ class TestPartitionKeyframe:
     def test_empty_redundant_list_keeps_everything(self, rng):
         kf = make_keyframe(rng)
         resp = OverlapResponseMsg(0, 2.0, np.empty((0, 3)))
-        out = partition_keyframe(kf, resp)
-        np.testing.assert_array_equal(out.landmark_ids, kf.landmark_ids)
-        assert out.pose == kf.pose and out.fov == kf.fov
+        keep = partition_keyframe(kf, resp)
+        assert_mask_of(keep, kf)
+        assert keep.all()
 
     def test_full_redundant_cover_removes_everything(self, rng):
         kf = make_keyframe(rng, spread=3.0)
         resp = OverlapResponseMsg(0, 10.0, kf.positions[:5])
-        assert len(partition_keyframe(kf, resp)) == 0
+        assert not partition_keyframe(kf, resp).any()
 
     def test_empty_fresh_list_keeps_nothing(self, rng):
         kf = make_keyframe(rng)
         resp = OverlapResponseMsg(1, 2.0, np.empty((0, 3)))
-        assert len(partition_keyframe(kf, resp)) == 0
+        assert not partition_keyframe(kf, resp).any()
 
     def test_status_paths_are_complements(self, rng):
         # Partition under S=0 with the redundant list and under S=1 with the
@@ -175,22 +192,22 @@ class TestPartitionKeyframe:
         redundant_mask = np.zeros(200, dtype=bool)
         redundant_mask[:90] = True
         v = verdict_from(samples[redundant_mask], samples[~redundant_mask], r=r)
-        kept_s0 = partition_keyframe(kf, OverlapResponseMsg(0, r, v.redundant_samples))
-        kept_s1 = partition_keyframe(kf, OverlapResponseMsg(1, r, v.fresh_samples))
-        ids0 = set(kept_s0.landmark_ids.tolist())
-        ids1 = set(kept_s1.landmark_ids.tolist())
+        keep_s0 = partition_keyframe(kf, OverlapResponseMsg(0, r, v.redundant_samples))
+        keep_s1 = partition_keyframe(kf, OverlapResponseMsg(1, r, v.fresh_samples))
         # s0 removes near-redundant; s1 keeps near-fresh. A point far from
         # all samples survives s0 but not s1; points near both lists differ.
         near_redundant = dense_near_any_sample(kf.positions, v.redundant_samples, r)
         near_fresh = dense_near_any_sample(kf.positions, v.fresh_samples, r)
-        assert ids0 == set(kf.landmark_ids[~near_redundant].tolist())
-        assert ids1 == set(kf.landmark_ids[near_fresh].tolist())
+        np.testing.assert_array_equal(keep_s0, ~near_redundant)
+        np.testing.assert_array_equal(keep_s1, near_fresh)
 
     def test_output_subset_of_input(self, rng):
+        # The selection is a mask over the keyframe's own points.
         kf = make_keyframe(rng)
         resp = OverlapResponseMsg(0, 3.0, rng.uniform(-10, 10, (30, 3)))
-        out = partition_keyframe(kf, resp)
-        assert set(out.landmark_ids.tolist()) <= set(kf.landmark_ids.tolist())
+        keep = partition_keyframe(kf, resp)
+        assert_mask_of(keep, kf)
+        assert 0 < keep.sum() < len(kf)
 
     def test_invalid_spacing_rejected(self, rng):
         kf = make_keyframe(rng)
@@ -198,41 +215,116 @@ class TestPartitionKeyframe:
             partition_keyframe(kf, OverlapResponseMsg(0, 0.0, np.empty((0, 3))))
 
 
+def reference_inject_redundancy(kf_pruned: Keyframe, kf_orig: Keyframe) -> Keyframe:
+    """The id-based injection the masks replaced: a point of the original
+    keyframe is kept when its id is among the pruned keyframe's, and a
+    dropped point is re-added when observed strictly more often than the
+    original's mean."""
+    if len(kf_orig) == 0:
+        return kf_pruned
+    kept = np.isin(kf_orig.landmark_ids, kf_pruned.landmark_ids)
+    mean_count = float(kf_orig.observation_counts.mean())
+    inject = ~kept & (kf_orig.observation_counts > mean_count)
+    return kf_orig.subset(kept | inject)
+
+
+def reference_selection(kf, resp):
+    """(uploaded ids, kept, injected, injected_ids) as the id-based device
+    derived them: a pruned keyframe, a re-injected one, and the injected
+    ids as a set difference."""
+    pruned = kf.subset(dense_keep(kf, resp))
+    final = reference_inject_redundancy(pruned, kf)
+    injected_ids = sorted(set(final.landmark_ids.tolist()) - set(pruned.landmark_ids.tolist()))
+    return final.landmark_ids.tolist(), len(pruned), len(final) - len(pruned), injected_ids
+
+
+def pipeline_selection(kf, resp):
+    """(uploaded ids, kept, injected, injected_ids) of ``client_pipeline``
+    answering ``kf``'s overlap query with ``resp``."""
+    transport = ScriptedTransport([
+        RegisterAckMsg(1), resp, UploadAckMsg(1), EndAckMsg(1, len(kf), 0.0),
+    ])
+    result = client_pipeline(ClientConfig(1, SIM_INTR), [kf], transport)
+    (upload,) = [m for m in transport.sent if isinstance(m, KeyframeUploadMsg)]
+    (event,) = [ev for ev in result.trace if ev["event"] == "partition"]
+    return (upload.points["id"].tolist(), event["kept"], event["injected"],
+            event["injected_ids"])
+
+
 class TestInjectRedundancy:
     def test_equal_counts_inject_nothing(self, rng):
         kf = make_keyframe(rng, n=20, counts=np.full(20, 3))
-        pruned = kf.subset(np.arange(20) < 5)
-        out = inject_redundancy(pruned, kf)
-        np.testing.assert_array_equal(out.landmark_ids, pruned.landmark_ids)
+        inject = inject_redundancy(kf, np.arange(20) < 5)
+        assert_mask_of(inject, kf)
+        assert not inject.any()
 
     def test_heavily_observed_point_comes_back(self, rng):
         kf = make_keyframe(rng, n=3, counts=[1, 1, 10])
-        pruned = kf.subset(np.array([True, True, False]))  # the 10-count point pruned
-        out = inject_redundancy(pruned, kf)
-        assert set(out.landmark_ids.tolist()) == set(kf.landmark_ids.tolist())
+        keep = np.array([True, True, False])  # the 10-count point pruned
+        np.testing.assert_array_equal(inject_redundancy(kf, keep), [False, False, True])
 
     def test_injected_points_strictly_above_mean(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 80))
             kf = make_keyframe(rng, n=n, counts=rng.integers(1, 12, n))
             keep = rng.uniform(0, 1, n) < 0.5
-            pruned = kf.subset(keep)
-            out = inject_redundancy(pruned, kf)
-            mean = kf.observation_counts.mean()
-            injected = set(out.landmark_ids.tolist()) - set(pruned.landmark_ids.tolist())
-            for lid in injected:
-                idx = int(np.nonzero(kf.landmark_ids == lid)[0][0])
-                assert kf.observation_counts[idx] > mean
-            # Conservation: pruned + removed partitions the original; the
-            # output never exceeds the original.
-            assert set(out.landmark_ids.tolist()) <= set(kf.landmark_ids.tolist())
-            assert len(out) >= len(pruned)
+            inject = inject_redundancy(kf, keep)
+            # Only dropped points come back, and each is above the mean.
+            assert not (inject & keep).any()
+            assert (kf.observation_counts[inject] > kf.observation_counts.mean()).all()
+            np.testing.assert_array_equal(
+                inject | keep, keep | (kf.observation_counts > kf.observation_counts.mean())
+            )
 
     def test_preserves_original_order(self, rng):
         kf = make_keyframe(rng, n=10, counts=[9, 1, 9, 1, 9, 1, 9, 1, 9, 1])
-        pruned = kf.subset(np.zeros(10, dtype=bool))
-        out = inject_redundancy(pruned, kf)
-        np.testing.assert_array_equal(out.landmark_ids, kf.landmark_ids[::2])
+        keep = np.zeros(10, dtype=bool)
+        inject = inject_redundancy(kf, keep)
+        np.testing.assert_array_equal(kf.subset(keep | inject).landmark_ids, kf.landmark_ids[::2])
+
+    def test_empty_keyframe_injects_nothing(self):
+        kf = Keyframe.empty(0, Pose(0, 0, 0), 1.38)
+        inject = inject_redundancy(kf, np.zeros(0, dtype=bool))
+        assert_mask_of(inject, kf)
+
+    def test_pipeline_matches_the_id_based_reference(self, rng):
+        # Distinct ids: the uploaded ids in their order, the kept and
+        # injected counts and the injected ids all equal the id-based
+        # derivation's.
+        seen = np.zeros(3, dtype=int)
+        for trial in range(40):
+            n = int(rng.integers(0, 120))
+            kf = make_keyframe(rng, n=n, counts=rng.integers(1, 12, n), spread=8.0)
+            kf.landmark_ids = rng.permutation(np.arange(1000, 1000 + 4 * n))[:n]
+            kf.keyframe_id = trial
+            # The listed samples imply an overlap degree of at most 0.9, the
+            # threshold, so the keyframe takes the upload path.
+            status = int(rng.integers(0, 2))
+            k = n or 300
+            listed = int(rng.integers(0, 0.9 * k + 1) if status == 0
+                         else rng.integers(0.1 * k + 1, k + 1))
+            resp = OverlapResponseMsg(status, float(rng.uniform(0.5, 4.0)),
+                                      rng.uniform(-8, 8, (listed, 3)))
+            got = pipeline_selection(kf, resp)
+            assert got == reference_selection(kf, resp)
+            seen += [got[1] > 0, got[2] > 0, 0 < len(got[0]) < n]
+        assert seen.min() >= 10, seen
+
+    def test_repeated_id_is_decided_per_position(self):
+        # Id 7 appears twice: the first copy is kept, the second dropped
+        # with a count at the mean. The id-based derivation re-adds the
+        # dropped copy because the id was kept elsewhere; the masks decide
+        # by position and count, so it stays dropped. A dropped copy above
+        # the mean comes back even though another copy was kept.
+        kf = keyframe_at([(0, 0, 0), (9, 0, 0), (0, 9, 0), (9, 9, 0)])
+        kf.landmark_ids = np.array([7, 7, 5, 5])
+        kf.observation_counts = np.array([1, 3, 3, 5])  # mean 3
+        resp = OverlapResponseMsg(0, 1.0, [(9, 0, 0), (9, 9, 0)])
+        keep = partition_keyframe(kf, resp)
+        np.testing.assert_array_equal(keep, [True, False, True, False])
+        np.testing.assert_array_equal(inject_redundancy(kf, keep), [False, False, False, True])
+        assert pipeline_selection(kf, resp) == ([7, 5, 5], 2, 1, [5])
+        assert reference_selection(kf, resp) == ([7, 7, 5, 5], 2, 2, [])
 
 
 class TestIntegrateUpload:
@@ -303,7 +395,7 @@ class TestIntegrateUpload:
             samples = rng.uniform(-10, 10, (40, 3))
             r = float(rng.uniform(0.5, 3.0))
             resp = OverlapResponseMsg(0, r, samples)
-            pruned = partition_keyframe(kf, resp)
+            pruned = kf.subset(partition_keyframe(kf, resp))
             gmap = GlobalMap()
             fid = integrate_upload(
                 gmap, pruned.to_upload_msg(1), RigidTransform.identity()

@@ -693,6 +693,26 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="id order"):
             load_snapshot(bad)
 
+    @pytest.mark.parametrize("np_max", [-5, 0, 1, 300, 65535, 65536, 70000])
+    def test_every_np_max_a_map_accepts_round_trips(self, tmp_path, np_max):
+        # The snapshot header and the query's np hint hold np_max as a u16.
+        if not 1 <= np_max <= 0xFFFF:
+            with pytest.raises(ValueError, match="np_max"):
+                GlobalMap(np_max=np_max)
+            return
+        path = tmp_path / "map.mpps"
+        save_snapshot(GlobalMap(np_max=np_max), path)
+        assert load_snapshot(path).np_max == np_max
+
+    def test_header_np_max_of_zero_is_snapshot_error(self, tmp_path):
+        path = tmp_path / "map.mpps"
+        save_snapshot(GlobalMap(), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, 6, 0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="np_max"):
+            load_snapshot(path)
+
     def test_short_header_is_snapshot_error(self, tmp_path):
         bad = tmp_path / "short.mpps"
         bad.write_bytes(b"MPPS\x01\x00")
@@ -798,9 +818,9 @@ def reference_load_snapshot(path) -> GlobalMap:
     listed[listed] = ids[at[listed]] == listed_ids[listed]
     if not listed.all():
         raise SnapshotError("a frame lists a point absent from the table")
-    gmap = GlobalMap(np_max=np_max)
     heads = np.concatenate([f.header() for f in frames] + [np.zeros(0, FRAME_DTYPE)])
     try:
+        gmap = GlobalMap(np_max=np_max)
         gmap._append_frames(heads, listed_ids, table["position"][at], table["descriptor"][at])
     except ValueError as e:
         raise SnapshotError(f"malformed snapshot: {e}") from e

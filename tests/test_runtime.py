@@ -36,6 +36,8 @@ from comap.scenario import ScenarioConfig, UserSpec, run_scenario
 from comap.sim import TrajectorySpec, generate_keyframes, generate_scene
 from comap import wire
 from comap.wire import (
+    VERDICT_EXPANSION,
+    EndAckMsg,
     ErrorMsg,
     KeyframeUploadMsg,
     OverlapQueryMsg,
@@ -46,12 +48,19 @@ from comap.wire import (
     SharedMapRequestMsg,
     SharedMapResponseMsg,
     UpdateCheckMsg,
+    UpdateStatusMsg,
     UploadAckMsg,
     decode,
     encode,
 )
 
-from conftest import SIM_INTR, planted_change_config, point_records, two_user_config
+from conftest import (
+    SIM_INTR,
+    ScriptedTransport,
+    planted_change_config,
+    point_records,
+    two_user_config,
+)
 from test_wire import mutated_frames
 
 PARAMS = ProtocolParams()
@@ -737,6 +746,44 @@ class ReplayTransport:
 
     def close(self):
         pass
+
+
+class TestClientPipelineBranches:
+    def keyframe(self, keyframe_id, positions):
+        n = len(positions)
+        return Keyframe(keyframe_id, Pose(0, 0, 0), 1.38, np.arange(1, n + 1) + 1000 * keyframe_id,
+                        positions, np.zeros((n, 32), dtype=np.uint8), np.ones(n, dtype=np.int64))
+
+    def test_expansion_verdict_drops_the_slice(self, rng):
+        # Keyframe 0 fails to localize on a slice made of keyframe 1's
+        # points, and the update check answers EXPANSION. Keyframe 1 must
+        # then ask the overlap query again instead of localizing on that
+        # slice, where it would have succeeded.
+        first = self.keyframe(0, rng.uniform(-5, 5, (100, 3)))
+        second = self.keyframe(1, rng.uniform(95, 105, (100, 3)))
+        old_slice = SharedMapResponseMsg(points=point_records(np.arange(1, 101), second.positions))
+        transport = ScriptedTransport([
+            RegisterAckMsg(1),
+            OverlapResponseMsg(1, 1.0, np.empty((0, 3))),  # degree 1: on the map
+            old_slice, old_slice,
+            UpdateStatusMsg(VERDICT_EXPANSION, np.empty(0, dtype=np.int64)),
+            UploadAckMsg(1),
+            OverlapResponseMsg(0, 1.0, np.empty((0, 3))),  # degree 0: fresh
+            UploadAckMsg(2),
+            EndAckMsg(2, 200, 0.0),
+        ])
+        result = client_pipeline(ClientConfig(1, SIM_INTR, params=PARAMS), [first, second],
+                                 transport)
+        assert not result.aborted
+        assert [type(m).__name__ for m in transport.sent] == [
+            "SessionRegisterMsg", "OverlapQueryMsg", "SharedMapRequestMsg",
+            "SharedMapRequestMsg", "UpdateCheckMsg", "KeyframeUploadMsg", "OverlapQueryMsg",
+            "KeyframeUploadMsg", "SessionEndMsg",
+        ]
+        assert transport.sent[6].keyframe_id == 1
+        assert [ev["keyframe_id"] for ev in result.trace if ev["event"] == "localize"] == [0, 0]
+        assert not any(ev["event"] == "localize_local" for ev in result.trace)
+        assert result.uploads == 2
 
 
 def decision_events(trace):

@@ -641,35 +641,34 @@ class TestSharedMapCodec:
             wire.pack_runs(frames, np.arange(4))
 
 
-def per_keyframe_kb(stats: TrafficStats, category: str | None = None) -> float:
+def per_keyframe_kb(stats: TrafficStats, keyframes: int, category: str | None = None) -> float:
     """Mean uploaded KiB per keyframe, of one category or of all."""
-    if stats.keyframes == 0:
+    if keyframes == 0:
         return 0.0
     total = stats.upload_bytes.get(category, 0) if category else stats.total_upload
-    return total / stats.keyframes / 1024.0
+    return total / keyframes / 1024.0
 
 
-def ratio_vs_full_keyframe(stats: TrafficStats, category: str) -> float:
+def ratio_vs_full_keyframe(stats: TrafficStats, keyframes: int, category: str) -> float:
     """Mean per-keyframe upload bytes of a category over the 160 KB constant."""
-    if stats.keyframes == 0:
+    if keyframes == 0:
         return 0.0
-    return stats.upload_bytes.get(category, 0) / stats.keyframes / FULL_KEYFRAME_BYTES
+    return stats.upload_bytes.get(category, 0) / keyframes / FULL_KEYFRAME_BYTES
 
 
 class TestMetering:
     def test_query_ratio_against_full_keyframe(self):
         stats = TrafficStats()
-        stats.note_keyframe()
         meter(stats, OverlapQueryMsg(1, 1, 300, Pose(0, 0, 0)), "upload")
         # 64 / 163840 = 0.0390625%
-        assert ratio_vs_full_keyframe(stats, "query") == pytest.approx(64 / FULL_KEYFRAME_BYTES)
-        assert ratio_vs_full_keyframe(stats, "query") == pytest.approx(0.000390625)
+        assert ratio_vs_full_keyframe(stats, 1, "query") == pytest.approx(64 / FULL_KEYFRAME_BYTES)
+        assert ratio_vs_full_keyframe(stats, 1, "query") == pytest.approx(0.000390625)
 
     def test_zero_messages_zero_counters(self):
         stats = TrafficStats()
         assert stats.total_upload == 0
         assert stats.total_download == 0
-        assert per_keyframe_kb(stats) == 0.0
+        assert per_keyframe_kb(stats, 0) == 0.0
 
     def test_totals_are_exact_sums(self, rng):
         stats = TrafficStats()
@@ -693,10 +692,9 @@ class TestMetering:
             kf = KeyframeUploadMsg(1, i, rand_pose(rng), 1.4, rand_points(rng, 12))
             raw = encode(kf)
             total += len(raw)
-            stats.note_keyframe()
             meter(stats, kf, "upload", size=len(raw))
         assert stats.upload_bytes["keyframe_upload"] == total
-        assert per_keyframe_kb(stats, "keyframe_upload") == pytest.approx(total / 40 / 1024)
+        assert per_keyframe_kb(stats, 40, "keyframe_upload") == pytest.approx(total / 40 / 1024)
 
     def test_direction_validated(self):
         with pytest.raises(ValueError):
