@@ -721,7 +721,7 @@ def client_pipeline(cfg: ClientConfig, keyframes, transport) -> ClientResult:
             raise SessionAborted(f"registration rejected: {reply}")
         for kf in keyframes:
             result.keyframes += 1
-            state.note_keyframe(kf)
+            state.recent_kfs.append(kf)
             trace.append(
                 {
                     "event": "keyframe",

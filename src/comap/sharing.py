@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expansion import Keyframe
 from .geometry import Pose, ViewCone, cone_from_fov, cone_reach, contains_many
 from .mapstore import GlobalMap, _gated_frames
 # Re-exported: the benchmark's tracer patches mapstore.select_neighbors by this name.
@@ -268,7 +267,7 @@ class DeviceLoopState:
     np_hint: int = 0
     r_match: float = 0.0
     slice_tree: KdTree | None = None
-    recent_kfs: deque = field(init=False)
+    recent_kfs: deque = field(init=False)  # the next update check's keyframes
     trace: list = field(default_factory=list)
     update_events: list = field(default_factory=list)
 
@@ -278,10 +277,6 @@ class DeviceLoopState:
         if self.r_match <= 0:
             self.r_match = default_r_match(self.fov, self.params)
         self.recent_kfs = deque(maxlen=self.params.update_window)
-
-    def note_keyframe(self, kf: Keyframe):
-        """Keep a keyframe for the next update check's window."""
-        self.recent_kfs.append(kf)
 
     def set_slice(self, resp: SharedMapResponseMsg):
         pts = resp.points["position"].astype(np.float64)

@@ -212,7 +212,7 @@ class TestDeviceLoop:
         status = UpdateStatusMsg(VERDICT_UPDATING, np.array([4, 5, 6]))
         link = ScriptedLink([far, far, status])
         state = self.make_state(link)
-        state.note_keyframe(Keyframe.empty(3, Pose(0, 0, 0), FOV))
+        state.recent_kfs.append(Keyframe.empty(3, Pose(0, 0, 0), FOV))
         action = run_device_loop(state, 3, Pose(0, 0, 0), obs)
         assert action is DeviceAction.UPDATE_DETECTED
         kinds = [type(m).__name__ for m in link.sent]
@@ -225,7 +225,7 @@ class TestDeviceLoop:
         status = UpdateStatusMsg(VERDICT_EXPANSION, np.empty(0, dtype=np.int64))
         link = ScriptedLink([far, far, status])
         state = self.make_state(link)
-        state.note_keyframe(Keyframe.empty(3, Pose(0, 0, 0), FOV))
+        state.recent_kfs.append(Keyframe.empty(3, Pose(0, 0, 0), FOV))
         action = run_device_loop(state, 3, Pose(0, 0, 0), obs)
         assert action is DeviceAction.EXPAND
         assert not state.update_events
@@ -233,7 +233,7 @@ class TestDeviceLoop:
     def test_recent_window_bounded(self):
         state = self.make_state(ScriptedLink([]))
         for i in range(12):
-            state.note_keyframe(Keyframe.empty(i, Pose(0, 0, 0), FOV))
+            state.recent_kfs.append(Keyframe.empty(i, Pose(0, 0, 0), FOV))
         assert len(state.recent_kfs) == PARAMS.update_window
 
 
