@@ -18,10 +18,14 @@ its runs make: ``insert_frame`` passes one frame's header,
 reader (``wire.read_runs``) reads them. Two persistent ``spatial.KdTree``
 indices, one over point positions and one over frame positions, are
 positional: a row is the position's place in its table. Each absorbs a
-batch through a side buffer of the rows after its tree's and rebuilds once
-the buffer exceeds 10% of the tree size, so a load builds each index once.
-Radius queries take candidates from the tree and a linear scan of the
-buffer; overlap classification and k-nearest queries search the buffer
+batch into a side buffer of the rows after its tree's, and rebuilds its
+tree only while it is being read: a read that finds the buffer over 10% of
+the tree size rebuilds first, and so does a write, if the index was read
+since its last build. Every read thus sees a buffer of at most 10%, and an
+index that is only written to (the point index of uploads into unmapped
+space) is never built. A load builds each index once, before the map is
+served. Radius queries take candidates from the tree and a linear scan of
+the buffer; overlap classification and k-nearest queries search the buffer
 through a small tree of its own, built on demand and kept until the next
 insert. Nearest-neighbor lists merge the tree's and the buffer's by
 (squared distance, row).
@@ -43,6 +47,7 @@ import hashlib
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,40 +128,93 @@ def _reserve(columns: tuple, need: int, floor: int) -> tuple:
 
 # Every index starts from this tree; a KdTree is never modified once built.
 _EMPTY_TREE = KdTree(np.empty((0, 3)))
-# The side buffer is folded into a rebuilt tree once it holds more than this
-# share of the tree's points, and more than _MIN_PENDING points.
+# The side buffer is oversized once it holds more than this share of the
+# tree's points, and more than _MIN_PENDING points.
 _REBUILD_FRACTION = 0.1
 _MIN_PENDING = 16
 
 
 class _IncrementalIndex:
     """KdTree plus side buffer over positions added in order: row i is the
-    i-th position added, and rows below ``len(self._tree)`` are in the tree."""
+    i-th position added, and rows below ``len(self._tree)`` are in the tree.
+
+    A tree is rebuilt only for an index that is read. A read first folds an
+    oversized buffer into a new tree, so every read sees a buffer of at most
+    a tenth of its tree; a write does so only if the index was read since
+    its last build. An index that is only written is never built.
+
+    Writes exclude reads (the map's write lock), but reads run concurrently:
+    a read's check, any build and its hand-over of tree and buffer run under
+    the index's own lock, so no reader sees a tree from one state and a
+    buffer from another.
+    """
 
     def __init__(self):
         self._tree = _EMPTY_TREE
-        self._pending_pos = np.empty((0, 3), dtype=np.float64)
-        self._pending_tree = None  # over _pending_pos; dropped on every add
+        self._buffer = np.empty((0, 3), dtype=np.float64)  # reserved room
+        self._buffered = 0  # rows of _buffer in use: the rows after the tree's
+        self._buffer_tree = None  # over the buffered rows; dropped on every add
+        self._read = False  # since the tree was built
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._tree) + len(self._pending_pos)
+        with self._lock:
+            return len(self._tree) + self._buffered
 
     def add(self, positions: np.ndarray):
         """Index a batch of positions as the next rows; rebuild once the side
-        buffer outgrows its share."""
-        self._pending_pos = np.concatenate([self._pending_pos, positions])
-        self._pending_tree = None
-        if len(self._pending_pos) > max(_MIN_PENDING, _REBUILD_FRACTION * len(self._tree)):
-            self.rebuild()
+        buffer outgrows its share, if the index was read since its build."""
+        with self._lock:
+            end = self._buffered + len(positions)
+            (self._buffer,) = _reserve((self._buffer,), end, 16)
+            self._buffer[self._buffered : end] = positions
+            self._buffered = end
+            self._buffer_tree = None
+            if self._read and self._oversized():
+                self._build()
 
     def rebuild(self):
-        self._tree = KdTree(self.positions())
-        self._pending_pos = np.empty((0, 3), dtype=np.float64)
-        self._pending_tree = None
+        """Fold the side buffer into a new tree."""
+        with self._lock:
+            self._build()
 
     def positions(self) -> np.ndarray:
         """Every indexed position, by row."""
-        return np.concatenate([self._tree.points, self._pending_pos])
+        with self._lock:
+            return self._positions()
+
+    def _oversized(self) -> bool:
+        return self._buffered > max(_MIN_PENDING, _REBUILD_FRACTION * len(self._tree))
+
+    def _positions(self) -> np.ndarray:
+        return np.concatenate([self._tree.points, self._buffer[: self._buffered]])
+
+    def _build(self):
+        self._tree = KdTree(self._positions())
+        self._buffered = 0
+        self._buffer_tree = None
+        self._read = False
+
+    def _parts(self) -> tuple[KdTree, np.ndarray]:
+        """The tree and the buffered positions, from one state, for one
+        read; an oversized buffer is folded into a new tree first. Rows of
+        the buffer follow the tree's."""
+        with self._lock:
+            if self._oversized():
+                self._build()
+            self._read = True
+            return self._tree, self._buffer[: self._buffered]
+
+    def _tree_of_buffer(self) -> KdTree:
+        """The non-empty buffer's own tree, built on first use and kept until
+        the next add. It covers the buffer ``_parts`` handed the read: only a
+        write, never concurrent with a read, changes that. The tree shares
+        the buffer's memory; no row it covers is written again before a
+        build drops it."""
+        with self._lock:
+            if self._buffer_tree is None:
+                self._buffer_tree = KdTree(self._buffer[: self._buffered])
+            return self._buffer_tree
 
     def candidate_rows(self, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
         """Per center, the rows of every point within its radius and possibly
@@ -168,12 +226,13 @@ class _IncrementalIndex:
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radii = np.asarray(radii, dtype=np.float64)
-        rows = self._tree.candidates_within(centers, radii)
-        if not len(self._pending_pos):
+        tree, buffer = self._parts()
+        rows = tree.candidates_within(centers, radii)
+        if not len(buffer):
             return rows
-        d2 = np.sum((self._pending_pos - centers[:, None, :]) ** 2, axis=-1)
+        d2 = np.sum((buffer - centers[:, None, :]) ** 2, axis=-1)
         near = d2 <= _search_radius(radii)[:, None] ** 2
-        n = len(self._tree)
+        n = len(tree)
         return [np.concatenate([r, n + np.flatnonzero(b)]) for r, b in zip(rows, near)]
 
     def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
@@ -185,28 +244,26 @@ class _IncrementalIndex:
         row order.
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        if not len(self._pending_pos):
-            return self._tree.query_nearest(centers, k)
-        if self._pending_tree is None:
-            self._pending_tree = KdTree(self._pending_pos)
+        tree, buffer = self._parts()
+        if not len(buffer):
+            return tree.query_nearest(centers, k)
         rows, d2 = [], []
-        for tree, first_row in ((self._tree, 0), (self._pending_tree, len(self._tree))):
-            nn = tree.query_nearest(centers, k)
+        for part, first_row in ((tree, 0), (self._tree_of_buffer(), len(tree))):
+            nn = part.query_nearest(centers, k)
             rows.append(first_row + nn)
-            d2.append(np.sum((tree.points[nn] - centers[:, None, :]) ** 2, axis=-1))
+            d2.append(np.sum((part.points[nn] - centers[:, None, :]) ** 2, axis=-1))
         rows, d2 = np.concatenate(rows, axis=1), np.concatenate(d2, axis=1)
         order = np.lexsort((rows, d2))
-        return np.take_along_axis(rows, order, axis=1)[:, : min(k, len(self))]
+        return np.take_along_axis(rows, order, axis=1)[:, : min(k, len(tree) + len(buffer))]
 
     def any_within(self, centers: np.ndarray, r: float, allowed: np.ndarray) -> np.ndarray:
         """Per center: does a point whose row is set in ``allowed`` lie within r?"""
-        n = len(self._tree)
-        found = self._tree.any_within(centers, r, allowed[:n])
+        tree, _ = self._parts()
+        n = len(tree)
+        found = tree.any_within(centers, r, allowed[:n])
         todo = np.flatnonzero(~found)
         if len(todo) and allowed[n:].any():
-            if self._pending_tree is None:
-                self._pending_tree = KdTree(self._pending_pos)
-            found[todo] = self._pending_tree.any_within(centers[todo], r, allowed[n:])
+            found[todo] = self._tree_of_buffer().any_within(centers[todo], r, allowed[n:])
         return found
 
 
@@ -332,12 +389,16 @@ class GlobalMap:
 
     def rows_for_ids(self, ids) -> np.ndarray:
         """Point-table row of each id; -1 where the id is not stored."""
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        return self._search_ids(np.asarray(ids, dtype=np.int64).reshape(-1))[1]
+
+    def _search_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per id, its place in the id order (where it is, or would be
+        inserted), and its point-table row, or -1 where it is not stored."""
         if not self._pt_count:
-            return np.full(len(ids), -1, dtype=np.int64)
+            return np.zeros(len(ids), dtype=np.int64), np.full(len(ids), -1, dtype=np.int64)
         at = np.searchsorted(self._pt_ids[: self._pt_count], ids, sorter=self._by_id)
         rows = self._by_id[np.minimum(at, self._pt_count - 1)]
-        return np.where(self._pt_ids[rows] == ids, rows, -1)
+        return at, np.where(self._pt_ids[rows] == ids, rows, -1)
 
     def allocate_frame_id(self) -> int:
         """The id after the last stored frame's (1 in an empty map); the
@@ -412,16 +473,17 @@ class GlobalMap:
         group = np.cumsum(head) - 1
         listings = np.bincount(group[distinct_pair])
         first = perm[head]
-        uniq_rows = self.rows_for_ids(sorted_ids[head])
-        new = np.flatnonzero(uniq_rows < 0)
-        new = new[np.argsort(first[new])]
-        uniq_rows[new] = self._pt_count + np.arange(len(new))
+        at, uniq_rows = self._search_ids(sorted_ids[head])
+        new = np.flatnonzero(uniq_rows < 0)  # in id order
+        by_first = new[np.argsort(first[new])]
+        uniq_rows[by_first] = self._pt_count + np.arange(len(new))
         rows = np.empty(n, dtype=np.int64)
         rows[perm] = uniq_rows[group]
 
         if len(new):
-            src = first[new]
+            src = first[by_first]
             self._append_points(ids[src], positions[src], descriptors[src])
+            self._by_id = np.insert(self._by_id, at[new], uniq_rows[new])
         self._pt_obs[uniq_rows] += listings
 
         base = self._fr_count
@@ -439,11 +501,9 @@ class GlobalMap:
         self._mem_pt[m : m + n] = rows
 
     def _append_points(self, ids: np.ndarray, positions: np.ndarray, descriptors: np.ndarray):
-        """New rows with observation count 0, indexed and put in id order in one batch."""
+        """New rows with observation count 0, indexed in one batch; the
+        caller puts them in id order."""
         base, k = self._pt_count, len(ids)
-        order = np.argsort(ids)
-        at = np.searchsorted(self._pt_ids[:base], ids[order], sorter=self._by_id)
-        self._by_id = np.insert(self._by_id, at, base + order)
         self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs = _reserve(
             (self._pt_ids, self._pt_pos, self._pt_desc, self._pt_obs), base + k, 64
         )
@@ -700,4 +760,8 @@ def load_snapshot(path) -> GlobalMap:
         unlisted = np.ones(n_points, dtype=bool)
         unlisted[at] = False
         raise SnapshotError(f"point {ids[np.argmax(unlisted)]} is listed by no frame")
+    # A loaded map is about to be served: build its indices now, not on the
+    # first reads.
+    m._point_index.rebuild()
+    m._frame_index.rebuild()
     return m

@@ -164,7 +164,9 @@ class MapServer:
 
     Reads run concurrently; map writes are serialized by a single lock
     (single-writer / multi-reader via the GIL for array reads plus an
-    exclusive mutation lock).
+    exclusive mutation lock). A read may rebuild one of the map's spatial
+    indices, under that index's own lock; that changes no answer and not
+    the map's ``version``.
 
     Overlap queries and shared-map requests assess each keyframe once per
     map state: an overlap query followed by a shared-map request for the

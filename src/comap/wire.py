@@ -306,8 +306,9 @@ class _Payload:
 
 # Per pose field, the open lower and closed upper bound of its values: a
 # position must be finite, an angle in (-pi, pi].
-_POSE_LO = np.array([-np.inf] * 3 + [-math.pi] * 3)
-_POSE_HI = np.array([np.finfo(np.float64).max] * 3 + [math.pi] * 3)
+_POSE_BOUNDS = [(-math.inf, np.finfo(np.float64).max.item())] * 3 + [(-math.pi, math.pi)] * 3
+_POSE_LO, _POSE_HI = np.array(_POSE_BOUNDS).T
+_BAD_POSE = "pose field not finite, or angle outside (-pi, pi]"
 
 
 def _refuse_first(ok: np.ndarray, values: np.ndarray, offset, size: int, what: str):
@@ -324,7 +325,15 @@ def _check_poses(poses, offset):
     angle that passes as it is (``Pose.stored``), and no other re-encodes."""
     poses = np.asarray(poses, dtype=np.float64).reshape(-1, 6)
     ok = (_POSE_LO < poses) & (poses <= _POSE_HI)
-    _refuse_first(ok, poses, offset, 8, "pose field not finite, or angle outside (-pi, pi]")
+    _refuse_first(ok, poses, offset, 8, _BAD_POSE)
+
+
+def _check_pose(pose, at: int):
+    """``_check_poses`` for the one pose at frame offset ``at``, in scalar
+    arithmetic: a message carrying one pose skips numpy's per-call cost."""
+    for col, (v, (lo, hi)) in enumerate(zip(pose, _POSE_BOUNDS)):
+        if not lo < v <= hi:
+            raise DecodeError(f"{_BAD_POSE}: {float(v)!r}", at + 8 * col)
 
 
 def _points(r: _Payload, n: int) -> np.ndarray:
@@ -372,7 +381,7 @@ def _write_query(m: OverlapQueryMsg) -> bytes:
 def _read_query(cls, r: _Payload) -> OverlapQueryMsg:
     at = r.pos
     client_id, keyframe_id, np_hint, *pose, pad = r.read(_QUERY_BODY)
-    _check_poses(pose, lambda row: at + 10)
+    _check_pose(pose, at + 10)
     if pad:
         raise DecodeError("nonzero padding", at + 58)
     return cls(client_id, keyframe_id, np_hint, Pose.stored(*pose))
@@ -405,8 +414,16 @@ def _read_keyframe(r: _Payload) -> KeyframeUploadMsg:
     """One keyframe-upload payload; its point count must account for every
     byte, and its fov must lie in (0, pi)."""
     at = r.pos
-    client_id, keyframe_id, *pose, fov, n = r.read(_KEYFRAME_HEAD)
-    _check_poses(pose, lambda row: at + 8)
+    head = r.read(_KEYFRAME_HEAD)
+    _check_pose(head[2:8], at + 8)
+    return _keyframe(head, at, r)
+
+
+def _keyframe(head: tuple, at: int, r: _Payload) -> KeyframeUploadMsg:
+    """The keyframe upload whose head, its pose already checked, was read at
+    frame offset ``at`` of ``r``: its fov must lie in (0, pi), and its point
+    count must account for every remaining byte."""
+    client_id, keyframe_id, *pose, fov, n = head
     if not 0.0 < fov < math.pi:
         raise DecodeError(f"keyframe fov {fov!r} outside (0, pi)", at + 56)
     return KeyframeUploadMsg(client_id, keyframe_id, Pose.stored(*pose), fov, _points(r, n))
@@ -447,12 +464,25 @@ def _write_update_check(m: UpdateCheckMsg) -> bytes:
 
 
 def _read_update_check(r: _Payload) -> UpdateCheckMsg:
+    """The check's keyframe payloads, each read as ``_read_keyframe`` reads
+    one. Their heads are read first and their poses checked in one call: as
+    in ``read_runs``, a bad pose in a whole payload is refused before a
+    later cut, and before any keyframe's fov or points."""
     client_id, n = r.read(_CHECK_HEAD)
-    keyframes = []
-    for _ in range(n):
-        (length,) = r.read(_U32)
-        keyframes.append(_read_keyframe(r.sub(length)))
-    return UpdateCheckMsg(client_id, keyframes)
+    starts, heads, bodies, short = [], [], [], None
+    try:
+        for _ in range(n):
+            (length,) = r.read(_U32)
+            body = r.sub(length)
+            starts.append(body.pos)
+            heads.append(body.read(_KEYFRAME_HEAD))
+            bodies.append(body)
+    except DecodeError as e:
+        short = e
+    _check_poses([head[2:8] for head in heads], lambda row: starts[row] + 8)
+    if short is not None:
+        raise short
+    return UpdateCheckMsg(client_id, list(map(_keyframe, heads, starts, bodies)))
 
 
 def _write_update_status(m: UpdateStatusMsg) -> bytes:

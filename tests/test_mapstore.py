@@ -3,6 +3,8 @@ import hashlib
 import math
 import os
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +401,140 @@ class TestPointIndexQueries:
             frame_rows = rng.choice(20, int(rng.integers(0, 21)), replace=False)
             want = np.unique(mem_pt[np.isin(mem_fr, frame_rows)])
             np.testing.assert_array_equal(_union_rows(gmap, frame_rows), want)
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The point count of every KdTree the map store builds from now on."""
+    builds = []
+
+    class CountingKdTree(KdTree):
+        def __init__(self, points):
+            builds.append(len(points))
+            super().__init__(points)
+
+    monkeypatch.setattr(mapstore, "KdTree", CountingKdTree)
+    return builds
+
+
+class TestIncrementalIndex:
+    """The tree-plus-buffer index answers every read as one KdTree over all
+    its rows would, however writes and reads interleave, and builds a tree
+    only for an index that is read."""
+
+    @staticmethod
+    def check_read(index, rows, rng):
+        """One read of a random kind, against a KdTree over ``rows``."""
+        full = KdTree(rows)
+        centers = np.vstack([rows[rng.integers(0, len(rows), 6)],
+                             np.round(rng.uniform(-7, 7, (6, 3)) * 2) / 2])
+        kind = rng.integers(3)
+        if kind == 0:
+            r = float(rng.choice([0.5, 1.0, math.sqrt(2), 2.5]))
+            allowed = rng.random(len(rows)) < rng.choice([0.05, 0.5, 1.0])
+            np.testing.assert_array_equal(index.any_within(centers, r, allowed),
+                                          full.any_within(centers, r, allowed))
+        elif kind == 1:
+            radii = rng.choice([0.0, 1.0, math.sqrt(3), 3.0], len(centers))
+            for c, r, cand in zip(centers, radii, index.candidate_rows(centers, radii)):
+                assert len(np.unique(cand)) == len(cand)
+                inside = cand[np.sum((rows[cand] - c) ** 2, axis=1) <= r * r]
+                np.testing.assert_array_equal(np.sort(inside), full.radius_search(c, r))
+        else:
+            k = int(rng.integers(1, 12))
+            np.testing.assert_array_equal(index.query_nearest(centers, k),
+                                          full.query_nearest(centers, k))
+        # Every read sees a buffer of at most a tenth of its tree.
+        limit = max(mapstore._MIN_PENDING, mapstore._REBUILD_FRACTION * len(index._tree))
+        assert len(buffered_rows(index)) <= limit
+
+    def test_reads_match_one_tree_over_all_rows(self, rng):
+        # Points snapped to a coarse grid tie often, in distance and in
+        # position; write-only bursts let the buffer outgrow its share.
+        for _ in range(5):
+            index, rows = mapstore._IncrementalIndex(), np.empty((0, 3))
+            for _ in range(60):
+                burst = int(rng.integers(1, 4)) if rng.random() < 0.2 else 1
+                for _ in range(burst):
+                    batch = np.round(rng.uniform(-6, 6, (int(rng.choice([1, 3, 12, 90])), 3)))
+                    index.add(batch)
+                    rows = np.vstack([rows, batch])
+                if rng.random() < 0.6:
+                    self.check_read(index, rows, rng)
+                np.testing.assert_array_equal(index.positions(), rows)
+
+    def test_only_a_read_index_is_built(self, rng, tree_builds):
+        index = mapstore._IncrementalIndex()
+        index.add(rng.uniform(-9, 9, (1000, 3)))
+        for _ in range(50):
+            index.add(rng.uniform(-9, 9, (7, 3)))
+        assert tree_builds == []  # a write-only burst builds nothing
+        index.candidate_rows(np.zeros((1, 3)), [1.0])
+        index.query_nearest(np.zeros((2, 3)), 3)
+        index.any_within(np.zeros((2, 3)), 1.0, np.ones(1350, dtype=bool))
+        assert tree_builds == [1350]  # the first read builds once
+        # Once read, writes rebuild at the same threshold as ever: on the add
+        # that takes the buffer past a tenth of the tree.
+        for _ in range(135):
+            index.add(rng.uniform(-9, 9, (1, 3)))
+        assert tree_builds == [1350]
+        index.add(rng.uniform(-9, 9, (1, 3)))
+        assert tree_builds == [1350, 1486]
+        # That build was not read: writes alone build nothing again.
+        index.add(rng.uniform(-9, 9, (400, 3)))
+        assert tree_builds == [1350, 1486]
+        index.candidate_rows(np.zeros((1, 3)), [1.0])
+        assert tree_builds == [1350, 1486, 1886]
+
+    def test_concurrent_first_readers_build_each_index_once(self, rng, tree_builds):
+        # Four threads, released together, make the first reads after a
+        # write-only burst: each index is built once, and every reader gets
+        # the answers a lone reader gets.
+        t_d, fov = 40.0, 1.4
+        centers = rng.uniform(-20, 20, (30, 3))
+        poses = [Pose(*rng.uniform(-10, 10, 3), 0.0, *rng.uniform(-math.pi, math.pi, 2))
+                 for _ in range(6)]
+
+        def burst():
+            gmap = GlobalMap(np_max=300)
+            cloud = np.random.default_rng(5).uniform(-30, 30, (3000, 3))
+            for client, pose in enumerate(poses):
+                insert_point_cloud(gmap, cloud[client::len(poses)], client_id=client,
+                                   frame_pose=pose, fov=fov, frames_of=50)
+            return gmap
+
+        def reads(gmap):
+            return [
+                gmap.nearest_point_rows(centers, 5).tolist(),
+                [np.sort(c).tolist() for c in gmap.point_candidate_rows(centers, [2.0] * 30)],
+                gmap.any_point_within(centers, 2.0, np.arange(0, 3000, 3)).tolist(),
+                [neighbor_point_rows(gmap, q, fov, t_d, exclude_client=1).tolist() for q in poses],
+            ]
+
+        want = reads(burst())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                gmap = burst()
+                tree_builds.clear()
+                gate, got = threading.Barrier(4), [None] * 4
+
+                def reader(i):
+                    gate.wait()
+                    got[i] = reads(gmap)
+
+                threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want] * 4
+                assert sorted(tree_builds) == [len(gmap.frames), len(gmap.points)]
+                assert audit(gmap) == []
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestAudit:
@@ -965,8 +1101,9 @@ class TestBulkLoad:
                 super().__init__(points)
 
         monkeypatch.setattr(mapstore, "KdTree", CountingKdTree)
-        replay_load_snapshot(path)
-        assert len(builds) > 2  # the spy sees the replay's rebuilds
+        replay = replay_load_snapshot(path)
+        replay.nearest_point_rows(np.zeros((1, 3)), 1)
+        assert builds == [len(replay.points)]  # the spy sees a read's build
         builds.clear()
         gmap = load_snapshot(path)
         assert len(builds) <= 2

@@ -398,6 +398,48 @@ class TestDecodeErrors:
             assert err.value.code == E_MALFORMED
             assert err.value.offset == roll_at
 
+    def test_one_pose_check_matches_the_batch_check(self):
+        # Each field at the edges of its range: a lone pose is refused, or
+        # passed, exactly as a batch of one is, with the same message.
+        edges = [0.0, -0.0, 4.0, math.pi, -math.pi, np.nextafter(math.pi, 4.0),
+                 np.nextafter(-math.pi, -4.0), np.finfo(np.float64).max,
+                 -np.finfo(np.float64).max, math.inf, -math.inf, math.nan]
+
+        def outcome(check):
+            try:
+                check()
+            except DecodeError as e:
+                return str(e), e.offset
+            return None
+
+        for col in range(6):
+            for value in edges:
+                pose = [0.5] * 6
+                pose[col] = float(value)
+                one = outcome(lambda: wire._check_pose(pose, 100))
+                assert one == outcome(lambda: wire._check_poses(pose, lambda row: 100))
+                assert (one is None) == (col < 3 and math.isfinite(value)
+                                         or col >= 3 and -math.pi < value <= math.pi)
+
+    @pytest.mark.parametrize("value", [4.0, math.nan, math.inf])
+    def test_update_check_bad_pose_is_refused_before_a_later_fault(self, value):
+        # The second of three keyframes has a bad yaw. The first keyframe's
+        # fov is also bad, or the check is cut short anywhere after the
+        # second keyframe: the pose is refused first, at its frame offset.
+        msg = UpdateCheckMsg(1, [keyframe_upload(2), keyframe_upload(3), keyframe_upload(1)])
+        raw = bytearray(encode(msg))
+        second_at = 8 + 6 + (4 + 68 + 2 * 54) + 4
+        yaw_at = second_at + 8 + 40
+        struct.pack_into("<d", raw, yaw_at, value)
+        refused = (E_MALFORMED, yaw_at)
+        for end in range(second_at + 68 + 3 * 54, len(raw) + 1):
+            cut = bytearray(raw[:end])
+            struct.pack_into("<I", cut, 4, end - 8)
+            assert decoded(bytes(cut)) == refused
+        bad_fov = bytearray(raw)
+        struct.pack_into("<d", bad_fov, 8 + 6 + 4 + 56, 4.0)
+        assert decoded(bytes(bad_fov)) == refused
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 2])
     def test_non_finite_point_position_rejected(self, value, axis):
