@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
-import time
+import threading
 from pathlib import Path
 
 import yaml
@@ -103,10 +104,14 @@ def cmd_serve(args) -> int:
         gmap = GlobalMap()
     server = MapServer(gmap, seed=args.seed or 0)
     front = TcpMapServer(server, host, port).start()
+    # SIGTERM, the default signal of `kill`, stops the loop as cleanly as
+    # SIGINT does. Only the main thread may set a handler.
+    stop = threading.Event()
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, lambda *_: stop.set()) if on_main else None
     print(f"serving on {front.addr[0]}:{front.addr[1]}")
     try:
-        while True:
-            time.sleep(0.1)
+        while not stop.wait(0.1):
             if args.max_sessions:
                 if server.ended_sessions >= args.max_sessions:
                     break
@@ -117,6 +122,8 @@ def cmd_serve(args) -> int:
         if args.snapshot:
             save_snapshot(gmap, args.snapshot)
             print(f"snapshot saved to {args.snapshot}")
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -4,7 +4,7 @@ session-end ack."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,28 +80,30 @@ class Keyframe:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Proper rigid transform x -> R @ x + t."""
+    """Proper rigid transform x -> R @ x + t.
+
+    ``is_identity`` is settled once, when the transform is made.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9:
+        eye = np.eye(3)
+        if np.max(np.abs(R.T @ R - eye)) > 1e-9:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation must be proper (det +1)")
+        object.__setattr__(self, "is_identity", np.array_equal(R, eye) and not t.any())
 
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
-
-    @property
-    def is_identity(self) -> bool:
-        return np.array_equal(self.rotation, np.eye(3)) and not self.translation.any()
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

@@ -193,10 +193,29 @@ def contains_many(cone: ViewCone, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def cone_reach(cone: ViewCone) -> float:
-    """Distance from the apex to the rim of the base, h / cos(fov/2): every
-    point inside the cone lies within it."""
-    return cone.h / math.cos(cone.fov / 2.0)
+def cone_ball(cone: ViewCone) -> tuple[np.ndarray, float]:
+    """The smallest ball that holds the cone, as ``(centre, radius)``.
+
+    Below a 45° half-angle the ball passes through the apex and the base's
+    rim, its centre h / (2 cos²(fov/2)) down the axis; a wider cone's ball
+    is centred on the base, through the rim, and holds the apex too. The
+    radius is never above h / cos(fov/2), the apex's distance to the rim.
+    """
+    half = cone.fov / 2.0
+    if half < math.pi / 4.0:
+        down = radius = cone.h / (2.0 * math.cos(half) ** 2)
+    else:
+        down, radius = cone.h, cone.h * math.tan(half)
+    return cone.apex_pose.position + down * cone.axis, radius
+
+
+def cone_candidate_ball(cone: ViewCone) -> tuple[np.ndarray, float]:
+    """``cone_ball`` with its radius padded by 1e-9 × (|centre| + radius), so
+    that rounding in the centre cannot drop a point ``contains_many``
+    accepts: an index query over this ball returns a superset of the
+    cone's points."""
+    centre, radius = cone_ball(cone)
+    return centre, radius + 1e-9 * (float(np.linalg.norm(centre)) + radius)
 
 
 def sample_spacing(cone: ViewCone, k: int) -> float:

@@ -440,39 +440,44 @@ class InProcTransport:
         pass
 
 
-def _read_exact(sock: socket.socket, view: memoryview):
-    while len(view):
-        n = sock.recv_into(view)
-        if not n:
-            raise TransportError("connection closed mid-frame")
-        view = view[n:]
+# Bytes one recv asks for: a whole upload frame and more, and the most a
+# reader holds beyond what arrived. Larger asks cost a fresh mapping per recv.
+_RECV_CHUNK = 1 << 16
 
 
-# Most payload bytes one recv asks for: the most a reader holds beyond what arrived.
-_RECV_CHUNK = 1 << 18
+def _read_frame(
+    sock: socket.socket, max_bytes: int | None = None, pending: bytearray | None = None
+) -> bytearray:
+    """Read exactly one frame (fixed 64-byte or variable-length).
 
-
-def _read_frame(sock: socket.socket, max_bytes: int | None = None) -> bytearray:
-    """Read exactly one frame (fixed 64-byte or variable-length). The buffer
-    grows as the payload arrives, so a header announcing a length the peer
-    never sends costs no memory. A header announcing more than ``max_bytes``
-    raises DecodeError before any of the payload is read."""
-    head = bytearray(8)
-    _read_exact(sock, memoryview(head)[:4])
-    if head[3] in wire.FIXED_TYPES:
-        total, known = wire.QUERY_FRAME_SIZE, 4
-    else:
-        _read_exact(sock, memoryview(head)[4:])
-        total, known = frame_length(head), 8
-        if max_bytes is not None and total > max_bytes:
-            raise DecodeError(f"frame of {total} bytes exceeds the {max_bytes}-byte limit", 4)
-    buf = head[:known]
-    while len(buf) < total:
-        chunk = sock.recv(min(total - len(buf), _RECV_CHUNK))
+    Each recv takes whatever has arrived, so a frame that arrived whole
+    costs one recv. ``pending`` is the connection's read buffer: bytes past
+    the frame stay in it for the next call, so each socket keeps one for as
+    long as it reads frames; a caller reading a single reply may leave it
+    out. The buffer grows only as bytes arrive, so a header announcing a
+    length the peer never sends costs no memory. A header announcing more
+    than ``max_bytes`` raises DecodeError as soon as it is in, before the
+    reader waits for any of the payload."""
+    buf = bytearray() if pending is None else pending
+    total = None
+    while True:
+        if total is None and len(buf) >= 4:
+            if buf[3] in wire.FIXED_TYPES:
+                total = wire.QUERY_FRAME_SIZE
+            elif len(buf) >= 8:
+                total = frame_length(buf)
+                if max_bytes is not None and total > max_bytes:
+                    raise DecodeError(
+                        f"frame of {total} bytes exceeds the {max_bytes}-byte limit", 4
+                    )
+        if total is not None and len(buf) >= total:
+            frame = buf[:total]
+            del buf[:total]
+            return frame
+        chunk = sock.recv(_RECV_CHUNK)
         if not chunk:
             raise TransportError("connection closed mid-frame")
         buf += chunk
-    return buf
 
 
 class TcpTransport:
@@ -485,11 +490,13 @@ class TcpTransport:
         self.sent_bytes = 0
         self.received_bytes = 0
         self._sock: socket.socket | None = None
+        self._pending = bytearray()
 
     def _connect(self):
         if self._sock is None:
             self._sock = socket.create_connection(self.addr, timeout=self.timeout)
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._pending = bytearray()
 
     def request(self, raw: bytes) -> bytes:
         try:
@@ -498,7 +505,7 @@ class TcpTransport:
                 self.bucket.consume(len(raw))
             self._sock.sendall(raw)
             self.sent_bytes += len(raw)
-            reply = _read_frame(self._sock)
+            reply = _read_frame(self._sock, pending=self._pending)
             if self.bucket is not None:
                 self.bucket.consume(len(reply))
             self.received_bytes += len(reply)
@@ -556,10 +563,11 @@ class TcpMapServer:
     def _serve_conn(self, conn: socket.socket):
         """Answer frames on one connected stream socket until it closes."""
         conn.settimeout(30.0)
+        pending = bytearray()
         try:
             while not self._stop.is_set():
                 try:
-                    raw = _read_frame(conn, self.server.max_frame_bytes)
+                    raw = _read_frame(conn, self.server.max_frame_bytes, pending)
                 except TransportError:
                     break
                 except DecodeError as e:

@@ -3,16 +3,17 @@ slice, the device-initiated update-detection loop, and the server-side
 staleness check.
 
 Both server-side reads are query-local. The map points inside a cone come
-from the map's persistent point index: every row within a padded ball about
-the apex that bounds the cone is a candidate, and ``contains_many`` decides
-on the candidates alone. Shared frames are the in-cone points' owners plus
-the gated neighbor frames whose positions one ``contains_many`` call puts in
-the cone, gathered from the map's frame table into one ``FRAME_DTYPE``
-table and one id column, as the wire carries them. The update check asks
-the index once for the candidates of every cone in its window, tests
-re-observation only for its high-confidence rows and their neighbors, takes
-the neighbors from the index's exact k nearest, clusters the confirmed rows
-with a union-find, and answers with the wire's ``UpdateStatusMsg``.
+from the map's persistent point index: every row within the smallest ball
+that holds the cone, padded against rounding, is a candidate, and
+``contains_many`` decides on the candidates alone. Shared frames are the
+in-cone points' owners plus the gated neighbor frames whose positions one
+``contains_many`` call puts in the cone, gathered from the map's frame
+table into one ``FRAME_DTYPE`` table and one id column, as the wire
+carries them. The update check asks the index once for the candidates of
+every cone in its window, tests re-observation only for its high-confidence
+rows and their neighbors, takes the neighbors from the index's exact k
+nearest, clusters the confirmed rows with a union-find, and answers with
+the wire's ``UpdateStatusMsg``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, ViewCone, cone_from_fov, cone_reach, contains_many
+from .geometry import Pose, ViewCone, cone_candidate_ball, cone_from_fov, contains_many
 from .mapstore import GlobalMap, _gated_frames
 # Re-exported: the benchmark's tracer patches mapstore.select_neighbors by this name.
 from .mapstore import select_neighbors  # noqa: F401
 from .params import DEFAULT_PARAMS, ProtocolParams
-from .spatial import KdTree, _search_radius
+from .spatial import KdTree
 from .wire import (
     KeyframeUploadMsg,
     SharedMapRequestMsg,
@@ -65,18 +66,17 @@ def _window_rows(map: GlobalMap, cones: list[ViewCone]) -> list[np.ndarray]:
     """Per cone, the point-table rows of the map points inside it, in no
     particular order.
 
-    An in-cone point lies within h / cos(fov/2) of the apex. The point
-    index is asked once for every cone's candidates within that reach,
-    padded like every index query (and padded again by the index), and
+    An in-cone point lies in the smallest ball that holds its cone. The
+    point index is asked once for every cone's candidates in that ball,
+    padded against rounding (and padded again by the index), and
     ``contains_many`` decides on each cone's candidates alone, so no
     exact-distance filter is needed.
     """
-    apexes = [cone.apex_pose.position for cone in cones]
-    reach = [_search_radius(cone_reach(cone)) for cone in cones]
+    centres, radii = zip(*(cone_candidate_ball(cone) for cone in cones))
     positions = map.point_positions
     return [
         rows[contains_many(cone, positions[rows])]
-        for cone, rows in zip(cones, map.point_candidate_rows(apexes, reach))
+        for cone, rows in zip(cones, map.point_candidate_rows(centres, radii))
     ]
 
 

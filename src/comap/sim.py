@@ -5,9 +5,10 @@ for staleness experiments.
 A ``Scene`` lazily builds two tables that every observation of it shares: a
 ``KdTree`` over its landmark positions and a table of 32-byte landmark
 descriptors, hashed the first time a landmark is observed. An observation
-asks the index for the landmarks within the cone's reach and lets
-``contains_many`` decide on those alone. A device's running observation
-counts are an int64 array over the scene's rows.
+asks the index for the landmarks in the smallest ball that holds the cone
+(``cone_candidate_ball``) and lets ``contains_many`` decide on those alone.
+A device's running observation counts are an int64 array over the scene's
+rows.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     compute_fov,
+    cone_candidate_ball,
     cone_from_fov,
-    cone_reach,
     contains_many,
 )
 from .params import DEFAULT_PARAMS, ProtocolParams
-from .spatial import KdTree, _search_radius
+from .spatial import KdTree
 
 
 @dataclass
@@ -183,17 +184,18 @@ def observe(
 ) -> Keyframe:
     """Manufacture a keyframe: in-cone landmarks, axis-nearest first.
 
-    Candidates are the scene index's landmarks within the cone's reach of
-    the apex (padded like every index query); ``contains_many`` decides on
-    them alone. ``counters`` is the device's running per-landmark count, an
-    int64 array over the scene's rows: selected landmarks bump it and carry
-    the updated count. Descriptors come from the scene's table; positions
-    get isotropic Gaussian noise.
+    Candidates are the scene index's landmarks in the smallest ball that
+    holds the cone, padded against rounding (and again by the index);
+    ``contains_many`` decides on them alone, and the kept rows ascend.
+    ``counters`` is the device's running per-landmark count, an int64 array
+    over the scene's rows: selected landmarks bump it and carry the updated
+    count. Descriptors come from the scene's table; positions get isotropic
+    Gaussian noise.
     """
     fov = compute_fov(intrinsics)
     cone = cone_from_fov(pose, fov, params.h)
-    rows = scene.index().radius_search(pose.position, _search_radius(cone_reach(cone)))
-    rows = rows[contains_many(cone, scene.positions[rows])]
+    (rows,) = scene.index().candidates_within(*cone_candidate_ball(cone))
+    rows = np.sort(rows[contains_many(cone, scene.positions[rows])])
     ids = scene.landmark_ids[rows]
     pos = scene.positions[rows]
     if len(ids) > np_max:

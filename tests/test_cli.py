@@ -1,13 +1,25 @@
 import json
+import os
+import select
+import signal
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import yaml
 
+import comap
 from comap.cli import main
-from comap.mapstore import load_snapshot
+from comap.mapstore import GlobalMap, load_snapshot, state_digest
+from comap.runtime import InProcTransport, MapServer
+from comap.scenario import config_from_dict, drive_user
+from comap.sim import generate_scene
+
+SOLO_CLIENT = Path(__file__).resolve().parents[1] / "demos" / "configs" / "solo_client.yaml"
 
 SCENARIO_YAML = """
 seed: 5
@@ -171,3 +183,43 @@ class TestServeAndClient:
         trace_inproc = tmp_path / "trace_inproc.jsonl"
         write_trace_jsonl(metrics.traces[7], trace_inproc)
         assert trace_tcp.read_bytes() == trace_inproc.read_bytes()
+
+
+class TestServeStops:
+    def test_sigterm_saves_the_snapshot_like_sigint(self, tmp_path):
+        # A child `comap serve` takes one client's uploads, then gets
+        # SIGTERM, the default signal of `kill`: it must exit 0 and save the
+        # map those uploads built.
+        snapshot = tmp_path / "map.mpps"
+        src = str(Path(comap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-m", "comap.cli", "serve", "127.0.0.1:0",
+             "--snapshot", str(snapshot)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 30.0)
+            assert ready, "server did not start"
+            line = child.stdout.readline().strip()
+            assert line.startswith("serving on "), line
+            addr = line.removeprefix("serving on ")
+            assert main(["client", addr, str(SOLO_CLIENT)]) == 0
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=30) == 0, child.stderr.read()
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
+            child.stderr.close()
+        assert snapshot.exists()
+
+        # The same uploads, in process, onto the map `comap serve` starts with.
+        cfg = config_from_dict(yaml.safe_load(SOLO_CLIENT.read_text()))
+        scene = generate_scene(cfg.scene_seed, cfg.bounds, cfg.landmark_count, cfg.clusters)
+        server = MapServer(GlobalMap(), seed=0)
+        result = drive_user(cfg, cfg.users[0], scene, InProcTransport(server))
+        assert result.uploads > 0 and not result.aborted
+        assert state_digest(load_snapshot(snapshot)) == state_digest(server.map)

@@ -466,6 +466,15 @@ class TestEstimateAlignment:
         with pytest.raises(ValueError):
             RigidTransform(reflect, np.zeros(3))
 
+    def test_is_identity_is_settled_at_construction(self, rng):
+        assert RigidTransform.identity().is_identity is True
+        assert RigidTransform(np.eye(3), [0.0, -0.0, 0.0]).is_identity is True
+        assert RigidTransform(np.eye(3), [0.0, 1e-300, 0.0]).is_identity is False
+        T = rand_rigid(rng)
+        assert T.is_identity is False
+        assert RigidTransform(T.rotation, np.zeros(3)).is_identity is False
+        assert "is_identity" not in repr(T)
+
 
 class TestSessionEnd:
     def test_default_hook_leaves_map_unchanged(self, rng):

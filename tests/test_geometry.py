@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comap.geometry import (
+    FOV_CLAMP,
     GOLDEN_ANGLE,
     CameraIntrinsics,
     Pose,
     ViewCone,
     compute_fov,
+    cone_ball,
+    cone_candidate_ball,
     cone_from_fov,
     contains,
     contains_many,
@@ -193,6 +196,80 @@ class TestContains:
         mask = contains_many(cone, pts)
         for p, m in zip(pts, mask):
             assert contains(cone, p) == m
+
+
+class TestConeBall:
+    """``cone_ball`` is the smallest ball holding the cone, and the padded
+    ``cone_candidate_ball`` holds every point ``contains_many`` accepts."""
+
+    @staticmethod
+    def probe_points(cone: ViewCone, seed: int) -> np.ndarray:
+        """The apex, the base centre and rim points built exactly, plus
+        points drawn on and about the cone's surface and inside it."""
+        rng = np.random.default_rng(seed)
+        apex = cone.apex_pose.position
+        R = cone.apex_pose.rotation_matrix()
+        h, rho = cone.h, cone.h * math.tan(cone.fov / 2.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 64)
+        rim = np.column_stack((rho * np.cos(phi), rho * np.sin(phi), np.full(64, h)))
+        # Along the slant from apex to rim, across the base disk, and just
+        # either side of the surface.
+        slant = rim * rng.uniform(0.0, 1.0, (64, 1))
+        disk = rim * np.array([[1.0, 1.0, 0.0]]) * rng.uniform(0.0, 1.0, (64, 1))
+        disk[:, 2] = h
+        nudged = rim * (1.0 + rng.choice([-1, 1], (64, 1)) * rng.uniform(0, 1e-12, (64, 1)))
+        local = np.vstack([np.zeros((1, 3)), [[0.0, 0.0, h]], rim, slant, disk, nudged])
+        pts = apex + local @ R.T
+        return np.vstack([pts, sample_cone(cone, 64, seed)[0]])
+
+    @given(
+        fov=st.one_of(
+            st.floats(0.0, FOV_CLAMP, exclude_min=True),
+            st.sampled_from([
+                math.pi / 2, math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 4.0),
+                FOV_CLAMP, 1.3812336489575836, 1e-9,
+            ]),
+        ),
+        h=st.floats(1e-3, 1e3),
+        apex=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+        angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_holds_every_accepted_point(self, fov, h, apex, angles, seed):
+        cone = ViewCone(Pose(*apex, *angles), h, fov)
+        centre, radius = cone_ball(cone)
+        assert radius <= h / math.cos(fov / 2.0)
+        pts = self.probe_points(cone, seed)
+        accepted = pts[contains_many(cone, pts)]
+        assert len(accepted) >= 2  # the apex and the base centre at least
+        padded_centre, padded = cone_candidate_ball(cone)
+        assert np.array_equal(padded_centre, centre) and padded >= radius
+        assert (np.linalg.norm(accepted - centre, axis=1) <= padded).all()
+
+    @pytest.mark.parametrize("fov", [1e-3, 0.5, 1.3812336489575836, math.pi / 2 - 1e-9,
+                                     math.pi / 2, 2.0, 3.0, FOV_CLAMP])
+    def test_is_the_smallest_ball(self, fov):
+        cone = cone_from_fov(Pose(3, -1, 2, yaw=1.1, pitch=0.15, roll=-0.4), fov, 20.0)
+        centre, radius = cone_ball(cone)
+        pts = self.probe_points(cone, 0)
+        apex, base, rim = pts[0], pts[1], pts[2:66]
+        # Every rim point is on the sphere, and so is the apex below 45°;
+        # a wider cone's ball is centred on the base.
+        tol = 1e-12 * (radius + 10.0)
+        np.testing.assert_allclose(np.linalg.norm(rim - centre, axis=1), radius, rtol=0, atol=tol)
+        if fov < math.pi / 2:
+            assert np.linalg.norm(apex - centre) == pytest.approx(radius, abs=tol)
+        else:
+            np.testing.assert_allclose(centre, base, rtol=0, atol=tol)
+            assert np.linalg.norm(apex - centre) <= radius + tol
+
+    def test_sizes_at_the_sim_and_slice_cones(self):
+        fov = 1.3812336489575836
+        _, r = cone_ball(cone_from_fov(Pose(0, 0, 0), fov, 20.0))
+        assert r == pytest.approx(16.829, abs=1e-3)  # h / cos(fov/2) = 25.95
+        _, r = cone_ball(cone_from_fov(Pose(0, 0, 0), fov, 20.0, alpha=1.3))
+        assert r == pytest.approx(25.090, abs=1e-3)  # h / cos(fov/2) = 32.09
 
 
 class TestSampleCone:

@@ -669,6 +669,83 @@ class TestTcpTransport:
             front.stop()
 
 
+class ChunkedSocket:
+    """A stream socket stand-in: each recv returns the next scripted chunk
+    (cut to the size asked for), then b"" once the script runs out."""
+
+    def __init__(self, *chunks):
+        self.chunks = collections.deque(chunks)
+        self.recvs = 0
+
+    def recv(self, n):
+        self.recvs += 1
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.popleft()
+        if len(chunk) > n:
+            self.chunks.appendleft(chunk[n:])
+        return chunk[:n]
+
+
+class TestReadFrame:
+    def frames(self):
+        query = encode(OverlapQueryMsg(1, 3, 300, Pose(1, 2, 3)))
+        register = encode(SessionRegisterMsg(9, SIM_INTR))
+        end = encode(SessionEndMsg(9))
+        return query, register, end
+
+    def test_a_frame_that_arrived_whole_costs_one_recv(self):
+        for raw in self.frames():
+            sock = ChunkedSocket(raw)
+            assert _read_frame(sock, pending=bytearray()) == raw
+            assert sock.recvs == 1
+
+    def test_bytes_past_a_frame_wait_for_the_next_read(self):
+        query, register, end = self.frames()
+        stream = query + register + end
+        sock = ChunkedSocket(stream[: len(query) + 10], stream[len(query) + 10 :])
+        pending = bytearray()
+        assert _read_frame(sock, pending=pending) == query
+        assert sock.recvs == 1 and pending == register[:10]
+        assert _read_frame(sock, pending=pending) == register
+        assert _read_frame(sock, pending=pending) == end
+        assert sock.recvs == 2 and not pending
+        with pytest.raises(TransportError):
+            _read_frame(sock, pending=pending)
+
+    def test_frames_cut_anywhere_read_the_same(self):
+        stream = b"".join(self.frames())
+        for cut in range(1, len(stream), 7):
+            sock = ChunkedSocket(*(stream[i : i + cut] for i in range(0, len(stream), cut)))
+            pending = bytearray()
+            assert [_read_frame(sock, pending=pending) for _ in range(3)] == list(self.frames())
+
+    def test_oversized_header_is_refused_before_reading_on(self):
+        header = struct.pack("<HBBI", 0x4D51, 1, wire.T_KEYFRAME_UPLOAD, 5000)
+        sock = ChunkedSocket(header[:3], header[3:] + b"\x00" * 100, b"\x00" * 4900)
+        with pytest.raises(wire.DecodeError):
+            _read_frame(sock, 1000, bytearray())
+        assert sock.recvs == 2
+
+    def test_peer_closing_mid_frame_is_a_transport_error(self):
+        query = self.frames()[0]
+        for cut in (0, 3, 20):
+            with pytest.raises(TransportError):
+                _read_frame(ChunkedSocket(query[:cut]), pending=bytearray())
+
+    def test_pipelined_requests_get_every_reply_in_order(self):
+        server = fresh_server()
+        requests = [encode(SessionRegisterMsg(c, SIM_INTR)) for c in (1, 2)]
+        requests += [encode(SessionEndMsg(c)) for c in (1, 2)]
+        expected = [fresh_server().handle_bytes(r) for r in requests[:2]]
+        with ServedSocket(server) as sock:
+            sock.sendall(b"".join(requests))
+            pending = bytearray()
+            replies = [decode(_read_frame(sock, pending=pending)) for _ in requests]
+        assert [encode(r) for r in replies[:2]] == expected
+        assert all(isinstance(r, EndAckMsg) for r in replies[2:])
+
+
 class FlakyTransport:
     """Fails the first n requests, then delegates."""
 
