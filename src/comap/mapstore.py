@@ -16,19 +16,24 @@ Frames enter through one batch append of a header table and the id column
 its runs make: ``insert_frame`` passes one frame's header,
 ``load_snapshot`` every frame of a snapshot at once, as the wire's run
 reader (``wire.read_runs``) reads them. Two persistent ``spatial.KdTree``
-indices, one over point positions and one over frame positions, are
-positional: a row is the position's place in its table. Each absorbs a
-batch into a side buffer of the rows after its tree's, and rebuilds its
-tree only while it is being read: a read that finds the buffer over 10% of
-the tree size rebuilds first, and so does a write, if the index was read
-since its last build. Every read thus sees a buffer of at most 10%, and an
-index that is only written to (the point index of uploads into unmapped
-space) is never built. A load builds each index once, before the map is
-served. Radius queries take candidates from the tree and a linear scan of
-the buffer; overlap classification and k-nearest queries search the buffer
-through a small tree of its own, built on demand and kept until the next
-insert. Nearest-neighbor lists merge the tree's and the buffer's by
-(squared distance, row).
+indices, one over point positions and one over frame positions, index
+their tables' own rows and hold no positions of their own: a row is the
+position's place in its table. A write hands an index the table's rows;
+its tree covers the first of them, its side buffer is the rest, and a
+build indexes the rows in place, so the point tree shares the point
+table's memory. The tables are only appended to, and a table that outgrows
+its room moves to a new array, leaving the old one intact, so no row a
+tree covers ever changes. An index rebuilds its tree only while it is
+being read: a read that finds the buffer over 10% of the tree size
+rebuilds first, and so does a write, if the index was read since its last
+build. Every read thus sees a buffer of at most 10%, and an index that is
+only written to (the point index of uploads into unmapped space) is never
+built. A load builds each index once, before the map is served. Radius
+queries take candidates from the tree and a linear scan of the buffer;
+overlap classification and k-nearest queries search the buffer through a
+small tree of its own, built on demand and kept until the next insert.
+Nearest-neighbor lists merge the tree's and the buffer's by (squared
+distance, row).
 
 Reads are query-local: shared slices and update checks take the points of
 a cone from the candidates of a radius query of the point index
@@ -116,14 +121,24 @@ class NeighborSet:
     point_positions: np.ndarray
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """``view``, marked read-only; the array it views stays writable."""
+    view.flags.writeable = False
+    return view
+
+
 def _reserve(columns: tuple, need: int, floor: int) -> tuple:
-    """The columns, reallocated to twice ``need`` rows when they hold fewer:
-    growth stays amortized, and a bulk load leaves room for the inserts
-    that follow it."""
+    """The columns, moved to new arrays of twice ``need`` rows when they hold
+    fewer: growth stays amortized, and a bulk load leaves room for the
+    inserts that follow it. The old arrays are left intact, and the room
+    past the old rows is left unwritten, so it costs no memory until used."""
     if need <= len(columns[0]):
         return columns
     cap = max(floor, 2 * need)
-    return tuple(np.resize(c, (cap,) + c.shape[1:]) for c in columns)
+    grown = tuple(np.empty((cap,) + c.shape[1:], dtype=c.dtype) for c in columns)
+    for new, old in zip(grown, columns):
+        new[: len(old)] = old
+    return grown
 
 
 # Every index starts from this tree; a KdTree is never modified once built.
@@ -135,8 +150,11 @@ _MIN_PENDING = 16
 
 
 class _IncrementalIndex:
-    """KdTree plus side buffer over positions added in order: row i is the
-    i-th position added, and rows below ``len(self._tree)`` are in the tree.
+    """KdTree plus side buffer over rows that a table owns: ``extend`` hands
+    the index the table's rows, the tree covers the first ``len(self._tree)``
+    of them, and the buffer is the rest. The table is only appended to, and
+    a table that grows moves to a new array, leaving the old one intact, so
+    no row a tree or a read covers ever changes.
 
     A tree is rebuilt only for an index that is read. A read first folds an
     oversized buffer into a new tree, so every read sees a buffer of at most
@@ -151,24 +169,21 @@ class _IncrementalIndex:
 
     def __init__(self):
         self._tree = _EMPTY_TREE
-        self._buffer = np.empty((0, 3), dtype=np.float64)  # reserved room
-        self._buffered = 0  # rows of _buffer in use: the rows after the tree's
-        self._buffer_tree = None  # over the buffered rows; dropped on every add
+        self._rows = _EMPTY_TREE.points  # every indexed row, by row
+        self._buffer_tree = None  # over the buffered rows; dropped on every extend
         self._read = False  # since the tree was built
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._tree) + self._buffered
+            return len(self._rows)
 
-    def add(self, positions: np.ndarray):
-        """Index a batch of positions as the next rows; rebuild once the side
-        buffer outgrows its share, if the index was read since its build."""
+    def extend(self, rows: np.ndarray):
+        """Index the table's current ``rows``: those indexed so far,
+        unchanged, then the new ones. Rebuild once the side buffer outgrows
+        its share, if the index was read since its build."""
         with self._lock:
-            end = self._buffered + len(positions)
-            (self._buffer,) = _reserve((self._buffer,), end, 16)
-            self._buffer[self._buffered : end] = positions
-            self._buffered = end
+            self._rows = rows
             self._buffer_tree = None
             if self._read and self._oversized():
                 self._build()
@@ -178,42 +193,32 @@ class _IncrementalIndex:
         with self._lock:
             self._build()
 
-    def positions(self) -> np.ndarray:
-        """Every indexed position, by row."""
-        with self._lock:
-            return self._positions()
-
     def _oversized(self) -> bool:
-        return self._buffered > max(_MIN_PENDING, _REBUILD_FRACTION * len(self._tree))
-
-    def _positions(self) -> np.ndarray:
-        return np.concatenate([self._tree.points, self._buffer[: self._buffered]])
+        buffered = len(self._rows) - len(self._tree)
+        return buffered > max(_MIN_PENDING, _REBUILD_FRACTION * len(self._tree))
 
     def _build(self):
-        self._tree = KdTree(self._positions())
-        self._buffered = 0
+        self._tree = KdTree(self._rows)
         self._buffer_tree = None
         self._read = False
 
     def _parts(self) -> tuple[KdTree, np.ndarray]:
-        """The tree and the buffered positions, from one state, for one
-        read; an oversized buffer is folded into a new tree first. Rows of
-        the buffer follow the tree's."""
+        """The tree and the buffered rows, from one state, for one read; an
+        oversized buffer is folded into a new tree first. Rows of the buffer
+        follow the tree's."""
         with self._lock:
             if self._oversized():
                 self._build()
             self._read = True
-            return self._tree, self._buffer[: self._buffered]
+            return self._tree, self._rows[len(self._tree) :]
 
     def _tree_of_buffer(self) -> KdTree:
         """The non-empty buffer's own tree, built on first use and kept until
-        the next add. It covers the buffer ``_parts`` handed the read: only a
-        write, never concurrent with a read, changes that. The tree shares
-        the buffer's memory; no row it covers is written again before a
-        build drops it."""
+        the next extend. It covers the buffer ``_parts`` handed the read:
+        only a write, never concurrent with a read, changes that."""
         with self._lock:
             if self._buffer_tree is None:
-                self._buffer_tree = KdTree(self._buffer[: self._buffered])
+                self._buffer_tree = KdTree(self._rows[len(self._tree) :])
             return self._buffer_tree
 
     def candidate_rows(self, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
@@ -310,28 +315,27 @@ class GlobalMap:
     @property
     def points(self) -> np.ndarray:
         """Read-only ids of the stored points, in row order."""
-        ids = self._pt_ids[: self._pt_count]
-        ids.flags.writeable = False
-        return ids
+        return _read_only(self._pt_ids[: self._pt_count])
 
     @property
     def frames(self) -> np.ndarray:
         """Read-only ids of the stored frames, ascending, in row order."""
-        ids = self._frames["frame_id"][: self._fr_count]
-        ids.flags.writeable = False
-        return ids
+        return _read_only(self._frames["frame_id"][: self._fr_count])
 
     @property
     def point_positions(self) -> np.ndarray:
-        return self._pt_pos[: self._pt_count]
+        """Read-only positions of the stored points, in row order."""
+        return _read_only(self._pt_pos[: self._pt_count])
 
     @property
     def point_descriptors(self) -> np.ndarray:
-        return self._pt_desc[: self._pt_count]
+        """Read-only descriptors of the stored points, in row order."""
+        return _read_only(self._pt_desc[: self._pt_count])
 
     @property
     def point_observation_counts(self) -> np.ndarray:
-        return self._pt_obs[: self._pt_count]
+        """Read-only observation counts of the stored points, in row order."""
+        return _read_only(self._pt_obs[: self._pt_count])
 
     def memberships(self) -> tuple[np.ndarray, np.ndarray]:
         """(frame row, point row) per listed id, in insertion order, derived
@@ -496,7 +500,7 @@ class GlobalMap:
         m = self._fr_off[base]
         self._fr_off[base + 1 : base + k + 1] = m + np.cumsum(lengths)
         self._fr_count += k
-        self._frame_index.add(self._frames["pose"][added, :3])
+        self._frame_index.extend(self._frames["pose"][: self._fr_count, :3])
         (self._mem_pt,) = _reserve((self._mem_pt,), m + n, 256)
         self._mem_pt[m : m + n] = rows
 
@@ -512,7 +516,7 @@ class GlobalMap:
         self._pt_desc[base : base + k] = descriptors
         self._pt_obs[base : base + k] = 0
         self._pt_count += k
-        self._point_index.add(positions)
+        self._point_index.extend(self._pt_pos[: self._pt_count])
 
 
 def insert_frame(map: GlobalMap, frame: MapFrame, positions, descriptors=None) -> int:
@@ -633,10 +637,12 @@ def audit(map: GlobalMap) -> list[str]:
         ("point", map._point_index, map.point_positions),
         ("frame", map._frame_index, frames["pose"][:, :3]),
     ):
-        if not np.array_equal(index.positions(), table):
+        with index._lock:
+            tree, rows = index._tree, index._rows
+        if not (np.array_equal(rows, table) and np.array_equal(tree.points, table[: len(tree)])):
             violations.append(
-                f"{name} index holds {len(index)} positions that differ from the "
-                f"{len(table)}-row {name} table"
+                f"{name} index over {len(rows)} rows ({len(tree)} in its tree) differs "
+                f"from the {len(table)}-row {name} table"
             )
     return violations
 

@@ -4,6 +4,7 @@ pipeline that drives the device protocol over a keyframe stream."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import socket
 import threading
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import (
+    DegenerateCorrespondencesError,
     Keyframe,
     RigidTransform,
     build_response,
@@ -328,7 +330,9 @@ class MapServer:
         return UploadAckMsg(fid)
 
     def _try_align(self, session: Session, msg: KeyframeUploadMsg):
-        """Estimate the client-to-global transform from shared landmark ids."""
+        """Estimate the client-to-global transform from shared landmark ids.
+        Fewer than ``_ALIGN_MIN_PAIRS`` pairs, or pairs that leave the
+        rotation unconstrained (collinear), leave the session unaligned."""
         rows = self.map.rows_for_ids(msg.points["id"])
         known = rows >= 0
         pairs = list(zip(
@@ -340,8 +344,10 @@ class MapServer:
             session.aligned = True
             return
         if len(pairs) >= _ALIGN_MIN_PAIRS:
-            est = estimate_alignment(pairs)
-            session.transform = est.transform
+            try:
+                session.transform = estimate_alignment(pairs).transform
+            except DegenerateCorrespondencesError:
+                return  # as too few pairs: stored with the current transform
             session.aligned = True
 
     def _on_update_check(self, msg: UpdateCheckMsg):
@@ -538,7 +544,10 @@ class TcpMapServer:
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.addr = self._listener.getsockname()
-        self._threads: list[threading.Thread] = []
+        # Each open connection and the thread that serves it, under
+        # _conns_lock: a handler drops its own entry when it ends.
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
         self._stop = threading.Event()
         self._accept_thread: threading.Thread | None = None
 
@@ -556,9 +565,13 @@ class TcpMapServer:
             except OSError:
                 break
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-            self._threads = [t for t in self._threads if t.is_alive()] + [t]
+            with self._conns_lock:
+                if self._stop.is_set():
+                    conn.close()
+                    break
+                t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
+                self._conns[conn] = t
+                t.start()
 
     def _serve_conn(self, conn: socket.socket):
         """Answer frames on one connected stream socket until it closes."""
@@ -586,18 +599,30 @@ class TcpMapServer:
         except OSError:
             pass
         finally:
+            with self._conns_lock:
+                self._conns.pop(conn, None)
             conn.close()
 
     def stop(self):
-        self._stop.set()
+        """Stop accepting, hang up every open connection, and return once no
+        handler runs: a request already read is answered first, and none is
+        served after."""
+        with self._conns_lock:
+            self._stop.set()
+            conns = dict(self._conns)
         try:
             self._listener.close()
         except OSError:
             pass
+        for conn in conns:
+            # Ends the handler's next or blocked read, not its reply; the
+            # handler then closes the connection.
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RD)
+        for t in conns.values():
+            t.join()
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        for t in self._threads:
-            t.join(timeout=2.0)
+            self._accept_thread.join()
 
     def __enter__(self):
         return self.start()

@@ -238,8 +238,9 @@ def drive_user(cfg: ScenarioConfig, spec: UserSpec, scene: Scene, transport) -> 
 def run_scenario(cfg: ScenarioConfig) -> Metrics:
     """Execute a scenario: one server, one client pipeline per user.
 
-    Users run sequentially in config order unless ``concurrent`` is set.
-    Vanilla mode uploads every keyframe with no overlap protocol.
+    Users run sequentially in config order unless ``concurrent`` is set;
+    then the first exception a user raises is re-raised once every user has
+    finished. Vanilla mode uploads every keyframe with no overlap protocol.
     """
     scene = generate_scene(cfg.scene_seed, cfg.bounds, cfg.landmark_count, cfg.clusters)
     server = MapServer(
@@ -267,24 +268,33 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
         return t
 
     results: dict[int, tuple[UserSpec, ClientResult, object]] = {}
+    errors: list[BaseException] = []  # raised in user threads, in order
 
     def run_user(spec: UserSpec, user_scene: Scene):
         transport = make_transport()
-        res = drive_user(cfg, spec, user_scene, transport)
-        transport.close()
+        try:
+            res = drive_user(cfg, spec, user_scene, transport)
+        finally:
+            transport.close()
         results[spec.client_id] = (spec, res, transport)
+
+    def run_user_thread(spec: UserSpec):
+        try:
+            run_user(spec, scene)
+        except BaseException as e:
+            errors.append(e)
 
     try:
         if cfg.concurrent:
             # Scene mutations are not supported concurrently; all users see
             # the same world.
-            threads = [
-                threading.Thread(target=run_user, args=(spec, scene)) for spec in cfg.users
-            ]
+            threads = [threading.Thread(target=run_user_thread, args=(spec,)) for spec in cfg.users]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
+            if errors:
+                raise errors[0]
         else:
             current = scene
             for spec in cfg.users:

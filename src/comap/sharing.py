@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, ViewCone, cone_candidate_ball, cone_from_fov, contains_many
+from .geometry import (
+    Pose,
+    ViewCone,
+    cone_candidate_ball,
+    cone_from_fov,
+    contains_many,
+    sample_spacing,
+)
 from .mapstore import GlobalMap, _gated_frames
 # Re-exported: the benchmark's tracer patches mapstore.select_neighbors by this name.
 from .mapstore import select_neighbors  # noqa: F401
@@ -241,10 +248,10 @@ def get_update_status(
 
 
 def default_r_match(fov: float, params: ProtocolParams = DEFAULT_PARAMS) -> float:
-    """Localization matching radius: half the overlap-sampling spacing."""
-    cone_volume = (math.pi / 3.0) * params.h**3 * math.tan(min(fov, math.pi - 1e-6) / 2.0) ** 2
-    r = (cone_volume / params.np_default) ** (1.0 / 3.0)
-    return params.r_match_factor * r
+    """Localization matching radius: ``r_match_factor`` times the
+    overlap-sampling spacing of a cone of this fov."""
+    cone = cone_from_fov(Pose(0, 0, 0), fov, params.h)
+    return params.r_match_factor * sample_spacing(cone, params.np_default)
 
 
 class DeviceAction(enum.Enum):

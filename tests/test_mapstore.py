@@ -448,40 +448,59 @@ class TestIncrementalIndex:
         limit = max(mapstore._MIN_PENDING, mapstore._REBUILD_FRACTION * len(index._tree))
         assert len(buffered_rows(index)) <= limit
 
+    class Table:
+        """An append-only table of positions in reserved room, as the map
+        keeps them; ``append`` hands the index its rows."""
+
+        def __init__(self, index):
+            self.index, self.pos, self.count = index, np.empty((0, 3)), 0
+
+        def append(self, batch):
+            end = self.count + len(batch)
+            (self.pos,) = mapstore._reserve((self.pos,), end, 16)
+            self.pos[self.count : end] = batch
+            self.count = end
+            self.index.extend(self.pos[:end])
+
+        @property
+        def rows(self):
+            return self.pos[: self.count]
+
     def test_reads_match_one_tree_over_all_rows(self, rng):
         # Points snapped to a coarse grid tie often, in distance and in
         # position; write-only bursts let the buffer outgrow its share.
         for _ in range(5):
-            index, rows = mapstore._IncrementalIndex(), np.empty((0, 3))
+            index = mapstore._IncrementalIndex()
+            table = self.Table(index)
             for _ in range(60):
                 burst = int(rng.integers(1, 4)) if rng.random() < 0.2 else 1
                 for _ in range(burst):
-                    batch = np.round(rng.uniform(-6, 6, (int(rng.choice([1, 3, 12, 90])), 3)))
-                    index.add(batch)
-                    rows = np.vstack([rows, batch])
+                    table.append(np.round(rng.uniform(-6, 6, (int(rng.choice([1, 3, 12, 90])), 3))))
                 if rng.random() < 0.6:
-                    self.check_read(index, rows, rng)
-                np.testing.assert_array_equal(index.positions(), rows)
+                    self.check_read(index, table.rows, rng)
+                assert len(index) == table.count
+                np.testing.assert_array_equal(index._tree.points, table.rows[: len(index._tree)])
 
     def test_only_a_read_index_is_built(self, rng, tree_builds):
         index = mapstore._IncrementalIndex()
-        index.add(rng.uniform(-9, 9, (1000, 3)))
+        table = self.Table(index)
+        table.append(rng.uniform(-9, 9, (1000, 3)))
         for _ in range(50):
-            index.add(rng.uniform(-9, 9, (7, 3)))
+            table.append(rng.uniform(-9, 9, (7, 3)))
         assert tree_builds == []  # a write-only burst builds nothing
         index.candidate_rows(np.zeros((1, 3)), [1.0])
         index.query_nearest(np.zeros((2, 3)), 3)
         index.any_within(np.zeros((2, 3)), 1.0, np.ones(1350, dtype=bool))
         assert tree_builds == [1350]  # the first read builds once
-        # Once read, writes rebuild at the same threshold as ever: on the add
-        # that takes the buffer past a tenth of the tree.
+        # Once read, writes rebuild at the same threshold as ever: on the
+        # extend that takes the buffer past a tenth of the tree.
         for _ in range(135):
-            index.add(rng.uniform(-9, 9, (1, 3)))
+            table.append(rng.uniform(-9, 9, (1, 3)))
         assert tree_builds == [1350]
-        index.add(rng.uniform(-9, 9, (1, 3)))
+        table.append(rng.uniform(-9, 9, (1, 3)))
         assert tree_builds == [1350, 1486]
         # That build was not read: writes alone build nothing again.
-        index.add(rng.uniform(-9, 9, (400, 3)))
+        table.append(rng.uniform(-9, 9, (400, 3)))
         assert tree_builds == [1350, 1486]
         index.candidate_rows(np.zeros((1, 3)), [1.0])
         assert tree_builds == [1350, 1486, 1886]
@@ -573,18 +592,35 @@ class TestAudit:
     def test_detects_index_divergence(self, rng):
         gmap = GlobalMap()
         insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
-        gmap._point_index.add(np.zeros((1, 3)))
+        # The index is handed one row more than the table holds.
+        gmap._point_index.extend(np.vstack([gmap.point_positions, np.zeros((1, 3))]))
         assert any("point index" in v for v in audit(gmap))
 
     def test_detects_a_moved_indexed_position(self, rng):
         gmap = GlobalMap()
-        insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)))
+        insert_point_cloud(gmap, rng.uniform(-40, 40, (50, 3)), frames_of=10)
+        gmap._frame_index.rebuild()
         assert audit(gmap) == []
-        gmap._pt_pos[0] += 1.0
-        assert any("point index" in v for v in audit(gmap))
-        gmap._pt_pos[0] -= 1.0
+        # The frame tree holds a copy of the strided pose column.
         gmap._frames["pose"][0, 0] += 1.0
         assert any("frame index" in v for v in audit(gmap))
+
+    def test_point_positions_have_one_copy(self, rng):
+        # The point index reads the point table itself: the table's views
+        # are read-only, and the tree and the buffer's own tree share the
+        # table's memory.
+        gmap = GlobalMap()
+        insert_point_cloud(gmap, rng.uniform(-40, 40, (500, 3)))
+        for view in (gmap.point_positions, gmap.point_descriptors, gmap.point_observation_counts):
+            with pytest.raises(ValueError):
+                view[0] = 0
+        gmap._point_index.rebuild()
+        insert_point_cloud(gmap, rng.uniform(-40, 40, (20, 3)))
+        index = gmap._point_index
+        assert len(index._tree) == 500 and len(index) == 520
+        assert np.shares_memory(index._tree.points, gmap._pt_pos)
+        assert np.shares_memory(index._tree_of_buffer().points, gmap._pt_pos)
+        assert audit(gmap) == []
 
     def test_detects_frame_offsets_and_axes_out_of_step(self, rng):
         gmap = GlobalMap()

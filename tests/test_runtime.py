@@ -366,6 +366,25 @@ class TestAutoAlign:
         # Float32 wire rounding is the only error.
         assert np.linalg.norm(stored - glob[40:], axis=1).max() < 1e-5
 
+    def test_collinear_shared_points_leave_the_session_unaligned(self, rng):
+        server = fresh_server(auto_align=True)
+        register(server, 1)
+        register(server, 2)
+        ids = np.arange(1, 31)
+        line = np.outer(np.linspace(-10, 10, 30), [1.0, 0.5, 0.25])
+
+        def send(client_id, rows, positions):
+            msg = KeyframeUploadMsg(client_id, 0, Pose(0, 0, 0), 1.38, point_records(ids[rows], positions))
+            return decode(server.handle_bytes(encode(msg)))
+
+        assert isinstance(send(1, slice(0, 20), line[:20] + rng.uniform(-1, 1, (20, 3))), UploadAckMsg)
+        # 12 shared ids at collinear local positions: the rotation is
+        # unconstrained, so the upload is stored with the current transform.
+        assert isinstance(send(2, slice(8, 30), line[8:]), UploadAckMsg)
+        assert not server.sessions[2].aligned
+        stored = server.map.point_positions[server.map.rows_for_ids(ids[20:])]
+        np.testing.assert_allclose(stored, line[20:], atol=1e-5)
+
 
 class TestAssessmentMemo:
     def test_replies_equal_scratch_replies_over_scenarios(self, monkeypatch, engine_calls):
@@ -658,8 +677,8 @@ class TestTcpTransport:
                 t.close()
                 if client_id == 8:
                     early = stored_latency_values()
-            # One connection at a time: at most the last few threads remain.
-            assert len(front._threads) <= 8
+            # One connection at a time: at most the last few remain tracked.
+            assert len(front._conns) <= 8
             assert front.server.sessions == {} and front.server.ended_sessions == 64
             # Latencies are kept per message type, not per message.
             assert stored_latency_values() == early
@@ -667,6 +686,29 @@ class TestTcpTransport:
             assert stats["SessionRegisterMsg"]["count"] == stats["SessionEndMsg"]["count"] == 64
         finally:
             front.stop()
+
+
+    def test_stop_closes_open_connections_and_joins_their_handlers(self, rng):
+        before = set(threading.enumerate())
+        front = serve(GlobalMap(np_max=PARAMS.np_max), params=PARAMS)
+        links = [TcpTransport(front.addr, timeout=5.0) for _ in range(4)]
+        for client_id, t in enumerate(links, 1):
+            assert isinstance(decode(t.request(encode(SessionRegisterMsg(client_id, SIM_INTR)))),
+                              RegisterAckMsg)
+        handlers = set(threading.enumerate()) - before
+        assert len(handlers) == 5  # the accept loop and one per connection
+        t0 = time.perf_counter()
+        front.stop()
+        assert time.perf_counter() - t0 < 2.0
+        assert not any(t.is_alive() for t in handlers)
+        # An upload on a connection opened before the stop is not served.
+        pts = rng.uniform(-5, 5, (20, 3))
+        upload = KeyframeUploadMsg(1, 0, Pose(0, 0, 0), 1.38, point_records(np.arange(1, 21), pts))
+        with pytest.raises(TransportError):
+            links[0].request(encode(upload))
+        assert front.server.map.version == 0
+        for t in links:
+            t.close()
 
 
 class ChunkedSocket:
@@ -959,6 +1001,25 @@ class TestConcurrency:
         # Same per-user traffic despite interleaving (disjoint lanes).
         for cid in range(1, 11):
             assert conc.user(cid).total_upload_bytes == seq.user(cid).total_upload_bytes
+
+    def test_a_failing_concurrent_client_raises_its_own_error(self, monkeypatch):
+        def pipeline(cfg, stream, transport):
+            if cfg.client_id == 2:
+                raise RuntimeError("client 2 failed")
+            return client_pipeline(cfg, stream, transport)
+
+        closed = []
+
+        class ClosingTransport(InProcTransport):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(scenario, "client_pipeline", pipeline)
+        monkeypatch.setattr(scenario, "InProcTransport", ClosingTransport)
+        with pytest.raises(RuntimeError, match="client 2 failed"):
+            run_scenario(lanes_config(n=3, concurrent=True))
+        assert len(closed) == 3  # the failed client's transport too
 
     def test_session_isolation_on_abort(self):
         server = fresh_server()

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from comap.geometry import Pose, compute_fov, cone_from_fov, contains, contains_many
+from comap.geometry import FOV_CLAMP, Pose, compute_fov, cone_from_fov, contains, contains_many
 from comap.expansion import Keyframe
 from comap.mapstore import GlobalMap, MapFrame, insert_frame, select_neighbors
 from comap.params import ProtocolParams
@@ -662,3 +662,11 @@ class TestDefaultRMatch:
         r = default_r_match(FOV, PARAMS)
         cone_volume = (math.pi / 3) * 20.0**3 * math.tan(FOV / 2) ** 2
         assert r == pytest.approx(0.5 * (cone_volume / 300) ** (1 / 3))
+
+    @pytest.mark.parametrize("params", [PARAMS, ProtocolParams(h=7.5, np_default=123, r_match_factor=0.3)])
+    @pytest.mark.parametrize("fov", [1e-3, FOV, math.pi / 2, FOV_CLAMP, math.pi])
+    def test_is_the_spacing_of_the_clamped_cone(self, fov, params):
+        # Bit for bit the closed form, with the fov clamped as every cone's is.
+        volume = (math.pi / 3.0) * params.h**3 * math.tan(min(fov, FOV_CLAMP) / 2.0) ** 2
+        want = params.r_match_factor * (volume / params.np_default) ** (1.0 / 3.0)
+        assert default_r_match(fov, params) == want
