@@ -7,7 +7,7 @@ import csv
 import io
 import json
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -239,8 +239,9 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
     """Execute a scenario: one server, one client pipeline per user.
 
     Users run sequentially in config order unless ``concurrent`` is set;
-    then the first exception a user raises is re-raised once every user has
-    finished. Vanilla mode uploads every keyframe with no overlap protocol.
+    then every user runs to its end, and the exception of the first failed
+    user in config order is re-raised. Vanilla mode uploads every keyframe
+    with no overlap protocol.
     """
     scene = generate_scene(cfg.scene_seed, cfg.bounds, cfg.landmark_count, cfg.clusters)
     server = MapServer(
@@ -268,7 +269,6 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
         return t
 
     results: dict[int, tuple[UserSpec, ClientResult, object]] = {}
-    errors: list[BaseException] = []  # raised in user threads, in order
 
     def run_user(spec: UserSpec, user_scene: Scene):
         transport = make_transport()
@@ -278,23 +278,14 @@ def run_scenario(cfg: ScenarioConfig) -> Metrics:
             transport.close()
         results[spec.client_id] = (spec, res, transport)
 
-    def run_user_thread(spec: UserSpec):
-        try:
-            run_user(spec, scene)
-        except BaseException as e:
-            errors.append(e)
-
     try:
         if cfg.concurrent:
             # Scene mutations are not supported concurrently; all users see
             # the same world.
-            threads = [threading.Thread(target=run_user_thread, args=(spec,)) for spec in cfg.users]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
+            with ThreadPoolExecutor(max_workers=max(1, len(cfg.users))) as pool:
+                futures = [pool.submit(run_user, spec, scene) for spec in cfg.users]
+            for f in futures:
+                f.result()
         else:
             current = scene
             for spec in cfg.users:

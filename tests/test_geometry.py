@@ -242,10 +242,7 @@ class TestConeBall:
         assert radius <= h / math.cos(fov / 2.0)
         pts = self.probe_points(cone, seed)
         accepted = pts[contains_many(cone, pts)]
-        # The apex is exact and always accepted. The base centre is rounded,
-        # and a needle cone far from the origin (fov 7e-124, h 1e-3 at 5e5)
-        # rightly rejects it.
-        assert contains_many(cone, pts[:1]).all()
+        assert len(accepted) >= 2  # the apex and the base centre at least
         padded_centre, padded = cone_candidate_ball(cone)
         assert np.array_equal(padded_centre, centre) and padded >= radius
         assert (np.linalg.norm(accepted - centre, axis=1) <= padded).all()
