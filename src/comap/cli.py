@@ -14,7 +14,6 @@ from .mapstore import GlobalMap, SnapshotError, load_snapshot, save_snapshot
 from .runtime import MapServer, TcpMapServer, TcpTransport, throttle
 from .scenario import (
     Metrics,
-    UserMetrics,
     config_from_dict,
     drive_user,
     freshness_traffic_report,
@@ -46,23 +45,6 @@ def _apply_overrides(cfg, args):
     if getattr(args, "bandwidth_cap", None) is not None:
         cfg.bandwidth_cap = args.bandwidth_cap
     return cfg
-
-
-def _metrics_from_dict(raw: dict) -> Metrics:
-    users = [UserMetrics(**u) for u in raw["users"]]
-    server = raw["server"]
-    return Metrics(
-        mode=raw["mode"],
-        seed=raw["seed"],
-        users=users,
-        server_frames=server["frames"],
-        server_points=server["points"],
-        server_memory_bytes=server["memory_bytes"],
-        server_ingress=server["ingress"],
-        server_egress=server["egress"],
-        latency_percentiles={},
-        audit_violations=raw.get("audit_violations", []),
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -154,7 +136,7 @@ def cmd_client(args) -> int:
 
 
 def cmd_report(args) -> int:
-    loaded = [_metrics_from_dict(load_metrics_json(p)) for p in args.metrics]
+    loaded = [Metrics.from_dict(load_metrics_json(p)) for p in args.metrics]
     vanilla = next((m for m in loaded if m.mode == "vanilla"), None)
     primary = next((m for m in loaded if m.mode != "vanilla"), loaded[0])
     print(render_report(freshness_traffic_report(primary, vanilla)))

@@ -215,7 +215,7 @@ def cone_candidate_ball(cone: ViewCone) -> tuple[np.ndarray, float]:
     accepts: an index query over this ball returns a superset of the
     cone's points."""
     centre, radius = cone_ball(cone)
-    return centre, radius + 1e-9 * (float(np.linalg.norm(centre)) + radius)
+    return centre, radius + 1e-9 * (math.hypot(*centre) + radius)
 
 
 def sample_spacing(cone: ViewCone, k: int) -> float:

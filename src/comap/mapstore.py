@@ -52,7 +52,6 @@ import hashlib
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +159,6 @@ class _IncrementalIndex:
     oversized buffer into a new tree, so every read sees a buffer of at most
     a tenth of its tree; a write does so only if the index was read since
     its last build. An index that is only written is never built.
-
-    Writes exclude reads (the map's write lock), but reads run concurrently:
-    a read's check, any build and its hand-over of tree and buffer run under
-    the index's own lock, so no reader sees a tree from one state and a
-    buffer from another.
     """
 
     def __init__(self):
@@ -172,26 +166,22 @@ class _IncrementalIndex:
         self._rows = _EMPTY_TREE.points  # every indexed row, by row
         self._buffer_tree = None  # over the buffered rows; dropped on every extend
         self._read = False  # since the tree was built
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
+        return len(self._rows)
 
     def extend(self, rows: np.ndarray):
         """Index the table's current ``rows``: those indexed so far,
         unchanged, then the new ones. Rebuild once the side buffer outgrows
         its share, if the index was read since its build."""
-        with self._lock:
-            self._rows = rows
-            self._buffer_tree = None
-            if self._read and self._oversized():
-                self._build()
+        self._rows = rows
+        self._buffer_tree = None
+        if self._read and self._oversized():
+            self._build()
 
     def rebuild(self):
         """Fold the side buffer into a new tree."""
-        with self._lock:
-            self._build()
+        self._build()
 
     def _oversized(self) -> bool:
         buffered = len(self._rows) - len(self._tree)
@@ -203,23 +193,20 @@ class _IncrementalIndex:
         self._read = False
 
     def _parts(self) -> tuple[KdTree, np.ndarray]:
-        """The tree and the buffered rows, from one state, for one read; an
-        oversized buffer is folded into a new tree first. Rows of the buffer
-        follow the tree's."""
-        with self._lock:
-            if self._oversized():
-                self._build()
-            self._read = True
-            return self._tree, self._rows[len(self._tree) :]
+        """The tree and the buffered rows, for one read; an oversized buffer
+        is folded into a new tree first. Rows of the buffer follow the
+        tree's."""
+        if self._oversized():
+            self._build()
+        self._read = True
+        return self._tree, self._rows[len(self._tree) :]
 
     def _tree_of_buffer(self) -> KdTree:
         """The non-empty buffer's own tree, built on first use and kept until
-        the next extend. It covers the buffer ``_parts`` handed the read:
-        only a write, never concurrent with a read, changes that."""
-        with self._lock:
-            if self._buffer_tree is None:
-                self._buffer_tree = KdTree(self._rows[len(self._tree) :])
-            return self._buffer_tree
+        the next extend."""
+        if self._buffer_tree is None:
+            self._buffer_tree = KdTree(self._rows[len(self._tree) :])
+        return self._buffer_tree
 
     def candidate_rows(self, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
         """Per center, the rows of every point within its radius and possibly
@@ -273,7 +260,10 @@ class _IncrementalIndex:
 
 
 class GlobalMap:
-    """The server's shared map."""
+    """The server's shared map. It serves one caller at a time: neither a
+    read nor a write may overlap another call, since a read may rebuild an
+    index. ``MapServer`` holds one lock over each message to provide that.
+    """
 
     def __init__(self, np_max: int = 300):
         # The snapshot header and the query's np hint hold it as a u16.
@@ -637,8 +627,7 @@ def audit(map: GlobalMap) -> list[str]:
         ("point", map._point_index, map.point_positions),
         ("frame", map._frame_index, frames["pose"][:, :3]),
     ):
-        with index._lock:
-            tree, rows = index._tree, index._rows
+        tree, rows = index._tree, index._rows
         if not (np.array_equal(rows, table) and np.array_equal(tree.points, table[: len(tree)])):
             violations.append(
                 f"{name} index over {len(rows)} rows ({len(tree)} in its tree) differs "

@@ -65,6 +65,9 @@ class TransportError(Exception):
     """The transport failed to deliver a frame."""
 
 
+# The engine takes no RWLock: MapServer serves one message at a time. It
+# stays because the benchmark's tracer patches acquire_read and acquire_write
+# by name.
 class RWLock:
     """Multiple concurrent readers, one exclusive writer."""
 
@@ -144,8 +147,7 @@ class Session:
     shared-map response or None)`` with key ``(keyframe id, pose bits,
     sample count, map version)``. The session fixes the rest of what a
     reply depends on (client id, fov, alpha), so the key determines the
-    value. The tuple is replaced whole, never edited: two connections
-    racing on one client id can lose a hit but never serve a wrong reply.
+    value.
     """
 
     client_id: int
@@ -162,21 +164,16 @@ def _derive_seed(base: int, client_id: int, keyframe_id: int) -> int:
 
 
 class MapServer:
-    """Dispatches protocol messages onto the map engine.
-
-    Reads run concurrently; map writes are serialized by a single lock
-    (single-writer / multi-reader via the GIL for array reads plus an
-    exclusive mutation lock). A read may rebuild one of the map's spatial
-    indices, under that index's own lock; that changes no answer and not
-    the map's ``version``.
+    """Dispatches protocol messages onto the map engine, one at a time:
+    ``handle_bytes`` holds one lock over a whole message, from decode to
+    encode, the byte counters and latency histogram included.
 
     Overlap queries and shared-map requests assess each keyframe once per
     map state: an overlap query followed by a shared-map request for the
     same keyframe and pose, or ``f`` identical shared-map requests, cost
     one assessment and one slice. The result is kept in ``Session.memo``
-    under the map's ``version``, read and written under the map read lock.
-    This relies on the map being append-only, with ``insert_frame`` (under
-    the write lock) its only mutator.
+    under the map's ``version``. This relies on the map being append-only,
+    with ``insert_frame`` its only mutator.
 
     SessionEnd evicts the session, memo included, so the server holds only
     live sessions; ``ended_sessions`` counts the ends.
@@ -200,9 +197,7 @@ class MapServer:
         self.egress_bytes = 0
         # Per message type: counts in _LATENCY_BUCKETS log-scale buckets.
         self.latencies: dict[str, np.ndarray] = {}
-        self._map_lock = RWLock()
-        self._session_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     # -- message handling -------------------------------------------------
 
@@ -218,39 +213,39 @@ class MapServer:
 
     def decode_error_reply(self, error: DecodeError) -> bytes:
         """The error frame answering undecodable bytes, coded as ``error`` says."""
+        with self._lock:
+            return self._error_reply(error)
+
+    def _error_reply(self, error: DecodeError) -> bytes:
         out = encode(ErrorMsg(error.code, str(error)))
-        with self._stats_lock:
-            self.egress_bytes += len(out)
+        self.egress_bytes += len(out)
         return out
 
     def handle_bytes(self, raw: bytes) -> bytes:
         """Decode, dispatch, and encode; errors become error frames."""
-        with self._stats_lock:
+        with self._lock:
             self.ingress_bytes += len(raw)
-        try:
-            msg = decode(raw)
-        except DecodeError as e:
-            return self.decode_error_reply(e)
-        t0 = time.perf_counter()
-        try:
-            reply = self.handle(msg)
-        except ProtocolError as e:
-            reply = ErrorMsg(wire.E_PROTOCOL, str(e))
-        except Exception as e:  # pragma: no cover - defensive
-            reply = ErrorMsg(wire.E_INTERNAL, f"{type(e).__name__}: {e}")
-        self._note_latency(type(msg).__name__, time.perf_counter() - t0)
-        out = encode(reply)
-        with self._stats_lock:
+            try:
+                msg = decode(raw)
+            except DecodeError as e:
+                return self._error_reply(e)
+            t0 = time.perf_counter()
+            try:
+                reply = self.handle(msg)
+            except ProtocolError as e:
+                reply = ErrorMsg(wire.E_PROTOCOL, str(e))
+            except Exception as e:  # pragma: no cover - defensive
+                reply = ErrorMsg(wire.E_INTERNAL, f"{type(e).__name__}: {e}")
+            self._note_latency(type(msg).__name__, time.perf_counter() - t0)
+            out = encode(reply)
             self.egress_bytes += len(out)
-        return out
+            return out
 
     def _note_latency(self, op: str, seconds: float):
-        bucket = _latency_bucket(seconds)
-        with self._stats_lock:
-            counts = self.latencies.get(op)
-            if counts is None:
-                counts = self.latencies[op] = np.zeros(_LATENCY_BUCKETS, dtype=np.int64)
-            counts[bucket] += 1
+        counts = self.latencies.get(op)
+        if counts is None:
+            counts = self.latencies[op] = np.zeros(_LATENCY_BUCKETS, dtype=np.int64)
+        counts[_latency_bucket(seconds)] += 1
 
     def _session(self, client_id: int) -> Session:
         session = self.sessions.get(client_id)
@@ -265,19 +260,17 @@ class MapServer:
         return handler(self, msg)
 
     def _on_register(self, msg: SessionRegisterMsg) -> RegisterAckMsg:
-        with self._session_lock:
-            if msg.client_id in self.sessions:
-                raise ProtocolError(f"client {msg.client_id} already registered")
-            self.sessions[msg.client_id] = Session(
-                client_id=msg.client_id,
-                fov=compute_fov(msg.intrinsics),
-                alpha=self.alpha_overrides.get(msg.client_id, self.params.alpha),
-            )
+        if msg.client_id in self.sessions:
+            raise ProtocolError(f"client {msg.client_id} already registered")
+        self.sessions[msg.client_id] = Session(
+            client_id=msg.client_id,
+            fov=compute_fov(msg.intrinsics),
+            alpha=self.alpha_overrides.get(msg.client_id, self.params.alpha),
+        )
         return RegisterAckMsg(msg.client_id)
 
     def _assess(self, session: Session, msg) -> tuple:
-        """The session's memo entry for this query, assessing on a miss.
-        Call under the map read lock."""
+        """The session's memo entry for this query, assessing on a miss."""
         if msg.np_hint > self.np_max:
             raise ProtocolError(f"np hint {msg.np_hint} above the {self.np_max}-point bound")
         k = msg.np_hint if msg.np_hint > 0 else self.params.np_default
@@ -296,38 +289,33 @@ class MapServer:
         return entry
 
     def _on_overlap_query(self, msg: OverlapQueryMsg):
-        session = self._session(msg.client_id)
-        with self._map_lock.reading():
-            _, verdict, _ = self._assess(session, msg)
+        _, verdict, _ = self._assess(self._session(msg.client_id), msg)
         return build_response(verdict)
 
     def _on_shared_map_request(self, msg: SharedMapRequestMsg):
         session = self._session(msg.client_id)
-        with self._map_lock.reading():
-            key, verdict, response = self._assess(session, msg)
-            if response is None:
-                response = SharedMapResponseMsg()
-                if verdict.seen:
-                    response = build_shared_map(
-                        self.map,
-                        msg.pose,
-                        session.fov,
-                        session.alpha,
-                        params=self.params,
-                        exclude_client=msg.client_id,
-                    ).to_response()
-                session.memo = (key, verdict, response)
+        key, verdict, response = self._assess(session, msg)
+        if response is None:
+            response = SharedMapResponseMsg()
+            if verdict.seen:
+                response = build_shared_map(
+                    self.map,
+                    msg.pose,
+                    session.fov,
+                    session.alpha,
+                    params=self.params,
+                    exclude_client=msg.client_id,
+                ).to_response()
+            session.memo = (key, verdict, response)
         return response
 
     def _on_upload(self, msg: KeyframeUploadMsg) -> UploadAckMsg:
         session = self._session(msg.client_id)
         if len(msg.points) > self.map.np_max:
             raise ProtocolError(f"{len(msg.points)} points above capacity {self.map.np_max}")
-        with self._map_lock.writing():
-            if self.auto_align and not session.aligned:
-                self._try_align(session, msg)
-            fid = integrate_upload(self.map, msg, session.transform)
-        return UploadAckMsg(fid)
+        if self.auto_align and not session.aligned:
+            self._try_align(session, msg)
+        return UploadAckMsg(integrate_upload(self.map, msg, session.transform))
 
     def _try_align(self, session: Session, msg: KeyframeUploadMsg):
         """Estimate the client-to-global transform from shared landmark ids.
@@ -354,16 +342,13 @@ class MapServer:
         session = self._session(msg.client_id)
         if not 0 < len(msg.keyframes) <= self.params.update_window:
             raise ProtocolError(f"{len(msg.keyframes)} keyframes outside the update window")
-        with self._map_lock.reading():
-            return get_update_status(self.map, msg.keyframes, params=self.params)
+        return get_update_status(self.map, msg.keyframes, params=self.params)
 
     def _on_end(self, msg: SessionEndMsg) -> EndAckMsg:
-        with self._session_lock:
-            self._session(msg.client_id)
-            del self.sessions[msg.client_id]
-            self.ended_sessions += 1
-        with self._map_lock.reading():
-            return on_session_end(self.map, msg.client_id)
+        self._session(msg.client_id)
+        del self.sessions[msg.client_id]
+        self.ended_sessions += 1
+        return on_session_end(self.map, msg.client_id)
 
     # Keyed by exact class: a SharedMapRequestMsg is also an OverlapQueryMsg.
     _HANDLERS = {
@@ -378,12 +363,13 @@ class MapServer:
     # -- metrics -----------------------------------------------------------
 
     def audit(self) -> list[str]:
-        return audit(self.map)
+        with self._lock:
+            return audit(self.map)
 
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
         """Per message type: median and 95th-percentile latency, each within
         1% of a handled message's, and the message count."""
-        with self._stats_lock:
+        with self._lock:
             latencies = {op: counts.copy() for op, counts in self.latencies.items()}
         return {
             op: {

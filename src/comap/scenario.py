@@ -212,6 +212,23 @@ class Metrics:
             out["traces"] = self.traces
         return out
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Metrics":
+        """The metrics ``to_dict`` wrote, without traces or latencies."""
+        server = raw["server"]
+        return cls(
+            mode=raw["mode"],
+            seed=raw["seed"],
+            users=[UserMetrics(**u) for u in raw["users"]],
+            server_frames=server["frames"],
+            server_points=server["points"],
+            server_memory_bytes=server["memory_bytes"],
+            server_ingress=server["ingress"],
+            server_egress=server["egress"],
+            latency_percentiles={},
+            audit_violations=raw.get("audit_violations", []),
+        )
+
 
 def drive_user(cfg: ScenarioConfig, spec: UserSpec, scene: Scene, transport) -> ClientResult:
     """Run one user's keyframe stream over ``transport`` through a client

@@ -115,6 +115,12 @@ class KdTree:
         # return is at least that far, so none ties with or beats the k-th.
         m = min(k + 1, n)
         nn = self._tree.query(batch, k=m)[1].reshape(len(batch), m)
+        if nn.max() == n:
+            # The tree leaves out points whose squared distance overflows;
+            # rank every point for those centers, as the linear oracle does.
+            lost = np.flatnonzero((nn == n).any(axis=1))
+            d2 = self._d2(np.arange(n), batch[lost, None, :])
+            nn[lost] = np.argsort(d2, axis=1, kind="stable")[:, :m]
         d2 = self._d2(nn, batch[:, None, :])
         order = np.lexsort((nn, d2))
         nn, d2 = np.take_along_axis(nn, order, axis=1), np.take_along_axis(d2, order, axis=1)
@@ -123,8 +129,7 @@ class KdTree:
         tied = np.flatnonzero(d2[:, k] <= _search_radius(kth) ** 2) if m > k else []
         if len(tied):
             # A ball query at the k-th distance finds every point tied with it.
-            balls = self._tree.query_ball_point(batch[tied], _search_radius(kth[tied]))
-            idx, counts = _flatten(balls)
+            idx, counts = _flatten(self.candidates_within(batch[tied], kth[tied]))
             owner = np.repeat(tied, counts)
             order = np.lexsort((idx, self._d2(idx, batch[owner]), owner))
             rank = np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -135,12 +140,24 @@ class KdTree:
         """Unfiltered radius-query candidates of each center, from one ball
         query: per center i, the indices, in no particular order, of every
         point within ``radii[i]`` of it and possibly of points a little
-        beyond it. The caller decides on them.
+        beyond it. The caller decides on them. A center too far from the
+        points for their squared distances to stay finite gets every index.
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        if not self._tree.n:
+        n = self._tree.n
+        if not n:
             return [np.empty(0, dtype=np.int64) for _ in centers]
-        balls = self._tree.query_ball_point(centers, _search_radius(radii), return_sorted=False)
+        r = _search_radius(radii)
+        try:
+            balls = self._tree.query_ball_point(centers, r, return_sorted=False)
+        except ValueError:
+            # cKDTree refuses a batch with a center whose squared distance to
+            # the far corner of the points' bounding box overflows.
+            reach = np.maximum(centers - self._tree.mins, self._tree.maxes - centers)
+            near = ~np.isinf(np.sum(reach * reach, axis=1))
+            r = np.broadcast_to(r, len(centers))[near]
+            found = iter(self._tree.query_ball_point(centers[near], r, return_sorted=False))
+            balls = [next(found) if ok else np.arange(n) for ok in near]
         return [np.asarray(b, dtype=np.int64) for b in balls]
 
     def pairs_within(self, r: float) -> np.ndarray:

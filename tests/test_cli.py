@@ -16,7 +16,7 @@ import comap
 from comap.cli import main
 from comap.mapstore import GlobalMap, load_snapshot, state_digest
 from comap.runtime import InProcTransport, MapServer
-from comap.scenario import config_from_dict, drive_user
+from comap.scenario import Metrics, config_from_dict, drive_user
 from comap.sim import generate_scene
 
 SOLO_CLIENT = Path(__file__).resolve().parents[1] / "demos" / "configs" / "solo_client.yaml"
@@ -94,6 +94,17 @@ class TestSimulate:
         ])
         assert rc == 0
         assert "reduction vs vanilla" in capsys.readouterr().out
+
+    def test_report_from_saved_metrics_matches_the_run(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", str(scenario_file), "--out", str(out), "--with-vanilla"]) == 0
+        simulated = capsys.readouterr().out
+        saved = [out / "metrics_mapxx.json", out / "metrics_vanilla.json"]
+        for path in saved:
+            raw = json.loads(path.read_text())
+            assert Metrics.from_dict(raw).to_dict() == raw
+        assert main(["report", *map(str, saved)]) == 0
+        assert simulated == capsys.readouterr().out + f"metrics written to {out}\n"
 
     def test_seed_override_changes_output(self, tmp_path, scenario_file):
         out_a = tmp_path / "a"

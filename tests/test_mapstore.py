@@ -3,8 +3,6 @@ import hashlib
 import math
 import os
 import struct
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -504,56 +502,6 @@ class TestIncrementalIndex:
         assert tree_builds == [1350, 1486]
         index.candidate_rows(np.zeros((1, 3)), [1.0])
         assert tree_builds == [1350, 1486, 1886]
-
-    def test_concurrent_first_readers_build_each_index_once(self, rng, tree_builds):
-        # Four threads, released together, make the first reads after a
-        # write-only burst: each index is built once, and every reader gets
-        # the answers a lone reader gets.
-        t_d, fov = 40.0, 1.4
-        centers = rng.uniform(-20, 20, (30, 3))
-        poses = [Pose(*rng.uniform(-10, 10, 3), 0.0, *rng.uniform(-math.pi, math.pi, 2))
-                 for _ in range(6)]
-
-        def burst():
-            gmap = GlobalMap(np_max=300)
-            cloud = np.random.default_rng(5).uniform(-30, 30, (3000, 3))
-            for client, pose in enumerate(poses):
-                insert_point_cloud(gmap, cloud[client::len(poses)], client_id=client,
-                                   frame_pose=pose, fov=fov, frames_of=50)
-            return gmap
-
-        def reads(gmap):
-            return [
-                gmap.nearest_point_rows(centers, 5).tolist(),
-                [np.sort(c).tolist() for c in gmap.point_candidate_rows(centers, [2.0] * 30)],
-                gmap.any_point_within(centers, 2.0, np.arange(0, 3000, 3)).tolist(),
-                [neighbor_point_rows(gmap, q, fov, t_d, exclude_client=1).tolist() for q in poses],
-            ]
-
-        want = reads(burst())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                gmap = burst()
-                tree_builds.clear()
-                gate, got = threading.Barrier(4), [None] * 4
-
-                def reader(i):
-                    gate.wait()
-                    got[i] = reads(gmap)
-
-                threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert got == [want] * 4
-                assert sorted(tree_builds) == [len(gmap.frames), len(gmap.points)]
-                assert audit(gmap) == []
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestAudit:

@@ -230,6 +230,34 @@ class TestServerDispatch:
         assert isinstance(reply, ErrorMsg)
         assert reply.code == wire.E_PROTOCOL
 
+    @pytest.mark.parametrize("x", [1e155, 1e200, 1e300])
+    def test_far_update_check_is_an_expansion(self, rng, x):
+        # From a pose this far out squared distances overflow; nothing is
+        # mapped there, so the device is off the map.
+        server = mapped_server(rng)
+        pts = point_records(np.arange(5001, 5041), rng.uniform(0, 10, (40, 3)))
+        kf = KeyframeUploadMsg(2, 0, Pose(x, 0, 1.5, 0, math.pi / 2, 0), 1.38, pts)
+        reply = decode(server.handle_bytes(encode(UpdateCheckMsg(2, [kf]))))
+        assert isinstance(reply, UpdateStatusMsg)
+        assert reply.verdict == VERDICT_EXPANSION
+        assert server.audit() == []
+
+    def test_far_frame_leaves_queries_answered(self, rng):
+        # A frame stored at a far pose stretches the frame index's bounds
+        # past the float range once a read builds its tree.
+        server = mapped_server(rng)
+        pts = point_records(np.arange(5001, 5041), rng.uniform(0, 10, (40, 3)))
+        far = Pose(1e300, 0, 1.5, 0, math.pi / 2, 0)
+        assert isinstance(decode(server.handle_bytes(encode(
+            KeyframeUploadMsg(2, 0, far, 1.38, pts)))), UploadAckMsg)
+        for kf in range(3, 40):
+            upload(server, kf, rng)
+        for msg in (OverlapQueryMsg(2, 1, 100, MEMO_POSE), SharedMapRequestMsg(2, 1, 100, MEMO_POSE),
+                    OverlapQueryMsg(2, 2, 100, far)):
+            reply = decode(server.handle_bytes(encode(msg)))
+            assert not isinstance(reply, ErrorMsg), reply
+        assert server.audit() == []
+
     def test_reply_type_sent_to_server_is_protocol_error(self):
         server = fresh_server()
         register(server, 1)
@@ -1038,3 +1066,34 @@ class TestConcurrency:
         assert bad.aborted and not good.aborted
         assert server.audit() == []
         assert ok_transport.sent_bytes == good.stats.total_upload
+
+    def test_handlers_never_overlap(self, rng, monkeypatch):
+        # Each of two threads' queries waits in the engine for the other's:
+        # handlers run one at a time, so neither wait is ever met.
+        server = mapped_server(rng)
+        meeting = threading.Barrier(2, timeout=0.5)
+        met = []
+        assess = runtime.assess_overlap
+
+        def waiting(*args, **kwargs):
+            try:
+                meeting.wait()
+                met.append(True)
+            except threading.BrokenBarrierError:
+                met.append(False)
+            return assess(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "assess_overlap", waiting)
+        replies = []
+
+        def ask(kf):
+            replies.append(decode(server.handle_bytes(encode(OverlapQueryMsg(2, kf, 100, MEMO_POSE)))))
+
+        threads = [threading.Thread(target=ask, args=(kf,)) for kf in (7, 8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert met == [False, False]
+        assert [type(r) for r in replies] == [OverlapResponseMsg] * 2

@@ -188,6 +188,35 @@ class TestQueryNearest:
             KdTree(np.zeros((3, 3))).query_nearest([0, 0, 0], 0)
 
 
+class TestOverflowingDistances:
+    """Centres and points so far apart that squared distances overflow (only
+    f8 poses and snapshot positions reach them): every query still answers,
+    with the oracle's arithmetic, in which an overflowed distance is inf."""
+
+    FAR = [1e155, 1e200, 1e300]
+
+    def test_candidates_hold_every_point_within_radius(self, rng):
+        pts = rng.uniform(-10, 10, (200, 3))
+        spread = np.vstack([pts, [[2e154, 0.0, 0.0]]])  # a table spanning past 1e154
+        centers = np.array([[x, 0.0, 1.5] for x in self.FAR] + [[0.0, 0.0, 0.0]])
+        radii = np.array([1.0, 1e191, 1e291, 3.0])
+        for table in (pts, spread):
+            got = KdTree(table).candidates_within(centers, radii)
+            with np.errstate(over="ignore"):
+                for c, r, rows in zip(centers, radii, got):
+                    assert set(linear_radius_search(table, c, r)) <= set(rows.tolist())
+
+    def test_nearest_matches_argsort(self, rng):
+        pts = rng.uniform(-10, 10, (200, 3))
+        centers = np.array([[x, -x, 0.0] for x in self.FAR] + [[1e154, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        for table in (pts, np.vstack([pts, [[0.0, 2e154, 0.0]]])):
+            tree = KdTree(table)
+            for k in (1, 5):
+                with np.errstate(over="ignore"):
+                    want = np.array([brute_nearest(table, c, k) for c in centers])
+                np.testing.assert_array_equal(tree.query_nearest(centers, k), want)
+
+
 class TestPairsWithin:
     def test_matches_brute_force_pair_scan(self, rng):
         for _ in range(20):
